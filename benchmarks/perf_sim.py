@@ -1,20 +1,20 @@
 #!/usr/bin/env python
-"""Three-mode simulator benchmark on the LINAIGE streaming workload.
+"""Interp-vs-jit simulator benchmark on the LINAIGE streaming workload.
 
 Builds a Table-I-class quantized CNN, compiles it for the ISA-simulated
 targets and streams a batch of held-out LINAIGE frames through
-``Engine.predict_batch`` in every simulation mode (``interp``, ``fast``,
-``jit``), asserting **bit-exact** agreement (predictions, logits, cycles,
-energy) before reporting speed:
+``Engine.predict_batch`` in both simulation modes (``interp``, ``jit``),
+asserting **bit-exact** agreement (predictions, logits, cycles, energy)
+before reporting speed:
 
-* trace-compile time vs steady-state streaming time, split per mode,
-* frames/sec per mode, speedups vs the interpreter AND vs fast mode,
+* JIT compile time vs steady-state streaming time, split per mode,
+* frames/sec per mode and the jit speedup over the interpreter,
 * simulated cycles/sec (how much silicon time one wall-clock second buys).
 
 Results are written as machine-readable JSON (``BENCH_sim.json`` at the
 repository root by default) to seed the performance trajectory; CI runs
 ``perf_sim.py --quick`` as a smoke job, so any cross-mode mismatch or a
-collapse of the compiled paths fails every PR.
+collapse of the compiled path fails every PR.
 
 Usage::
 
@@ -46,12 +46,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FULL = dict(conv_channels=(24, 24), hidden_features=40, frames=6, scale=0.05)
 QUICK = dict(conv_channels=(12, 16), hidden_features=24, frames=3, scale=0.03)
 SCHEME = (8, 4, 4, 8)
-MODES = ("interp", "fast", "jit")
+MODES = ("interp", "jit")
 
-# Full-run acceptance floors (wall-clock ratios are too noisy on the quick
+# Full-run acceptance floor (wall-clock ratios are too noisy on the quick
 # CI workload, so --quick only enforces bit-exact parity).
-FAST_VS_INTERP_FLOOR = 10.0
-JIT_VS_FAST_FLOOR = 5.0
 JIT_VS_INTERP_FLOOR = 60.0
 
 
@@ -75,12 +73,12 @@ def build_workload(cfg):
 
 
 def time_mode(bundle, target, mode, frames):
-    """Measure trace-compile time and steady-state streaming time.
+    """Measure JIT compile time and steady-state streaming time.
 
-    The compile phase is the program decode + trace/JIT compilation the
-    mode pays once per program; steady state is a ``predict_batch`` after
-    all per-core caches are warm (one warm-up frame).  The interpreter has
-    no compile phase.
+    The compile phase is the program decode + JIT compilation the mode pays
+    once per program; steady state is a ``predict_batch`` after all
+    per-core caches are warm (one warm-up frame).  The interpreter has no
+    compile phase.
     """
     engine = repro.compile(bundle, target=target, sim_mode=mode)
     engine.backend.prepare()  # load once; measure steady-state streaming
@@ -93,17 +91,6 @@ def time_mode(bundle, target, mode, frames):
         start = time.perf_counter()
         get_template(program, core.cycle_model, core.enable_sdotp)
         compile_s = time.perf_counter() - start
-    elif mode == "fast":
-        from repro.hw.sim import compile_trace
-
-        start = time.perf_counter()
-        compile_trace(
-            program,
-            engine.backend.platform.memory,
-            cycle_model=core.cycle_model,
-            enable_sdotp=core.enable_sdotp,
-        )
-        compile_s = time.perf_counter() - start
 
     engine.predict_batch(frames[:1])  # warm per-core caches
     steady_s = float("inf")
@@ -115,25 +102,20 @@ def time_mode(bundle, target, mode, frames):
 
 
 def check_parity(target, batches):
-    reference = batches["interp"]
-    for mode in ("fast", "jit"):
-        failures = []
-        batch = batches[mode]
-        if not np.array_equal(batch.predictions, reference.predictions):
-            failures.append("predictions")
-        if not np.array_equal(batch.logits, reference.logits):
-            failures.append("logits")
-        if not np.array_equal(batch.cycles_per_frame, reference.cycles_per_frame):
-            failures.append("cycles")
-        if not np.array_equal(
-            batch.energy_uj_per_frame, reference.energy_uj_per_frame
-        ):
-            failures.append("energy")
-        if failures:
-            raise SystemExit(
-                f"{mode.upper()}/INTERP MISMATCH on {target}: "
-                f"{', '.join(failures)} differ"
-            )
+    reference, batch = batches["interp"], batches["jit"]
+    failures = []
+    if not np.array_equal(batch.predictions, reference.predictions):
+        failures.append("predictions")
+    if not np.array_equal(batch.logits, reference.logits):
+        failures.append("logits")
+    if not np.array_equal(batch.cycles_per_frame, reference.cycles_per_frame):
+        failures.append("cycles")
+    if not np.array_equal(batch.energy_uj_per_frame, reference.energy_uj_per_frame):
+        failures.append("energy")
+    if failures:
+        raise SystemExit(
+            f"JIT/INTERP MISMATCH on {target}: {', '.join(failures)} differ"
+        )
 
 
 def bench_target(bundle, target, frames):
@@ -150,17 +132,12 @@ def bench_target(bundle, target, frames):
             "sim_cycles_per_sec": cycles / steady_s,
         }
     check_parity(target, batches)
-    interp_s = rows["interp"]["seconds"]
-    fast_s = rows["fast"]["seconds"]
-    jit_s = rows["jit"]["seconds"]
     return {
         "frames": n,
         "cycles_per_frame": float(batches["interp"].mean_cycles),
         "modes": rows,
         "speedups": {
-            "fast_vs_interp": interp_s / fast_s,
-            "jit_vs_interp": interp_s / jit_s,
-            "jit_vs_fast": fast_s / jit_s,
+            "jit_vs_interp": rows["interp"]["seconds"] / rows["jit"]["seconds"],
         },
     }
 
@@ -201,16 +178,15 @@ def main(argv=None) -> int:
         print(
             f"{target:<8} "
             f"interp {row['modes']['interp']['frames_per_sec']:6.2f} fps | "
-            f"fast {row['modes']['fast']['frames_per_sec']:7.2f} fps | "
             f"jit {row['modes']['jit']['frames_per_sec']:8.2f} fps | "
-            f"jit/fast {speed['jit_vs_fast']:5.1f}x | "
             f"jit/interp {speed['jit_vs_interp']:6.1f}x | "
             f"{row['modes']['jit']['sim_cycles_per_sec'] / 1e6:7.1f} Msimcycles/s"
         )
 
     results["min_speedups"] = {
-        key: min(row["speedups"][key] for row in results["targets"].values())
-        for key in ("fast_vs_interp", "jit_vs_interp", "jit_vs_fast")
+        "jit_vs_interp": min(
+            row["speedups"]["jit_vs_interp"] for row in results["targets"].values()
+        )
     }
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"parity: OK (bit-exact on {', '.join(results['targets'])})")
@@ -219,21 +195,12 @@ def main(argv=None) -> int:
     # The quick CI job only enforces bit-exact parity (check_parity above
     # already exited on any mismatch) — tiny workloads on shared runners
     # make wall-clock ratios too noisy to gate on.  The full run enforces
-    # the acceptance bars.
+    # the acceptance bar.
     if not args.quick:
-        floors = {
-            "fast_vs_interp": FAST_VS_INTERP_FLOOR,
-            "jit_vs_fast": JIT_VS_FAST_FLOOR,
-            "jit_vs_interp": JIT_VS_INTERP_FLOOR,
-        }
-        failed = False
-        for key, floor in floors.items():
-            measured = results["min_speedups"][key]
-            if measured < floor:
-                print(f"FAIL: {key} speedup {measured:.1f}x below the "
-                      f"{floor:.0f}x floor", file=sys.stderr)
-                failed = True
-        if failed:
+        measured = results["min_speedups"]["jit_vs_interp"]
+        if measured < JIT_VS_INTERP_FLOOR:
+            print(f"FAIL: jit_vs_interp speedup {measured:.1f}x below the "
+                  f"{JIT_VS_INTERP_FLOOR:.0f}x floor", file=sys.stderr)
             return 1
     return 0
 

@@ -40,11 +40,11 @@ class KernelHint:
 
     The code generator records one hint per structured loop it emits
     (``kind`` in ``{"sdotp", "mac8", "mac4", "memset"}``; ``label`` is the
-    loop's branch-target label).  The fast simulator recognizes the loops
+    loop's branch-target label).  The JIT simulator recognizes the loops
     structurally, so the hints carry no execution semantics — they exist so
     tests can prove that every loop codegen claims to emit is actually
     picked up by a vectorized handler
-    (:meth:`repro.hw.sim.TraceProgram.vectorized_labels`).
+    (:meth:`repro.hw.sim.JitTemplate.vectorized_labels`).
     """
 
     label: str

@@ -95,7 +95,7 @@ class CompiledModel:
     input_zero_point: int
     use_sdotp: bool
     layer_summaries: List[LayerSummary] = field(default_factory=list)
-    # One annotation per structured loop emitted by codegen; the fast
+    # One annotation per structured loop emitted by codegen; the JIT
     # simulator's parity tests assert each one hits a vectorized handler.
     kernel_hints: List[KernelHint] = field(default_factory=list)
 

@@ -11,16 +11,12 @@ platforms (STM32 + X-CUBE-AI, vanilla IBEX, MAUPITI):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..hw.platform import SmartSensorPlatform
 from ..quant.integer import IntegerNetwork
-from .program import CompiledModel
-from .stm32 import Stm32DeploymentModel
 
 
 @dataclass
@@ -66,51 +62,6 @@ class DeploymentReport:
     def rows(self) -> List[str]:
         order = ["STM32", "IBEX", "MAUPITI"]
         return [self.entries[p].row() for p in order if p in self.entries]
-
-
-def report_on_simulated_platform(
-    network: IntegerNetwork,
-    platform: SmartSensorPlatform,
-    calibration_frames: np.ndarray,
-    compiled: Optional[CompiledModel] = None,
-) -> PlatformReport:
-    """Measure one platform by actually running frames on the ISA simulator.
-
-    .. deprecated:: 1.1
-        Thin shim over the engine façade; prefer
-        ``repro.compile(network, target="maupiti").report(frames)``.
-    """
-    from ..engine import compile as _compile
-
-    warnings.warn(
-        "report_on_simulated_platform() is deprecated; use "
-        'repro.compile(network, target="maupiti").report(frames) instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    target = "maupiti" if platform.spec.supports_sdotp else "ibex"
-    engine = _compile(network, target=target, platform=platform, compiled=compiled)
-    return engine.report(calibration_frames)
-
-
-def report_on_stm32(
-    network: IntegerNetwork, model: Optional[Stm32DeploymentModel] = None
-) -> PlatformReport:
-    """Analytical STM32 + X-CUBE-AI estimate.
-
-    .. deprecated:: 1.1
-        Thin shim over the engine façade; prefer
-        ``repro.compile(network, target="stm32").report()``.
-    """
-    from ..engine import compile as _compile
-
-    warnings.warn(
-        "report_on_stm32() is deprecated; use "
-        'repro.compile(network, target="stm32").report() instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _compile(network, target="stm32", deployment_model=model).report()
 
 
 def full_deployment_report(

@@ -7,8 +7,8 @@ activation buffer — as the sensor read-out DMA would — starts the core, and
 reads back the predicted class.
 
 It also provides :func:`simulate_batch` — whole-split simulation that
-amortizes model load, input quantization/packing and (in ``fast`` mode)
-trace compilation across frames — and :func:`verify_against_golden`, which
+amortizes model load, input quantization/packing and (in ``jit`` mode)
+the simulator's compiled template across frames — and :func:`verify_against_golden`, which
 checks in one batched call that the ISA simulation reproduces the numpy
 integer golden model bit-exactly.
 
@@ -161,9 +161,10 @@ def simulate_batch(
     Everything frame-independent is amortized across the batch: the model
     image is loaded once, every frame is quantized and packed into its
     input-buffer payload in one vectorized pass
-    (:func:`pack_input_frames`), and — on a ``sim_mode="fast"`` platform —
-    the program decode/trace compilation happens once and is reused for
-    every frame.  Results are identical to running the frames one by one.
+    (:func:`pack_input_frames`), and — on a ``sim_mode="jit"`` platform —
+    the program is compiled once and the frames run through it together,
+    batched across frames wherever the kernels allow.  Results are
+    identical to running the frames one by one.
     """
     frames = np.asarray(frames)
     load_model(platform, compiled)

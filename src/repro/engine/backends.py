@@ -164,9 +164,8 @@ class _SimulatedBackend(EngineBackend):
 
     ``sim_mode`` selects the simulation engine: ``"jit"`` (default) runs
     exec-compiled block code with cross-frame batching and the process-wide
-    trace cache (:mod:`repro.hw.sim.jit`), ``"fast"`` the trace-compiled
-    closure simulator, ``"interp"`` the per-instruction reference
-    interpreter.  All three are bit-exact in predictions, logits, cycle
+    trace cache (:mod:`repro.hw.sim.jit`), ``"interp"`` the per-instruction
+    reference interpreter.  Both are bit-exact in predictions, logits, cycle
     counts and energy; batches go through
     :func:`repro.deploy.runtime.simulate_batch`, which amortizes model
     load, input packing and trace compilation across frames.
@@ -251,8 +250,7 @@ class _SimulatedBackend(EngineBackend):
 
         For ``"jit"`` mode, reports the vectorized-kernel counts per kind
         plus how many basic blocks run as generated code vs the closure
-        fallback; for ``"fast"`` mode, the kernel counts of the compiled
-        trace; for ``"interp"`` mode, just the mode.
+        fallback; for ``"interp"`` mode, just the mode.
         """
         core = self.platform.core
         info: dict = {"mode": self.sim_mode}
@@ -264,28 +262,6 @@ class _SimulatedBackend(EngineBackend):
             )
             info["kernel_counts"] = template.kernel_counts()
             info["blocks"] = template.block_tallies()
-        elif self.sim_mode == "fast":
-            from ..hw.sim import compile_trace
-
-            trace = None
-            cached = core._trace_cache.get(id(self.compiled.program))
-            if cached is not None and cached[0] is self.compiled.program:
-                trace = cached[2]
-            if trace is None:
-                trace = compile_trace(
-                    self.compiled.program,
-                    memory=self.platform.memory,
-                    cycle_model=core.cycle_model,
-                    enable_sdotp=core.enable_sdotp,
-                )
-            info["kernel_counts"] = trace.kernel_counts()
-            kernel = sum(1 for b in trace.blocks if b.kernel is not None)
-            info["blocks"] = {
-                "total": len(trace.blocks),
-                "kernel": kernel,
-                "jit": 0,
-                "closure": len(trace.blocks) - kernel,
-            }
         return info
 
     def report(

@@ -28,7 +28,7 @@ class TargetSpec:
     """Static description of one registered execution target.
 
     ``supports_sim_mode`` declares that the backend's constructor accepts a
-    ``sim_mode="interp"|"fast"`` keyword selecting the simulation engine
+    ``sim_mode="interp"|"jit"`` keyword selecting the simulation engine
     (the ISA-simulated targets); callers such as the flow's deployment
     stage use it to decide whether to forward the option.
     """

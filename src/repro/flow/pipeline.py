@@ -36,6 +36,7 @@ from ..datasets.linaige import LinaigeDataset, NUM_CLASSES, Session
 from ..datasets.transforms import Standardizer, ambient_removal
 from ..deploy.report import DeploymentReport
 from ..engine import compile as compile_engine
+from ..hw import SIM_MODES
 from ..nas.search import ArchitecturePoint, SearchConfig, run_search
 from ..nn.data import ArrayDataset
 from ..nn.losses import CrossEntropyLoss, balanced_class_weights
@@ -125,9 +126,9 @@ class FlowConfig:
     deploy_targets: Sequence[str] = ()
     deploy_frames: int = 3
     # Simulation engine for the ISA-simulated deploy targets: "jit" runs
-    # exec-compiled block code with cross-frame batching, "fast" the
-    # trace-compiled closure simulator, "interp" the reference interpreter.
-    # All three are bit-exact.
+    # exec-compiled block code with cross-frame batching, "interp" the
+    # reference interpreter.  Both are bit-exact.  Checked before any
+    # training starts.
     sim_mode: str = "jit"
     # Task execution: "serial" (reference), "thread" (persistent thread
     # pool — zero-copy, scales on GIL-releasing numpy paths such as the
@@ -256,8 +257,8 @@ class FlowResult:
         split in one batched call that doubles as the cycle measurement, so
         each frame is simulated only once.  ``sim_mode`` selects the
         simulation engine for targets that support it (``"jit"`` is the
-        exec-compiled batching simulator, ``"fast"`` the trace-compiled
-        closure simulator, ``"interp"`` the reference interpreter).
+        exec-compiled batching simulator, ``"interp"`` the reference
+        interpreter).
 
         The per-target compile+verify runs are independent task units: pass
         ``executor="process"`` (or an executor instance) to distribute them,
@@ -352,6 +353,12 @@ class OptimizationFlow:
         from ..parallel import executor_is_owned, get_executor
 
         cfg = self.config
+        if cfg.sim_mode not in SIM_MODES:
+            # Reject a bad mode before training, not at the deployment stage.
+            raise ValueError(
+                f"unknown simulation mode {cfg.sim_mode!r}; "
+                f"expected one of {SIM_MODES}"
+            )
         # One executor for the whole run: the process pool forks once and is
         # reused by every stage, and the datasets are placed in shared
         # memory once.  The flow closes the executor (releasing workers and

@@ -5,7 +5,6 @@ from .sdotp import pack_lanes, sdotp4, sdotp8, to_signed, to_unsigned, unpack_la
 from .memory import DMEM_BASE, DMEM_SIZE, IMEM_BASE, IMEM_SIZE, Memory, MemoryError_
 from .cycles import CycleModel, DEFAULT_CYCLE_MODEL
 from .core import ExecutionStats, IbexCore, SIM_MODES, SimulationError
-from .sim import TraceProgram, compile_trace
 from .sensor import TmosArray, TmosArrayConfig
 from .energy import (
     IBEX_SPEC,
@@ -48,8 +47,6 @@ __all__ = [
     "ExecutionStats",
     "SimulationError",
     "SIM_MODES",
-    "TraceProgram",
-    "compile_trace",
     "TmosArray",
     "TmosArrayConfig",
     "PlatformSpec",

@@ -15,18 +15,15 @@ Two execution modes are available (``IbexCore(mode=...)``):
 
 * ``"interp"`` — the per-instruction reference interpreter below.  Simple,
   obviously correct, slow.
-* ``"fast"`` — the trace-compiled simulator of :mod:`repro.hw.sim`: the
-  program is pre-decoded once into basic blocks, the structured inner loops
-  emitted by :mod:`repro.deploy.codegen` are replaced by vectorized numpy
-  kernels, and cycle/energy accounting is derived analytically from the
-  same :class:`CycleModel`.  Registers, memory, cycle counts and
+* ``"jit"`` (default for the deployment platforms) — the compiled simulator
+  of :mod:`repro.hw.sim.jit`: the program is split into basic blocks, the
+  structured inner loops emitted by :mod:`repro.deploy.codegen` run as
+  vectorized numpy kernels, the remaining blocks as generated and
+  ``exec``-compiled straight-line Python, and cycle/energy accounting is
+  derived analytically from the same :class:`CycleModel`.  Compiled
+  templates are shared process-wide across engines through
+  :mod:`repro.hw.sim.trace_cache`.  Registers, memory, cycle counts and
   per-mnemonic statistics are bit-exact against the interpreter.
-* ``"jit"`` (default for the deployment platforms) — the second-generation
-  tier of :mod:`repro.hw.sim.jit`: non-kernel blocks run as generated and
-  ``exec``-compiled straight-line Python instead of per-instruction
-  closures, and compiled templates are shared process-wide across engines
-  through :mod:`repro.hw.sim.trace_cache`.  Same bit-exactness contract as
-  ``"fast"``.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from .isa import BRANCHES, Instruction
 from .memory import Memory
 from .sdotp import sdotp4, sdotp8, to_signed, to_unsigned
 
-SIM_MODES = ("interp", "fast", "jit")
+SIM_MODES = ("interp", "jit")
 
 
 class SimulationError(Exception):
@@ -47,9 +44,9 @@ class SimulationError(Exception):
 
 
 def _program_fingerprint(program: List[Instruction]) -> int:
-    """Cheap content hash guarding the fast-mode trace cache.
+    """Cheap content hash guarding the per-core cache of bound JIT programs.
 
-    Programs are plain mutable lists of mutable instructions; a stale trace
+    Programs are plain mutable lists of mutable instructions; a stale binding
     after an in-place edit would silently break the bit-exactness contract,
     so the cache revalidates on every run (a few hundred microseconds,
     negligible against a simulated frame)."""
@@ -108,11 +105,10 @@ class IbexCore:
         self.pc = 0
         self.stats = ExecutionStats()
         self.halted = False
-        # Compiled traces keyed by id(program); the program object itself is
-        # kept alive in the value so a recycled id can never alias a trace.
-        self._trace_cache: Dict[int, tuple] = {}
-        # JIT-mode bound programs, same keying/eviction discipline; the
-        # underlying templates live in the process-wide trace cache.
+        # JIT-mode bound programs keyed by id(program); the program object
+        # itself is kept alive in the value so a recycled id can never alias
+        # a binding.  The underlying templates live in the process-wide
+        # trace cache.
         self._jit_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
@@ -133,8 +129,6 @@ class IbexCore:
     def run(self, program: List[Instruction], entry_pc: int = 0) -> ExecutionStats:
         """Execute ``program`` (a list of instructions laid out from address 0
         of the instruction memory, 4 bytes per slot) until ``ebreak``."""
-        if self.mode == "fast":
-            return self._run_fast(program, entry_pc)
         if self.mode == "jit":
             return self._run_jit(program, entry_pc)
         self.pc = entry_pc
@@ -153,52 +147,15 @@ class IbexCore:
         return self.stats
 
     # ------------------------------------------------------------------ #
-    def _run_fast(self, program: List[Instruction], entry_pc: int = 0) -> ExecutionStats:
-        """Execute through the trace-compiled simulator (:mod:`repro.hw.sim`).
-
-        The compiled trace is cached per program object, so repeated frames
-        of the same compiled model pay the decode cost exactly once.  The
-        trace captures this core's memory; a core only ever owns one memory,
-        which keeps the cache sound.
-        """
-        from .sim import compile_trace  # deferred: sim imports from this module
-
-        key = id(program)
-        fingerprint = _program_fingerprint(program)
-        cached = self._trace_cache.pop(key, None)  # re-insert below: LRU order
-        if cached is None or cached[0] is not program or cached[1] != fingerprint:
-            if len(self._trace_cache) >= 8:
-                # Evict the least recently used trace, so hot programs
-                # survive sweeps over many compiled models on one platform.
-                self._trace_cache.pop(next(iter(self._trace_cache)))
-            trace = compile_trace(
-                program,
-                memory=self.memory,
-                cycle_model=self.cycle_model,
-                enable_sdotp=self.enable_sdotp,
-            )
-            cached = (program, fingerprint, trace)
-        else:
-            trace = cached[2]
-        self._trace_cache[key] = cached
-        self.halted = False
-        self.pc = trace.run(
-            self.registers,
-            self.stats,
-            entry_pc=entry_pc,
-            max_instructions=self.max_instructions,
-        )
-        self.halted = True
-        return self.stats
-
-    # ------------------------------------------------------------------ #
     def _run_jit(self, program: List[Instruction], entry_pc: int = 0) -> ExecutionStats:
         """Execute through the JIT tier (:mod:`repro.hw.sim.jit`).
 
         The memory-independent template comes from the process-wide trace
         cache (shared across every engine compiling the same program); the
         binding of that template to this core's memory is cached per
-        program object with the same revalidation discipline as fast mode.
+        program object and revalidated against the program's content on
+        every run.  A core only ever owns one memory, which keeps the cache
+        sound.
         """
         from .sim.trace_cache import get_template  # deferred import cycle
 
@@ -207,6 +164,8 @@ class IbexCore:
         cached = self._jit_cache.pop(key, None)  # re-insert below: LRU order
         if cached is None or cached[0] is not program or cached[1] != fingerprint:
             if len(self._jit_cache) >= 8:
+                # Evict the least recently used binding, so hot programs
+                # survive sweeps over many compiled models on one platform.
                 self._jit_cache.pop(next(iter(self._jit_cache)))
             template = get_template(program, self.cycle_model, self.enable_sdotp)
             cached = (program, fingerprint, template.bind(program, self.memory))

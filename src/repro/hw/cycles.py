@@ -1,8 +1,8 @@
 """The shared per-instruction cycle model of the IBEX / MAUPITI cores.
 
 This is the single source of cycle-cost truth for the whole stack: the
-reference interpreter (:class:`repro.hw.core.IbexCore`), the trace-compiled
-fast simulator (:mod:`repro.hw.sim`) and the platform specifications in
+reference interpreter (:class:`repro.hw.core.IbexCore`), the JIT
+simulator (:mod:`repro.hw.sim`) and the platform specifications in
 :mod:`repro.hw.energy` all derive their timing from the same
 :class:`CycleModel` instance, so cycle (and therefore energy) figures can
 never drift apart between execution paths or engine backends.

@@ -26,7 +26,7 @@ class PlatformSpec:
     """Static description of one deployment platform.
 
     ``cycle_model`` is the per-instruction timing configuration every
-    simulator (reference interpreter and trace-compiled fast path alike)
+    simulator (reference interpreter and JIT alike)
     must use for this platform; the IBEX and MAUPITI specs share the single
     :data:`~repro.hw.cycles.DEFAULT_CYCLE_MODEL` instance so timing cannot
     drift between platforms or engine backends.

@@ -1,12 +1,14 @@
-"""Trace-compiled fast simulation of IBEX / MAUPITI programs.
+"""Compiled simulation of IBEX / MAUPITI programs.
 
-The subsystem behind ``IbexCore(mode="fast")``: programs are pre-decoded
-once into basic blocks of closures, the structured inner loops emitted by
+The subsystem behind ``IbexCore(mode="jit")``: programs are split once into
+basic blocks, the structured inner loops emitted by
 :mod:`repro.deploy.codegen` (SDOTP dot-product loops, scalar INT8/INT4 MAC
-loops, memset loops) are replaced by vectorized numpy kernels, and cycle /
-energy accounting is derived analytically from the shared
-:class:`~repro.hw.cycles.CycleModel` — bit-exact against the reference
-interpreter in registers, memory, cycle counts and per-mnemonic statistics.
+loops, memset loops, whole output-channel loops) are replaced by vectorized
+numpy kernels, the remaining blocks run as generated Python
+(:mod:`repro.hw.sim.jit`), and cycle / energy accounting is derived
+analytically from the shared :class:`~repro.hw.cycles.CycleModel` —
+bit-exact against the reference interpreter in registers, memory, cycle
+counts and per-mnemonic statistics.
 
 Adding a new recognized kernel:
 
@@ -23,7 +25,6 @@ from .blocks import BasicBlock, build_blocks
 from .decode import Decoded, decode_meta, decode_program
 from .jit import JitProgram, JitTemplate
 from .kernels import KernelLoop, recognize_loop
-from .simulator import TraceProgram, compile_trace
 from .trace_cache import (
     TraceCache,
     cache_stats,
@@ -39,11 +40,9 @@ __all__ = [
     "JitTemplate",
     "KernelLoop",
     "TraceCache",
-    "TraceProgram",
     "build_blocks",
     "cache_stats",
     "clear_trace_cache",
-    "compile_trace",
     "decode_meta",
     "decode_program",
     "get_template",

@@ -6,22 +6,22 @@ emitted), so the program splits cleanly into basic blocks: maximal
 straight-line runs entered only at their first instruction and left only at
 their last.  Each block carries
 
-* the pre-compiled closures of its non-terminating instructions,
+* its decoded instructions and terminator,
 * aggregated instruction/cycle/per-mnemonic counters for one execution, so
   statistics are accounted per *block execution* instead of per
-  instruction (and lazily scaled at the end of a run), and
-* optionally a :class:`~repro.hw.sim.kernels.KernelLoop` when the block is
-  one of the recognized vectorizable loops.
+  instruction (and scaled at the end of a run), and
+* optionally an unbound :class:`~repro.hw.sim.kernels.KernelLoop` when the
+  block is one of the recognized vectorizable loops.
 
-Execution counters (``execs`` / ``taken`` / ``kernel_iters`` /
-``kernel_calls``) live on the block and are reset per run by the simulator.
+Blocks are memory-independent and read-only once a template is built;
+per-run execution counters live in the JIT's flat counter list
+(:class:`repro.hw.sim.jit.JitTemplate`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..memory import Memory
 from .decode import BRANCH, Decoded, JAL, STRAIGHT
 from .kernels import KernelLoop, recognize_loop, try_tap_superloop
 
@@ -32,17 +32,12 @@ class BasicBlock:
         "pc",
         "end_pc",
         "decoded",
-        "ops",
         "term",
         "n",
         "straight_cycles",
         "counts",
         "term_cost",
         "kernel",
-        "execs",
-        "taken",
-        "kernel_iters",
-        "kernel_calls",
     )
 
     def __init__(self, start: int, decoded: List[Decoded], cycle_model):
@@ -53,7 +48,6 @@ class BasicBlock:
         last = decoded[-1]
         self.term: Optional[Decoded] = last if last.kind != STRAIGHT else None
         body = decoded if self.term is None else decoded[:-1]
-        self.ops = [d.op for d in body if d.op is not None]
         self.n = len(decoded)
         self.straight_cycles = sum(d.cost for d in body)
         counts: Dict[str, int] = {}
@@ -68,30 +62,17 @@ class BasicBlock:
             else 0
         )
         self.kernel: Optional[KernelLoop] = None
-        self.execs = 0
-        self.taken = 0
-        self.kernel_iters = 0
-        self.kernel_calls = 0
 
     @property
     def label(self) -> Optional[str]:
         return self.decoded[0].instr.label
 
-    def reset_counters(self) -> None:
-        self.execs = 0
-        self.taken = 0
-        self.kernel_iters = 0
-        self.kernel_calls = 0
 
-
-def build_blocks(
-    decoded: List[Decoded], memory: Optional[Memory], cycle_model
-) -> List[BasicBlock]:
+def build_blocks(decoded: List[Decoded], cycle_model) -> List[BasicBlock]:
     """Split ``decoded`` into basic blocks and attach kernel handlers.
 
-    ``memory`` may be ``None`` for a template build (see
-    :mod:`repro.hw.sim.jit`): kernels are then recognized but left unbound
-    (``kernel.run is None``) and must be bound via ``kernel.make_run``.
+    Kernels are recognized but left unbound; executors bind them to a
+    memory through ``kernel.make_run`` / ``kernel.make_run_many``.
     """
     n = len(decoded)
     if n == 0:  # the simulator's fallback path reports the bad pc itself
@@ -125,16 +106,14 @@ def build_blocks(
             and term.taken_pc == block.pc
         ):
             block.kernel = recognize_loop(
-                [d.instr for d in block.decoded], start, memory, cycle_model
+                [d.instr for d in block.decoded], start, cycle_model
             )
         blocks.append(block)
-    _attach_superloops(blocks, memory, cycle_model)
+    _attach_superloops(blocks, cycle_model)
     return blocks
 
 
-def _attach_superloops(
-    blocks: List[BasicBlock], memory: Optional[Memory], cycle_model
-) -> None:
+def _attach_superloops(blocks: List[BasicBlock], cycle_model) -> None:
     """Fuse ``entry -> inner-loop -> exit`` block triples into one kernel.
 
     For every vectorized SDOTP inner loop, look for the enclosing conv tap
@@ -160,7 +139,6 @@ def _attach_superloops(
             [d.instr for d in exit_block.decoded],
             entry.pc,
             exit_block.end_pc,
-            memory,
             cycle_model,
         )
         if fused is not None:

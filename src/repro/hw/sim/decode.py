@@ -2,11 +2,14 @@
 
 The reference interpreter (:meth:`repro.hw.core.IbexCore._execute`) pays a
 long mnemonic-dispatch chain, two signed/unsigned operand conversions and a
-per-instruction statistics update for *every executed instruction*.  The
-trace compiler instead decodes each instruction **once** into a small Python
+per-instruction statistics update for *every executed instruction*.  This
+module instead decodes each instruction **once** into a small Python
 closure specialized on its register indices and immediate (classic
 threaded-code technique); executing the program then touches only list
-indexing and integer arithmetic.
+indexing and integer arithmetic.  The JIT (:mod:`repro.hw.sim.jit`) builds
+its basic blocks from :func:`decode_meta` and falls back to the
+:func:`decode_program` closures for blocks it cannot generate source for
+and for pcs that are not block leaders.
 
 Every closure reproduces the interpreter's semantics bit-exactly, including
 its quirks (``div``/``rem`` via ``int(a / b)``, unmasked load/store

@@ -1,12 +1,12 @@
-"""Second-generation JIT tier: basic blocks compiled to Python source.
+"""The JIT simulator: basic blocks compiled to Python source.
 
-The fast simulator (:mod:`repro.hw.sim.simulator`) executes non-kernel
-blocks as a list of per-instruction closures — every instruction still pays
-a Python call plus a list walk.  This module instead *generates specialized
-straight-line Python source* for each basic block (registers as locals,
-immediates and static pcs folded into literals, memory accesses inlined
-against raw dmem views) and ``compile()``/``exec()``s it once, so a block
-execution is a single function call.
+Executing a program one per-instruction closure at a time pays a Python
+call plus a list walk for every instruction.  This module instead
+*generates specialized straight-line Python source* for each basic block
+(registers as locals, immediates and static pcs folded into literals,
+memory accesses inlined against raw dmem views) and
+``compile()``/``exec()``s it once, so a block execution is a single
+function call.
 
 The compiled artifact is split in two:
 
@@ -56,13 +56,13 @@ address lands in dmem, the full bounds-checked
 :meth:`~repro.hw.memory.Memory.load_word` otherwise — faults keep their
 exact type and message.
 
-Accepted divergence semantics (carried over from the fast simulator): when
-a program dies *mid-loop* — an out-of-bounds access inside a vectorized
-kernel or a generated block, or blowing the instruction limit — the JIT
-raises the same exception type as the interpreter but may leave partial
-architectural state and counters behind, because whole blocks and loops are
-committed atomically.  Completed runs are bit-exact in registers, memory,
-final pc, cycles and per-mnemonic statistics.
+Accepted divergence on mid-loop faults: when a program dies *mid-loop* —
+an out-of-bounds access inside a vectorized kernel or a generated block, or
+blowing the instruction limit — the JIT raises the same exception type as
+the interpreter but may leave partial architectural state and counters
+behind, because whole blocks and loops are committed atomically.  Completed
+runs are bit-exact in registers, memory, final pc, cycles and per-mnemonic
+statistics.
 """
 
 from __future__ import annotations
@@ -408,9 +408,7 @@ class JitTemplate:
         self.enable_sdotp = enable_sdotp
         self.n_instr = len(program)
         decoded = decode_meta(program, cycle_model)
-        self.blocks = build_blocks(decoded, None, cycle_model)
-        # The whole-channel superloops are a JIT-tier-only upgrade: the
-        # closure-based fast simulator keeps the per-tap kernel protocol.
+        self.blocks = build_blocks(decoded, cycle_model)
         attach_channel_superloops(self.blocks, program, cycle_model)
         # Flat counter-slot layout: [execs, taken] per block, plus
         # [iterations, vectorized calls] (and one hit counter per aux side
@@ -799,8 +797,9 @@ class JitProgram:
     ) -> int:
         """Execute until ``ebreak``; returns the final pc (the ``ebreak``).
 
-        Same contract as :meth:`TraceProgram.run`: ``regs`` is mutated in
-        place, statistics are *added* to ``stats``.
+        ``regs`` is mutated in place; executed instructions/cycles/counts
+        are *added* to ``stats``, matching the accumulating behaviour of
+        the interpreter.
         """
         st = self.start(regs, stats, entry_pc, max_instructions)
         self.advance(st, stats)

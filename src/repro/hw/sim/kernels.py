@@ -17,17 +17,16 @@ runtime counter does not describe a plain countdown loop; the simulator
 then falls back to generic block execution, which is always bit-exact.
 
 Recognition is structural, on the assembled instructions themselves, and
-**memory-independent**: matchers may be invoked with ``mem=None`` to build a
-reusable template (the process-wide JIT trace cache does this), in which
-case the returned :class:`KernelLoop` carries no bound ``run`` but exposes
-``make_run(mem)`` / ``make_run_many(mems)`` factories that bind a concrete
-:class:`~repro.hw.memory.Memory` (or one memory per frame for the
-cross-frame batched executor) later.
+**memory-independent**, so a recognized :class:`KernelLoop` belongs to a
+reusable template (the process-wide JIT trace cache stores these).  It
+exposes ``make_run(mem)`` / ``make_run_many(mems)`` factories that bind a
+concrete :class:`~repro.hw.memory.Memory` (or one memory per frame for the
+cross-frame batched executor) at execution time.
 
 The code generator additionally *annotates* every loop it emits
 (:class:`repro.deploy.codegen.KernelHint`); the annotations are used by
 tests and diagnostics to prove that every emitted loop actually hits a
-vectorized handler (``TraceProgram.vectorized_labels``), so codegen and the
+vectorized handler (``JitTemplate.vectorized_labels``), so codegen and the
 recognizers cannot silently drift apart.
 """
 
@@ -46,12 +45,11 @@ MASK = 0xFFFFFFFF
 class KernelLoop:
     """A recognized loop with a vectorized executor.
 
-    ``run(regs)`` executes the remaining trip count ``n`` (read from the
-    counter register) in one shot and returns ``n``; returning 0 means the
-    handler declined and the block must be executed generically.  After a
-    successful run the simulator resumes at ``exit_pc`` (the loop's
-    fall-through pc when ``None``).  ``run`` is ``None`` on template
-    builds (``mem=None``); bind one with ``make_run(mem)``.
+    ``make_run(mem)`` returns ``run(regs)``, which executes the remaining
+    trip count ``n`` (read from the counter register) in one shot and
+    returns ``n``; returning 0 means the handler declined and the block must
+    be executed generically.  After a successful run the simulator resumes
+    at ``exit_pc`` (the loop's fall-through pc when ``None``).
 
     ``make_run_many(mems)`` returns ``run_many(regs_list)`` executing the
     same loop for several frames at once — one numpy op over a stacked
@@ -70,7 +68,6 @@ class KernelLoop:
     __slots__ = (
         "kind",
         "label",
-        "run",
         "make_run",
         "make_run_many",
         "instrs_per_iter",
@@ -86,7 +83,6 @@ class KernelLoop:
         self,
         kind: str,
         label: Optional[str],
-        run: Optional[Callable],
         instrs_per_iter: int,
         straight_cycles_per_iter: int,
         counts_per_iter: dict,
@@ -94,7 +90,6 @@ class KernelLoop:
     ):
         self.kind = kind
         self.label = label
-        self.run = run
         self.make_run: Optional[Callable] = None
         self.make_run_many: Optional[Callable] = None
         self.instrs_per_iter = instrs_per_iter
@@ -114,7 +109,7 @@ class KernelLoop:
         self.wants_cnt = False
 
     @classmethod
-    def from_body(cls, kind: str, label: Optional[str], run: Optional[Callable],
+    def from_body(cls, kind: str, label: Optional[str],
                   body: List[Instruction], cycle_model) -> "KernelLoop":
         counts = {}
         for i in body:
@@ -122,7 +117,6 @@ class KernelLoop:
         return cls(
             kind,
             label,
-            run,
             instrs_per_iter=len(body),
             straight_cycles_per_iter=sum(cycle_model.cost(i) for i in body[:-1]),
             counts_per_iter=counts,
@@ -246,7 +240,7 @@ def _is(i: Instruction, mnemonic: str, **fields) -> bool:
     return all(getattr(i, k) == v for k, v in fields.items())
 
 
-def _match_sdotp(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLoop]:
+def _match_sdotp(body, cycle_model) -> Optional[KernelLoop]:
     """``lw; lw; sdotp{8,4}; addi +4; addi +4; addi -1; bne`` (7 instrs)."""
     if len(body) != 7:
         return None
@@ -328,8 +322,7 @@ def _match_sdotp(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLoo
 
         return run_many
 
-    run = make_run(mem) if mem is not None else None
-    loop = KernelLoop.from_body("sdotp", body[0].label, run, body, cycle_model)
+    loop = KernelLoop.from_body("sdotp", body[0].label, body, cycle_model)
     loop.make_run = make_run
     loop.make_run_many = make_run_many
     loop.meta = {
@@ -339,7 +332,7 @@ def _match_sdotp(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLoo
     return loop
 
 
-def _match_mac8(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLoop]:
+def _match_mac8(body, cycle_model) -> Optional[KernelLoop]:
     """``lb; lb; mul; add; addi +1; addi +1; addi -1; bne`` (8 instrs)."""
     if len(body) != 8:
         return None
@@ -409,15 +402,14 @@ def _match_mac8(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLoop
 
         return run_many
 
-    run = make_run(mem) if mem is not None else None
-    loop = KernelLoop.from_body("mac8", body[0].label, run, body, cycle_model)
+    loop = KernelLoop.from_body("mac8", body[0].label, body, cycle_model)
     loop.make_run = make_run
     loop.make_run_many = make_run_many
     loop.meta = {"P": P, "Q": Q, "A": A, "B": B, "ACC": ACC, "N": N}
     return loop
 
 
-def _match_mac4(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLoop]:
+def _match_mac4(body, cycle_model) -> Optional[KernelLoop]:
     """The packed-INT4 scalar MAC loop (16 instrs, two nibble products)."""
     if len(body) != 16:
         return None
@@ -509,15 +501,14 @@ def _match_mac4(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLoop
 
         return run_many
 
-    run = make_run(mem) if mem is not None else None
-    loop = KernelLoop.from_body("mac4", body[0].label, run, body, cycle_model)
+    loop = KernelLoop.from_body("mac4", body[0].label, body, cycle_model)
     loop.make_run = make_run
     loop.make_run_many = make_run_many
     loop.meta = {"P": P, "Q": Q, "A": A, "B": B, "C": C, "D": D, "ACC": ACC, "N": N}
     return loop
 
 
-def _match_memset(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLoop]:
+def _match_memset(body, cycle_model) -> Optional[KernelLoop]:
     """``sw value; addi ptr += 4; bne ptr, end`` word-fill loop (3 instrs)."""
     if len(body) != 3:
         return None
@@ -566,8 +557,7 @@ def _match_memset(body, mem: Optional[Memory], cycle_model) -> Optional[KernelLo
 
         return run_many
 
-    run = make_run(mem) if mem is not None else None
-    loop = KernelLoop.from_body("memset", body[0].label, run, body, cycle_model)
+    loop = KernelLoop.from_body("memset", body[0].label, body, cycle_model)
     loop.make_run = make_run
     loop.make_run_many = make_run_many
     loop.meta = {"P": P, "Z": Z, "E": E}
@@ -578,19 +568,18 @@ _MATCHERS = (_match_sdotp, _match_mac8, _match_mac4, _match_memset)
 
 
 def recognize_loop(
-    body: List[Instruction], start_index: int, mem: Optional[Memory], cycle_model
+    body: List[Instruction], start_index: int, cycle_model
 ) -> Optional[KernelLoop]:
     """Try to match a basic block against the known loop shapes.
 
     ``body`` must be a block whose terminator is a ``bne`` back to its own
-    first instruction (the caller checks the branch target).  ``mem`` may be
-    ``None`` for a template build; the result then has ``run=None`` and must
-    be bound through ``make_run`` before execution.
+    first instruction (the caller checks the branch target).  The result is
+    unbound: execution binds it through ``make_run`` / ``make_run_many``.
     """
     if body[-1].mnemonic != "bne":
         return None
     for matcher in _MATCHERS:
-        loop = matcher(body, mem, cycle_model)
+        loop = matcher(body, cycle_model)
         if loop is not None:
             return loop
     return None
@@ -622,7 +611,6 @@ def try_tap_superloop(
     exit_body: List[Instruction],
     entry_pc: int,
     exit_fallthrough_pc: int,
-    mem: Optional[Memory],
     cycle_model,
 ) -> Optional[KernelLoop]:
     """Fuse ``entry block -> sdotp inner loop -> exit block`` into one kernel.
@@ -756,11 +744,9 @@ def try_tap_superloop(
         + bnt
         + sum(cycle_model.cost(i) for i in exit_body[:-1])
     )
-    run = make_run(mem) if mem is not None else None
     loop = KernelLoop(
         "sdotp-taps",
         entry_body[0].label,
-        run,
         instrs_per_iter=len(entry_body) + W * inner.instrs_per_iter + len(exit_body),
         straight_cycles_per_iter=straight,
         counts_per_iter=counts,
@@ -973,7 +959,7 @@ def _match_channel_loop(program, head, cycle_model):
     body = program[loop_head : loop_head + body_len]
     if len(body) != body_len:
         raise _NoMatch
-    inner = matcher(body, None, cycle_model)
+    inner = matcher(body, cycle_model)
     if inner is None:
         raise _NoMatch
     m = inner.meta
@@ -1390,7 +1376,6 @@ def _match_channel_loop(program, head, cycle_model):
     loop = KernelLoop(
         "conv-chan" if conv else "fc-chan",
         program[head].label,
-        None,
         instrs_per_iter=ipi,
         straight_cycles_per_iter=straight,
         counts_per_iter=counts,
@@ -1412,8 +1397,8 @@ def _match_channel_loop(program, head, cycle_model):
 def attach_channel_superloops(blocks, program: List[Instruction], cycle_model):
     """Attach channel superloops to the head blocks of matching oc loops.
 
-    Called by the JIT template build only — the closure-based fast
-    simulator keeps its per-tap kernel protocol untouched.  Candidates are
+    Called by the JIT template build after :func:`build_blocks` has
+    attached the per-tap kernels.  Candidates are
     backward ``bne`` targets whose block opens with the bias ``lw``; the
     strict matcher declines everything else.
     """

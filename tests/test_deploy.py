@@ -1,10 +1,13 @@
 """Deployment toolchain: packing, assembler, compilation, bit-exact execution."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.deploy import (
     Assembler,
     AssemblerError,
@@ -15,7 +18,6 @@ from repro.deploy import (
     pack_values,
     padded_run_bytes,
     padded_run_length,
-    report_on_stm32,
     run_frames,
     unpack_values,
     verify_against_golden,
@@ -253,7 +255,9 @@ class TestStm32AndReports:
 
     def test_full_report(self, integer_network, prepared_data):
         frames = prepared_data["preprocessor"](prepared_data["test_session"].frames[:2])
-        report = full_deployment_report(integer_network, frames, model_label="test")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            report = full_deployment_report(integer_network, frames, model_label="test")
         assert set(report.entries) == {"STM32", "IBEX", "MAUPITI"}
         # Key qualitative claims of Table I: large code-size reduction vs the
         # STM32 runtime, and MAUPITI more energy-efficient than vanilla IBEX.
@@ -262,7 +266,7 @@ class TestStm32AndReports:
         assert report.entries["STM32"].latency_ms < report.entries["MAUPITI"].latency_ms
         assert len(report.rows()) == 3
 
-    def test_report_on_stm32_standalone(self, integer_network):
-        entry = report_on_stm32(integer_network)
+    def test_stm32_report_standalone(self, integer_network):
+        entry = repro.compile(integer_network, target="stm32").report()
         assert entry.platform == "STM32"
         assert entry.energy_uj > 0

@@ -304,19 +304,6 @@ class TestStreamingFifoEdgeCases:
 
 
 class TestReports:
-    def test_simulated_report_matches_legacy_shim(self, integer_network, prepared_data):
-        from repro.deploy import report_on_simulated_platform
-        from repro.hw import maupiti_platform
-
-        frames = prepared_data["preprocessor"](
-            prepared_data["test_session"].frames[:2]
-        )
-        engine_report = repro.compile(integer_network, target="maupiti").report(frames)
-        legacy = report_on_simulated_platform(
-            integer_network, maupiti_platform(), frames
-        )
-        assert legacy == engine_report
-
     def test_stm32_report_needs_no_frames(self, integer_network):
         entry = repro.compile(integer_network, target="stm32").report()
         assert entry.platform == "STM32"

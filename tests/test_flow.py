@@ -176,6 +176,20 @@ class TestBaselineAndPipeline:
         shared = SearchConfig(search_epochs=3)
         assert FlowConfig().replace(search=shared).search is shared
 
+    def test_bad_sim_mode_rejected_before_training(self, tiny_dataset, monkeypatch):
+        """A typo in sim_mode must fail up front, not after the NAS and QAT
+        stages have run."""
+        flow = OptimizationFlow(
+            FlowConfig(sim_mode="fast", deploy_targets=("maupiti",))
+        )
+
+        def no_stages(*args, **kwargs):
+            raise AssertionError("the flow started its stages")
+
+        monkeypatch.setattr(flow, "_run_stages", no_stages)
+        with pytest.raises(ValueError, match=r"\('interp', 'jit'\)"):
+            flow.run(tiny_dataset)
+
     def test_full_pipeline_smoke(self, tiny_dataset):
         """End-to-end flow on a tiny budget: NAS -> QAT -> majority voting,
         plus the stage-4 engine deployment of the Table-I selection."""

@@ -1,12 +1,12 @@
-"""The deprecated ``deploy.report.*`` shims: warn, but stay result-identical."""
+"""The canonical report helper stays free of deprecation warnings.
+
+The deprecated ``report_on_*`` shims are gone; ``full_deployment_report`` is
+the supported entry point and must not warn.
+"""
 
 import warnings
 
 import pytest
-
-import repro
-from repro.deploy import report_on_simulated_platform, report_on_stm32
-from repro.hw import ibex_platform, maupiti_platform
 
 
 @pytest.fixture()
@@ -15,27 +15,6 @@ def frames(prepared_data):
 
 
 class TestDeprecatedReportShims:
-    def test_simulated_shim_warns(self, integer_network, frames):
-        with pytest.warns(DeprecationWarning, match="report_on_simulated_platform"):
-            report_on_simulated_platform(integer_network, maupiti_platform(), frames)
-
-    def test_stm32_shim_warns(self, integer_network):
-        with pytest.warns(DeprecationWarning, match="report_on_stm32"):
-            report_on_stm32(integer_network)
-
-    @pytest.mark.parametrize("target", ["ibex", "maupiti"])
-    def test_simulated_shim_matches_engine_report(self, integer_network, frames, target):
-        platform = maupiti_platform() if target == "maupiti" else ibex_platform()
-        with pytest.warns(DeprecationWarning):
-            legacy = report_on_simulated_platform(integer_network, platform, frames)
-        fresh = repro.compile(integer_network, target=target).report(frames)
-        assert legacy == fresh
-
-    def test_stm32_shim_matches_engine_report(self, integer_network):
-        with pytest.warns(DeprecationWarning):
-            legacy = report_on_stm32(integer_network)
-        assert legacy == repro.compile(integer_network, target="stm32").report()
-
     def test_canonical_helper_does_not_warn(self, integer_network, frames):
         """full_deployment_report is not deprecated and must stay silent."""
         from repro.deploy import full_deployment_report

@@ -2,7 +2,7 @@
 
 Complements ``test_sim_parity.py`` (which asserts bit-exactness of the JIT
 against the interpreter): here we test the machinery that is specific to
-the second-generation simulator — the process-wide compiled-trace cache
+the JIT — the process-wide compiled-trace cache
 (one decode for N engines, LRU bound), the generated-code fault semantics
 (exception types preserved mid-loop), ``jalr`` into block interiors, the
 cross-frame batched executor, thread-safety of one shared template under
@@ -366,17 +366,6 @@ class TestReportPlumbing:
         assert report.sim["blocks"]["jit"] > 0
         assert sum(report.sim["kernel_counts"].values()) >= 1
         assert report.sim["kernel_counts"].get("sdotp-taps", 0) >= 1
-
-    def test_fast_mode_report_sim_info(self, integer_network, prepared_data):
-        frames = prepared_data["preprocessor"](
-            prepared_data["test_session"].frames[:1]
-        )
-        report = repro.compile(
-            integer_network, target="ibex", sim_mode="fast"
-        ).report(frames)
-        assert report.sim["mode"] == "fast"
-        assert report.sim["blocks"]["jit"] == 0
-        assert report.sim["blocks"]["kernel"] >= 1
 
     def test_compiled_model_fingerprint_stable(self, integer_network):
         a = compile_network(integer_network, use_sdotp=True)

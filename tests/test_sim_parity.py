@@ -1,10 +1,10 @@
-"""Simulator parity: "fast" and "jit" must be bit-exact vs the interpreter.
+"""Simulator parity: "jit" must be bit-exact vs the interpreter.
 
 The contract of :mod:`repro.hw.sim`: for any program that runs to
-completion, the trace-compiled simulator ("fast") and the exec-compiled
-JIT tier ("jit") leave **registers, data memory, final pc, instruction
-count, cycle count and per-mnemonic statistics** exactly as the reference
-interpreter would.  This suite checks the contract
+completion, the exec-compiled JIT simulator ("jit") leaves **registers,
+data memory, final pc, instruction count, cycle count and per-mnemonic
+statistics** exactly as the reference interpreter ("interp") would.  This
+suite checks the contract
 
 * on every Table-I deployment configuration (INT8 / mixed / INT4, scalar
   and SDOTP kernels),
@@ -18,6 +18,7 @@ interpreter would.  This suite checks the contract
 import numpy as np
 import pytest
 
+import repro
 from repro.deploy import compile_network, simulate_batch, verify_against_golden
 from repro.deploy.codegen import Assembler, _emit_inner_product
 from repro.deploy.packing import pack_padded_run, padded_run_length
@@ -26,34 +27,34 @@ from repro.hw import (
     DMEM_SIZE,
     IbexCore,
     Instruction,
-    compile_trace,
     ibex_platform,
     maupiti_platform,
     reg,
 )
+from repro.hw.sim import JitTemplate
 from repro.quant import PrecisionScheme, convert_to_integer, quantize_model
 
 
 # --------------------------------------------------------------------------- #
 # Harness
 # --------------------------------------------------------------------------- #
-def assert_cores_equal(interp: IbexCore, fast: IbexCore) -> None:
-    assert fast.registers == interp.registers
-    assert fast.pc == interp.pc
-    assert fast.halted == interp.halted
-    assert fast.stats.instructions == interp.stats.instructions
-    assert fast.stats.cycles == interp.stats.cycles
-    assert fast.stats.per_mnemonic == interp.stats.per_mnemonic
-    assert fast.memory.load_bytes(DMEM_BASE, DMEM_SIZE) == interp.memory.load_bytes(
+def assert_cores_equal(interp: IbexCore, jit: IbexCore) -> None:
+    assert jit.registers == interp.registers
+    assert jit.pc == interp.pc
+    assert jit.halted == interp.halted
+    assert jit.stats.instructions == interp.stats.instructions
+    assert jit.stats.cycles == interp.stats.cycles
+    assert jit.stats.per_mnemonic == interp.stats.per_mnemonic
+    assert jit.memory.load_bytes(DMEM_BASE, DMEM_SIZE) == interp.memory.load_bytes(
         DMEM_BASE, DMEM_SIZE
     )
 
 
-SIM_MODES = ("interp", "fast", "jit")
+SIM_MODES = ("interp", "jit")
 
 
 def run_both(program, setup=None, enable_sdotp=True):
-    """Run ``program`` in every mode, assert full-state parity vs interp."""
+    """Run ``program`` in both modes, assert full-state parity vs interp."""
     cores = []
     for mode in SIM_MODES:
         core = IbexCore(enable_sdotp=enable_sdotp, mode=mode)
@@ -61,10 +62,9 @@ def run_both(program, setup=None, enable_sdotp=True):
             setup(core)
         core.run(program)
         cores.append(core)
-    interp = cores[0]
-    for other in cores[1:]:
-        assert_cores_equal(interp, other)
-    return interp, cores[1]
+    interp, jit = cores
+    assert_cores_equal(interp, jit)
+    return interp, jit
 
 
 # --------------------------------------------------------------------------- #
@@ -86,44 +86,34 @@ def table1_network(request, trained_small_model, prepared_data):
 
 @pytest.mark.parametrize("use_sdotp", [False, True], ids=["scalar", "sdotp"])
 def test_table1_config_bit_exact(table1_network, prepared_data, use_sdotp):
-    """Registers, memory, cycles, energy: fast == jit == interp on real models."""
+    """Registers, memory, cycles, energy: jit == interp on real models."""
     frames = prepared_data["preprocessor"](prepared_data["test_session"].frames[:2])
     compiled = compile_network(table1_network, use_sdotp=use_sdotp)
     factory = maupiti_platform if use_sdotp else ibex_platform
     platforms = {mode: factory(sim_mode=mode) for mode in SIM_MODES}
-    batches = {
-        mode: simulate_batch(platform, compiled, frames)
-        for mode, platform in platforms.items()
-    }
-    bi = batches["interp"]
-    for mode in ("fast", "jit"):
-        bf = batches[mode]
-        np.testing.assert_array_equal(bf.predictions, bi.predictions)
-        np.testing.assert_array_equal(bf.logits, bi.logits)
-        np.testing.assert_array_equal(bf.cycles_per_frame, bi.cycles_per_frame)
-        spec = platforms[mode].spec
-        for ci, cf in zip(bi.cycles_per_frame, bf.cycles_per_frame):
-            assert spec.energy_per_inference_uj(
-                int(cf)
-            ) == spec.energy_per_inference_uj(int(ci))
-        assert_cores_equal(platforms["interp"].core, platforms[mode].core)
-    # And all agree with the vectorized integer golden model.
-    for mode in ("fast", "jit"):
-        verify_against_golden(
-            factory(sim_mode=mode), compiled, table1_network, frames
-        )
+    bi, bj = (
+        simulate_batch(platforms[mode], compiled, frames) for mode in SIM_MODES
+    )
+    np.testing.assert_array_equal(bj.predictions, bi.predictions)
+    np.testing.assert_array_equal(bj.logits, bi.logits)
+    np.testing.assert_array_equal(bj.cycles_per_frame, bi.cycles_per_frame)
+    spec = platforms["jit"].spec
+    for ci, cj in zip(bi.cycles_per_frame, bj.cycles_per_frame):
+        assert spec.energy_per_inference_uj(
+            int(cj)
+        ) == spec.energy_per_inference_uj(int(ci))
+    assert_cores_equal(platforms["interp"].core, platforms["jit"].core)
+    # And both agree with the vectorized integer golden model.
+    verify_against_golden(factory(sim_mode="jit"), compiled, table1_network, frames)
 
 
 def test_every_codegen_hint_is_vectorized(table1_network):
     """Every loop codegen annotates must hit a vectorized handler."""
     for use_sdotp in (False, True):
         compiled = compile_network(table1_network, use_sdotp=use_sdotp)
-        platform = (maupiti_platform if use_sdotp else ibex_platform)(sim_mode="fast")
-        trace = compile_trace(
-            compiled.program, platform.memory, enable_sdotp=use_sdotp
-        )
+        template = JitTemplate(compiled.program, None, use_sdotp)
         assert compiled.kernel_hints, "codegen should annotate its loops"
-        vectorized = trace.vectorized_labels()
+        vectorized = template.vectorized_labels()
         missing = {h.label for h in compiled.kernel_hints} - vectorized
         assert not missing, f"unvectorized codegen loops: {sorted(missing)}"
 
@@ -155,7 +145,7 @@ def test_inner_product_loops_bit_exact(bits, use_sdotp, run_values):
         core.memory.store_bytes(act_addr, pack_padded_run(acts, bits))
         core.memory.store_bytes(wt_addr, pack_padded_run(weights, bits))
 
-    interp, fast = run_both(program, setup=setup)
+    interp, _jit = run_both(program, setup=setup)
     expected = (12345 + int(acts @ weights)) & 0xFFFFFFFF
     assert interp.registers[reg("s7")] == expected
 
@@ -172,7 +162,7 @@ def test_memset_loop_bit_exact(size_words):
     def setup(core):
         core.memory.store_bytes(DMEM_BASE, bytes(range(1, 200)))
 
-    interp, _fast = run_both(program, setup=setup)
+    interp, _jit = run_both(program, setup=setup)
     assert interp.memory.load_bytes(DMEM_BASE + 64, size_words * 4) == bytes(
         4 * size_words
     )
@@ -196,9 +186,8 @@ def test_memset_nonzero_value_vectorized():
 def test_conv_tap_superloop_fused(table1_network):
     """The SDOTP conv tap loops are fused into 'sdotp-taps' kernels."""
     compiled = compile_network(table1_network, use_sdotp=True)
-    platform = maupiti_platform(sim_mode="fast")
-    trace = compile_trace(compiled.program, platform.memory, enable_sdotp=True)
-    assert trace.kernel_counts().get("sdotp-taps", 0) >= 1
+    template = JitTemplate(compiled.program, None, True)
+    assert template.kernel_counts().get("sdotp-taps", 0) >= 1
 
 
 # --------------------------------------------------------------------------- #
@@ -222,9 +211,7 @@ def test_aliased_sdotp_loop_falls_back():
     asm.emit("ebreak")
     program = asm.assemble()
 
-    core = IbexCore(mode="fast")
-    trace = compile_trace(program, core.memory, enable_sdotp=True)
-    assert not trace.vectorized_labels()
+    assert not JitTemplate(program, None, True).vectorized_labels()
 
     def setup(c):
         c.memory.store_bytes(DMEM_BASE, bytes([1] * 128))
@@ -245,7 +232,7 @@ def test_jump_into_block_interior_single_steps():
     asm.li("a3", 444)
     asm.emit("ebreak")
     program = asm.assemble()
-    interp, fast = run_both(program)
+    interp, _jit = run_both(program)
     assert interp.registers[reg("a2")] == 333
     assert interp.registers[reg("a0")] == 0
 
@@ -260,7 +247,7 @@ def test_auipc_at_misaligned_pc_matches_interpreter():
         Instruction("addi", rd=reg("a1"), rs1=0, imm=5),
         Instruction("ebreak"),
     ]
-    interp, _fast = run_both(program)
+    interp, _jit = run_both(program)
     assert interp.registers[reg("a0")] == 10
 
 
@@ -353,7 +340,7 @@ def test_runaway_program_raises_in_all_modes():
             core.run(infinite)
 
 
-@pytest.mark.parametrize("mode", ["fast", "jit"])
+@pytest.mark.parametrize("mode", ["jit"])
 def test_trace_cache_invalidated_on_in_place_edit(mode):
     """Mutating a program list between runs must recompile the trace."""
     program = [
@@ -369,7 +356,7 @@ def test_trace_cache_invalidated_on_in_place_edit(mode):
     assert core.registers[reg("t0")] == 99
 
 
-@pytest.mark.parametrize("mode", ["fast", "jit"])
+@pytest.mark.parametrize("mode", ["jit"])
 def test_sdotp_rejected_on_vanilla_core(mode):
     from repro.hw import SimulationError
 
@@ -379,11 +366,26 @@ def test_sdotp_rejected_on_vanilla_core(mode):
         core.run(program)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda net: IbexCore(mode="fast"),
+        lambda net: maupiti_platform(sim_mode="fast"),
+        lambda net: repro.compile(net, target="maupiti", sim_mode="fast"),
+    ],
+    ids=["core", "platform", "engine"],
+)
+def test_unknown_sim_mode_rejected(build, integer_network):
+    """Only the two simulation modes exist; the error names both."""
+    with pytest.raises(ValueError, match=r"\('interp', 'jit'\)"):
+        build(integer_network)
+
+
 # --------------------------------------------------------------------------- #
 # Batched execution
 # --------------------------------------------------------------------------- #
 class TestSimulateBatch:
-    @pytest.mark.parametrize("mode", ["fast", "jit"])
+    @pytest.mark.parametrize("mode", ["jit"])
     def test_matches_per_frame_runs(self, integer_network, prepared_data, mode):
         from repro.deploy.runtime import load_model, run_frame
 
@@ -413,15 +415,12 @@ class TestSimulateBatch:
         )
         interp = repro.compile(integer_network, target="maupiti", sim_mode="interp")
         bi = interp.predict_batch(frames)
-        for mode in ("fast", "jit"):
-            engine = repro.compile(integer_network, target="maupiti", sim_mode=mode)
-            bf = engine.predict_batch(frames)
-            np.testing.assert_array_equal(bf.predictions, bi.predictions)
-            np.testing.assert_array_equal(bf.logits, bi.logits)
-            np.testing.assert_array_equal(bf.cycles_per_frame, bi.cycles_per_frame)
-            np.testing.assert_array_equal(
-                bf.energy_uj_per_frame, bi.energy_uj_per_frame
-            )
+        jit = repro.compile(integer_network, target="maupiti", sim_mode="jit")
+        bj = jit.predict_batch(frames)
+        np.testing.assert_array_equal(bj.predictions, bi.predictions)
+        np.testing.assert_array_equal(bj.logits, bi.logits)
+        np.testing.assert_array_equal(bj.cycles_per_frame, bi.cycles_per_frame)
+        np.testing.assert_array_equal(bj.energy_uj_per_frame, bi.energy_uj_per_frame)
 
     def test_empty_batch(self, integer_network):
         compiled = compile_network(integer_network, use_sdotp=True)
@@ -443,7 +442,7 @@ class TestSimulateBatch:
         import repro
         from repro.engine import EngineError
 
-        platform = maupiti_platform(sim_mode="fast")
+        platform = maupiti_platform(sim_mode="jit")
         with pytest.raises(EngineError, match="conflicting"):
             repro.compile(
                 integer_network, target="maupiti",
@@ -451,9 +450,9 @@ class TestSimulateBatch:
             )
         # Matching or omitted sim_mode is fine.
         engine = repro.compile(
-            integer_network, target="maupiti", platform=platform, sim_mode="fast"
+            integer_network, target="maupiti", platform=platform, sim_mode="jit"
         )
-        assert engine.backend.sim_mode == "fast"
+        assert engine.backend.sim_mode == "jit"
 
     def test_keep_results_carries_stats(self, integer_network, prepared_data):
         frames = prepared_data["preprocessor"](
