@@ -220,9 +220,9 @@ def run_chaos(args, cfg):
                     out = stream.push(inputs[i : i + knobs["chunk"]])
                     raw.extend(r["raw"] for r in out)
                     voted.extend(r["voted"] for r in out)
-            # Workers respawn lazily (on the next session sharded to them);
-            # re-prime so the killed worker's replacement is actually spawned
-            # and the respawn path is exercised, not just available.
+            # The pump thread respawns a killed worker right away; priming
+            # waits out a respawn still in progress, so the health check
+            # below sees the replacement up.
             server.service.prime(inputs.shape[1:])
             health = client.healthz()
         stats = server.service.pool_stats()

@@ -27,7 +27,6 @@ bit-identical whether a dataset is shared or not.
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -229,8 +228,6 @@ class ShmArena:
 # SPSC byte ring: the serving pool's frame transport
 # --------------------------------------------------------------------- #
 
-_RING_HEADER = 16  # head: uint64 (producer-owned) | tail: uint64 (consumer-owned)
-
 
 class RingFull(RuntimeError):
     """A non-blocking ring write found insufficient free space."""
@@ -265,66 +262,45 @@ def attach_untracked(name: str) -> shared_memory.SharedMemory:
 class ShmRing:
     """Single-producer / single-consumer byte ring over one shared block.
 
-    The ring stores *payload bytes only* — no in-band framing.  Producers
-    get back a ``(pos, end)`` pair from :meth:`write` and ship it to the
-    consumer out of band (the serving pool's pipe doorbell); the consumer
-    maps the payload with :meth:`view` and hands the space back with
-    :meth:`release`.  The only shared state is a pair of monotonically
-    increasing 8-byte cursors at the head of the block: ``head`` is written
-    only by the producer, ``tail`` only by the consumer, so aligned 8-byte
-    stores make the ring lock-free between exactly one producer and one
-    consumer (each side may serialize internally).
+    The ring stores *payload bytes only* — no in-band framing and no shared
+    cursors.  The producer copies a payload in with :meth:`write` and ships
+    the returned ``(pos, end)`` to the consumer out of band (the serving
+    pool's pipe doorbell); the consumer maps it with :meth:`view`, copies
+    it, and echoes ``end`` back the same way; the producer then frees the
+    space with :meth:`release`.  Both cursors live in the producer's
+    handle, so neither process ever writes the other's state, and every
+    hand-off is ordered by the pipe's send/recv: the ring needs no atomics
+    and holds on any CPU memory model.
 
     Allocations are contiguous: a payload that does not fit before the end
     of the buffer skips the tail fragment (the skip is accounted in the
     absolute cursors, so ``release(end)`` frees it implicitly).
-
-    .. warning:: **Memory-ordering assumption (x86-64 / TSO only).**  The
-       cursors are plain ``struct.pack_into`` / ``unpack_from`` accesses
-       with no atomics or fences.  That is sound on x86-64, where stores
-       are not reordered with earlier loads (TSO) and the interpreter's
-       ``memcpy`` of an aligned 8-byte slot is not observed torn in
-       practice; the *payload* hand-off in the serving pool is additionally
-       ordered by the pipe doorbell, whose send/recv syscalls imply full
-       barriers.  On weakly-ordered architectures (ARM), however, the
-       consumer's ``release`` store could become visible before its payload
-       reads have completed, letting the producer overwrite bytes still
-       being read.  Deployments on non-x86 hosts should route the tail
-       hand-off through the pipe (ship ``end`` back as a control message
-       and have the producer apply it) instead of trusting raw cursor
-       loads for space reclamation.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool):
+    def __init__(self, shm: shared_memory.SharedMemory, capacity: int, owner: bool):
         self._shm = shm
         self._owner = owner
-        self.capacity = shm.size - _RING_HEADER
+        self.capacity = capacity
+        self.head = 0  # absolute end of the last write (producer side)
+        self.tail = 0  # absolute cursor up to which space is free again
 
     # ------------------------------------------------------------------ #
     @classmethod
     def create(cls, capacity: int) -> "ShmRing":
         if capacity < 1:
             raise ValueError("ring capacity must be positive")
-        shm = shared_memory.SharedMemory(create=True, size=capacity + _RING_HEADER)
-        shm.buf[:_RING_HEADER] = b"\x00" * _RING_HEADER
-        return cls(shm, owner=True)
+        shm = shared_memory.SharedMemory(create=True, size=capacity)
+        return cls(shm, capacity, owner=True)
 
     @classmethod
     def attach(cls, name: str) -> "ShmRing":
-        return cls(attach_untracked(name), owner=False)
+        """The consumer's handle: :meth:`view` only."""
+        shm = attach_untracked(name)
+        return cls(shm, shm.size, owner=False)
 
     @property
     def name(self) -> str:
         return self._shm.name
-
-    # ------------------------------------------------------------------ #
-    @property
-    def head(self) -> int:
-        return struct.unpack_from("<Q", self._shm.buf, 0)[0]
-
-    @property
-    def tail(self) -> int:
-        return struct.unpack_from("<Q", self._shm.buf, 8)[0]
 
     def occupancy(self) -> float:
         """Fraction of the ring currently in flight (0.0 .. 1.0).
@@ -346,10 +322,11 @@ class ShmRing:
         """Copy ``data`` (bytes-like) into the ring; returns ``(pos, end)``.
 
         ``pos`` is the byte offset of the payload, ``end`` the absolute
-        cursor the consumer must pass to :meth:`release` when done.  Blocks
-        polling for space up to ``timeout`` seconds (``None``: forever);
-        ``timeout=0`` is a non-blocking attempt.  Raises :class:`RingFull`
-        on timeout and ``ValueError`` for payloads larger than the ring.
+        cursor to pass to :meth:`release` once the consumer is done.  Blocks
+        polling for space (freed by another producer-side thread) up to
+        ``timeout`` seconds (``None``: forever); ``timeout=0`` is a
+        non-blocking attempt.  Raises :class:`RingFull` on timeout and
+        ``ValueError`` for payloads larger than the ring.
         """
         data = memoryview(data).cast("B")
         n = data.nbytes
@@ -382,24 +359,25 @@ class ShmRing:
             time.sleep(poll_s)
         start = head + skip
         pos = start % self.capacity
-        offset = _RING_HEADER + pos
-        self._shm.buf[offset : offset + n] = data
-        struct.pack_into("<Q", self._shm.buf, 0, start + n)
-        return pos, start + n
+        self._shm.buf[pos : pos + n] = data
+        self.head = start + n
+        return pos, self.head
 
     # ------------------------------------------------------------------ #
     def view(self, pos: int, nbytes: int) -> memoryview:
         """Zero-copy view of a payload; drop all references before close."""
-        offset = _RING_HEADER + pos
-        return self._shm.buf[offset : offset + nbytes]
+        return self._shm.buf[pos : pos + nbytes]
 
     def release(self, end: int) -> None:
-        """Hand ``[tail, end)`` back to the producer (must be in order).
+        """Free the space of every payload up to the absolute cursor ``end``.
 
-        Callers must drop every :meth:`view` into the released span *before*
-        calling this; see the class docstring for the x86-TSO ordering
-        assumption behind the raw cursor store."""
-        struct.pack_into("<Q", self._shm.buf, 8, end)
+        Echoed ``end`` values may arrive out of order (an error reply can
+        overtake an earlier request's success reply), so the tail only moves
+        forward.  Releasing up to the largest echoed ``end`` is safe as long
+        as the consumer copies each payload when it receives it, before it
+        replies to anything later.
+        """
+        self.tail = max(self.tail, end)
 
     # ------------------------------------------------------------------ #
     def close(self, unlink: Optional[bool] = None) -> None:

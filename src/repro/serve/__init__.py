@@ -24,19 +24,19 @@ Quick start (in-process server on a background thread)::
 
 Pieces
 ------
-``ServeService``   transport-agnostic core: sessions + batcher + metrics
+``ServeService``   transport-agnostic core: sessions + dispatcher + metrics
 ``ServeServer``    hand-rolled asyncio HTTP/1.1 front-end
 ``start_server``   run the asyncio server on a daemon thread (tests/examples)
 ``make_wsgi_app``  thin WSGI adapter over the same service
 ``ServeClient``    stdlib ``http.client`` client (one per stream)
 ``MicroBatcher``   the bounded FIFO + dispatch thread doing the coalescing
-``PoolServeService``  sharded multi-process pool behind the same front-ends
+``EngineWorkerPool``  the ``workers=N`` dispatcher: sharded engine processes
 
 Scaling out: ``start_server(engine, workers=N)`` shards sessions by
 consistent hash onto N engine worker processes (each with its own engine
 and micro-batcher) with frames travelling through per-worker
-shared-memory rings — same wire protocol, same bit-exact outputs;
-``workers=0`` (the default) is the single-process path above.
+shared-memory rings — same service, same wire protocol, same bit-exact
+outputs; ``workers=0`` (the default) is the single-process path above.
 """
 
 from .batcher import FrameResult, MicroBatcher
@@ -58,11 +58,10 @@ from .errors import (
     WorkerCrashedError,
 )
 from .metrics import ServeMetrics, quantile
-from .pool import EngineWorkerPool, PoolServeService, WorkerHandle, shard_of
-from .server import RunningServer, ServeServer, make_service, start_server
+from .pool import EngineWorkerPool, WorkerHandle, shard_of
+from .server import RunningServer, ServeServer, start_server
 from .service import (
     ChaosConfig,
-    DeferredResponse,
     PendingResponse,
     Response,
     ServeConfig,
@@ -78,14 +77,12 @@ __all__ = [
     "BadRequestError",
     "ChaosConfig",
     "ConnectionDroppedError",
-    "DeferredResponse",
     "EngineWorkerPool",
     "FrameResult",
     "InvalidFramesError",
     "MicroBatcher",
     "OverloadedError",
     "PendingResponse",
-    "PoolServeService",
     "Response",
     "RetryPolicy",
     "RunningServer",
@@ -107,7 +104,6 @@ __all__ = [
     "WorkerSpec",
     "available_cpus",
     "describe_host",
-    "make_service",
     "make_wsgi_app",
     "quantile",
     "shard_of",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -37,6 +37,27 @@ import numpy as np
 
 from .errors import OverloadedError, SessionClosedError, ShuttingDownError
 from .sessions import Session
+
+
+def _settle_future(
+    future: Future, result=None, exc: Optional[BaseException] = None
+) -> None:
+    """Resolve a request future, tolerating one the front-end abandoned.
+
+    ``asyncio.wait_for`` cancels the wrapped future on request timeout or
+    client disconnect, possibly between a ``done()`` check and the set, so
+    a late result must be a no-op — not an ``InvalidStateError`` that would
+    kill the dispatch thread (batcher) or the pump thread (pool).
+    """
+    try:
+        if future.done():
+            return
+        if exc is not None:
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+    except InvalidStateError:
+        pass  # cancelled between the done() check and the set
 
 
 @dataclass
@@ -48,6 +69,9 @@ class FrameResult:
     voted: int
     cycles: Optional[int] = None
     energy_uj: Optional[float] = None
+    #: the session's vote margin after this frame: carried from a pool
+    #: worker to the parent's health gauge, never into the HTTP payload
+    margin: Optional[float] = None
 
     def as_json(self) -> dict:
         return {
@@ -70,12 +94,11 @@ class _Request:
     def complete(self, slot: int, result: FrameResult) -> None:
         self._results[slot] = result
         self._remaining -= 1
-        if self._remaining == 0 and not self.future.done():
-            self.future.set_result(self._results)
+        if self._remaining == 0:
+            _settle_future(self.future, result=self._results)
 
     def fail(self, exc: BaseException) -> None:
-        if not self.future.done():
-            self.future.set_exception(exc)
+        _settle_future(self.future, exc=exc)
 
 
 @dataclass
@@ -139,6 +162,15 @@ class MicroBatcher:
         with self._cond:
             return len(self._queue)
 
+    def open(self, session: Session) -> dict:
+        """Dispatcher seam: nothing to set up in-process (the pool places
+        the session on a worker here)."""
+        return {}
+
+    def close(self, session: Session) -> None:
+        """Dispatcher seam: queued frames of a closed session fail on
+        their own at dispatch."""
+
     def start(self) -> None:
         if self._thread is not None:
             return
@@ -165,18 +197,7 @@ class MicroBatcher:
                 raise OverloadedError(
                     f"global queue full ({len(self._queue)}/{self.max_queue})"
                 )
-            if session.pending + n > self.max_session_queue:
-                raise OverloadedError(
-                    f"session {session.id} queue full "
-                    f"({session.pending}/{self.max_session_queue})"
-                )
-            with session.lock:
-                if session.closed:
-                    raise SessionClosedError(f"session {session.id} is closed")
-                first_seq = session.next_seq
-                session.next_seq += n
-                session.touch(self._clock())
-            session.pending += n
+            first_seq = session.admit(n, self.max_session_queue, self._clock())
             for slot in range(n):
                 self._queue.append(
                     _Item(
@@ -197,7 +218,7 @@ class MicroBatcher:
             if not drain:
                 while self._queue:
                     item = self._queue.popleft()
-                    item.session.pending -= 1
+                    item.session.release(1)
                     item.request.fail(ShuttingDownError("server stopped"))
             self._cond.notify_all()
         if self._thread is not None:
@@ -274,6 +295,7 @@ class MicroBatcher:
                             continue
                         voted = item.session.record_vote(raw)
                         item.session.frames_done += 1
+                        margin = item.session.last_margin
                     item.request.complete(
                         item.slot,
                         FrameResult(
@@ -282,8 +304,8 @@ class MicroBatcher:
                             voted=voted,
                             cycles=None if cycles is None else int(cycles[i]),
                             energy_uj=None if energy is None else float(energy[i]),
+                            margin=margin,
                         ),
                     )
-        with self._cond:
-            for item in batch:
-                item.session.pending -= 1
+        for item in batch:
+            item.session.release(1)

@@ -66,7 +66,7 @@ class InvalidFramesError(ServeError):
 class WorkerCrashedError(ServeError):
     """The engine worker process holding this session's shard died.
 
-    The pool respawns the worker lazily; clients should retry after the
+    The pool respawns the worker right away; clients should retry after the
     advertised delay (the session itself is gone — re-open one).
     """
 

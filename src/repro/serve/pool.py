@@ -1,90 +1,67 @@
 """Sharded multi-process serving: the engine worker pool.
 
-The asyncio (or WSGI) front-end stays the single ingress; behind it
-:class:`PoolServeService` replaces the in-process engine with an
-:class:`EngineWorkerPool` of N worker processes, each owning its own
-engine + micro-batcher (see :mod:`repro.serve.worker`).  Sessions are
-sharded onto workers by a consistent hash of the session id, so every
-frame of a session flows through exactly one worker in submission order
-— which is why served outputs stay bit-identical to an offline
+With ``ServeConfig(workers=N)`` the :class:`~repro.serve.service.ServeService`
+dispatches frames to an :class:`EngineWorkerPool` of N worker processes
+instead of an in-process :class:`~repro.serve.batcher.MicroBatcher`; each
+worker owns its own engine + micro-batcher (see :mod:`repro.serve.worker`).
+Sessions are sharded onto workers by a consistent hash of the session id,
+so every frame of a session flows through exactly one worker in submission
+order — which is why served outputs stay bit-identical to an offline
 ``Engine.stream`` replay for every worker count.
 
 Transport: frame payloads travel parent -> worker through a per-worker
-shared-memory ring (:class:`repro.parallel.shm.ShmRing`), packed results
-come back through a second ring, and a duplex pipe carries the few
-hundred bytes of control data per request (the "doorbell").  No numpy
-array is pickled on the hot path.
+shared-memory ring (:class:`repro.parallel.shm.ShmRing`), so the pipe only
+carries a ~200-byte doorbell per push — a send that cannot block on a full
+socket buffer.  Result rows come back inline in the worker's reply, which
+echoes the request's ring ``end`` so the parent can free the space.
 
-Failure model: a worker that dies (segfault, OOM-kill) is detected by
-the parent's pump thread via pipe EOF.  Every in-flight request on that
-worker fails with 503 + ``Retry-After: 1``, its sessions are retired
-(voter state lived in the dead process, so subsequent pushes 404), and
-the next session hashing onto that shard lazily respawns a fresh,
-re-primed worker.  ``/metrics`` reports per-worker ``worker_up``, shard
-sizes, ring occupancy and cumulative crash/restart counters.
+Failure model: a worker that dies (segfault, OOM-kill) is detected by its
+pump thread via pipe EOF.  Every in-flight request on that worker fails
+with 503 + ``Retry-After: 1``, its sessions are purged (voter state lived
+in the dead process, so subsequent pushes 404), and the pump thread
+respawns and re-primes a fresh worker right away.  ``/metrics`` reports
+per-worker ``worker_up``, shard sizes, ring occupancy and cumulative
+crash/restart counters.
 
-Lifecycle: workers spawn lazily — the first session landing on a shard
-pays the spawn + trace-cache priming cost; ``prime()`` (used by the
-benchmark) spawns and warms all of them up front.  ``stop(drain=True)``
-sends each worker a ``drain`` op, which flushes its batcher queue and
-replies to every outstanding frame before the "drained" ack, so graceful
-shutdown never drops an in-flight frame.
+Lifecycle: ``start()`` spawns every worker; ``prime()`` (used by the
+benchmark) warms each one's trace cache up front.  Session mirrors are
+opened and closed by fire-and-forget messages, so nothing but a push ever
+waits on a worker.  ``stop(drain=True)`` sends each worker a ``drain`` op,
+which flushes its batcher queue and replies to every outstanding frame
+before the "drained" ack, so graceful shutdown never drops a frame.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import multiprocessing as mp
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.guard import InvalidFrameError
 from ..parallel.shm import RingFull, ShmRing
-from .batcher import FrameResult
+from .batcher import FrameResult, _settle_future
 from .errors import (
     ERRORS_BY_CODE,
-    BadRequestError,
-    InvalidFramesError,
     OverloadedError,
     ServeError,
     ShuttingDownError,
-    UnknownSessionError,
     WorkerCrashedError,
 )
-from .service import (
-    DeferredResponse,
-    PendingResponse,
-    Response,
-    ServeConfig,
-    ServeService,
-)
-from .worker import READY_REQ, RESULT_FIELDS, WorkerSpec, worker_main
+from .service import ServeService
+from .sessions import Session
+from .worker import WorkerSpec, worker_main
 
+#: "fork" is faster to start but unsafe with the parent's threads
+_MP = mp.get_context("spawn")
+#: request-ring size per worker
+_RING_BYTES = 4 * 1024 * 1024
 
-def _settle_future(
-    future: Future, result=None, exc: Optional[BaseException] = None
-) -> None:
-    """Resolve a request future, tolerating one the front-end abandoned.
-
-    ``asyncio.wait_for`` cancels the wrapped future on request timeout or
-    client disconnect, so a late worker reply (or crash/abort sweep) must
-    be a no-op — not an ``InvalidStateError`` that would kill the pump
-    thread and wedge the shard.
-    """
-    try:
-        if future.done():
-            return
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-    except InvalidStateError:
-        pass  # cancelled between the done() check and the set
+#: Kept for the frozen ``perfbench/serve_host.py``, which imports this name.
+PoolServeService = ServeService
 
 
 def shard_of(session_id: str, workers: int) -> int:
@@ -97,30 +74,31 @@ def shard_of(session_id: str, workers: int) -> int:
 class WorkerHandle:
     """Parent-side endpoint of one engine worker process.
 
-    Owns the process, both rings, the doorbell pipe and the pump thread
-    that drains worker replies.  All request/lifecycle state transitions
-    happen under ``_lock``; process (re)spawn is serialized by
-    ``_spawn_lock`` so two sessions racing onto a cold shard start it
-    exactly once.
+    Owns the process, the request ring, the doorbell pipe and the pump
+    thread that drains worker replies.  Request and lifecycle state change
+    under ``_lock``; (re)spawns are serialized by ``_spawn_lock``, which
+    ``prime``, ``drain`` and ``abort`` take too, so each waits out a
+    respawn in progress.
     """
 
     def __init__(
         self,
         index: int,
         spec: WorkerSpec,
-        config: ServeConfig,
-        ctx,
-        on_crash: Optional[Callable[["WorkerHandle"], None]] = None,
+        config,
+        on_crash: Optional[Callable[["WorkerHandle", List[Session]], None]] = None,
     ):
         self.index = index
         self.state = "new"  # new | up | dead | stopped
         self.restarts = 0  # successful respawns after a crash
-        self.sessions: set = set()  # parent-side shard map
+        #: parent-side shard map: the sessions mirrored on this worker
+        self.sessions: Dict[str, Session] = {}
         self.last_stats: Dict[str, float] = {}
         self.inflight = 0  # frames written to the ring, result not yet back
+        #: frame shape a respawned worker is re-primed with (None: never)
+        self.prime_shape: Optional[Tuple[int, ...]] = None
         self._spec = spec
         self._config = config
-        self._ctx = ctx
         self._on_crash = on_crash
         self._lock = threading.Lock()
         self._spawn_lock = threading.Lock()
@@ -128,8 +106,7 @@ class WorkerHandle:
         self._pending: Dict[int, Tuple[int, Future]] = {}  # req -> (n_frames, fut)
         self._proc = None
         self._conn = None
-        self._req_ring: Optional[ShmRing] = None
-        self._resp_ring: Optional[ShmRing] = None
+        self._ring: Optional[ShmRing] = None
         self._pump_thread: Optional[threading.Thread] = None
         self._draining = False
 
@@ -138,30 +115,17 @@ class WorkerHandle:
     def alive(self) -> bool:
         return self.state == "up" and self._proc is not None and self._proc.is_alive()
 
-    def ensure_started(self, prime_shape: Optional[Tuple[int, ...]] = None) -> None:
-        """Spawn (or respawn after a crash) if this shard is cold."""
+    def start(self) -> None:
+        """Spawn the worker; returns once it reported ready."""
         with self._spawn_lock:
-            if self.state == "up":
-                return
-            if self.state == "stopped":
-                raise ShuttingDownError("worker pool is stopped")
-            respawn = self.state == "dead"
-            self._start()
-            if respawn:
-                self.restarts += 1
-            if prime_shape is not None:
-                self.rpc(
-                    "prime",
-                    timeout=self._config.worker_start_timeout_s,
-                    shape=tuple(int(d) for d in prime_shape),
-                )
+            if self.state != "up":
+                self._spawn()
 
-    def _start(self) -> None:
+    def _spawn(self) -> None:
         config = self._config
         self._draining = False
-        self._req_ring = ShmRing.create(config.ring_bytes)
-        self._resp_ring = ShmRing.create(config.ring_bytes)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        self._ring = ShmRing.create(_RING_BYTES)
+        parent_conn, child_conn = _MP.Pipe(duplex=True)
         self._conn = parent_conn
         knobs = {
             "max_batch": config.max_batch,
@@ -169,145 +133,154 @@ class WorkerHandle:
             "max_queue": config.max_queue,
             "max_session_queue": config.max_session_queue,
         }
-        self._proc = self._ctx.Process(
+        proc = _MP.Process(
             target=worker_main,
-            args=(
-                self._spec,
-                knobs,
-                self._req_ring.name,
-                self._resp_ring.name,
-                child_conn,
-                self.index,
-            ),
+            args=(self._spec, knobs, self._ring.name, child_conn, self.index),
             name=f"repro-serve-worker-{self.index}",
             daemon=True,
         )
-        self._proc.start()
-        child_conn.close()  # the worker holds the other end now
-        # Synchronous readiness handshake before the pump owns the pipe.
+        # Start, then a synchronous readiness handshake before the pump
+        # owns the pipe.
         try:
+            proc.start()
+            self._proc = proc
+            child_conn.close()  # the worker holds the other end now
             if not parent_conn.poll(config.worker_start_timeout_s):
                 raise WorkerCrashedError(
                     f"engine worker {self.index} did not come up within "
                     f"{config.worker_start_timeout_s:.0f}s"
                 )
             ready = parent_conn.recv()
+            if "error" in ready:
+                raise WorkerCrashedError(
+                    f"engine worker {self.index} failed to start: "
+                    f"{ready['error']['detail']}"
+                )
         except (EOFError, OSError) as exc:
-            self._teardown(unlink=True)
+            child_conn.close()
+            self._teardown()
             raise WorkerCrashedError(
-                f"engine worker {self.index} died during startup"
+                f"engine worker {self.index} failed to start: {exc}"
             ) from exc
         except WorkerCrashedError:
-            self._teardown(unlink=True)
+            self._teardown()
             raise
-        if ready.get("req") != READY_REQ or "error" in ready:
-            detail = ready.get("error", {}).get("detail", "bad handshake")
-            self._teardown(unlink=True)
-            raise WorkerCrashedError(
-                f"engine worker {self.index} failed to start: {detail}"
-            )
         with self._lock:
             self.state = "up"
             self.inflight = 0
             self._pending = {}
+            # Sessions opened while the shard was respawning.
+            for session in self.sessions.values():
+                self._notify_open(session)
         self._pump_thread = threading.Thread(
             target=self._pump, name=f"repro-serve-pump-{self.index}", daemon=True
         )
         self._pump_thread.start()
 
+    def _respawn(self) -> None:
+        """Replace a crashed worker right away (runs on the dead worker's
+        pump thread), retrying once a second until it is up or stopped."""
+        while True:
+            with self._spawn_lock:
+                if self.state != "dead":
+                    return
+                try:
+                    self._spawn()
+                except WorkerCrashedError:
+                    pass
+                else:
+                    self.restarts += 1
+                    if self.prime_shape is not None:
+                        try:
+                            self._prime()
+                        except ServeError:
+                            pass  # a crash here takes the new pump's crash path
+                    return
+            time.sleep(1.0)
+
+    def prime(self, frame_shape: Tuple[int, ...]) -> None:
+        """Warm the worker with one throwaway frame (and remember the shape
+        for respawns)."""
+        self.prime_shape = tuple(int(d) for d in frame_shape)
+        with self._spawn_lock:
+            self._prime()
+
+    def _prime(self) -> None:
+        self.rpc(
+            "prime", timeout=self._config.worker_start_timeout_s, shape=self.prime_shape
+        )
+
     # ------------------------------------------------------------------ #
     def _pump(self) -> None:
-        """Drain worker replies: decode results out of the response ring and
-        resolve the matching futures.  Pipe EOF without a drain in progress
-        means the worker crashed."""
+        """Drain worker replies and resolve the matching futures; on pipe
+        EOF, finish the drain — or, if none was asked for, handle a crash."""
         conn = self._conn
-        resp_ring = self._resp_ring
         while True:
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
                 break
             try:
-                self._pump_one(msg, resp_ring)
+                self._pump_one(msg)
             except Exception:
                 # One bad reply must never kill the pump: the shard would
                 # wedge with inflight never decremented and every other
                 # future unresolved.  _pump_one already settled its future.
                 continue
-        if self._draining:
-            with self._lock:
-                self.state = "stopped"
+        with self._lock:
+            crashed = not self._draining
+            self.state = "dead" if crashed else "stopped"
+            pending, self._pending = self._pending, {}
+            self.inflight = 0
+            purged = list(self.sessions.values()) if crashed else []
+            if crashed:
+                self.sessions = {}
+        if crashed:
+            exc: ServeError = WorkerCrashedError(
+                f"engine worker {self.index} died unexpectedly; session state lost"
+            )
         else:
-            self._mark_dead()
+            exc = ShuttingDownError("server stopped")
+        for _, future in pending.values():
+            _settle_future(future, exc=exc)
+        if crashed:
+            self._teardown()
+            if self._on_crash is not None:
+                self._on_crash(self, purged)
+            self._respawn()
 
-    def _pump_one(self, msg: dict, resp_ring: ShmRing) -> None:
-        """Decode one worker reply and settle its future.  Always decrements
-        ``inflight`` and releases the result-ring allocation, even when the
+    def _pump_one(self, msg: dict) -> None:
+        """Settle the future of one worker reply.  Always frees the ring
+        space the reply echoes and decrements ``inflight``, even when the
         front-end already abandoned the future (request timeout / client
-        disconnect) — otherwise the worker would eventually block forever on
-        a full result ring."""
+        disconnect) — otherwise the shard would fill up and stay full."""
         stats = msg.get("stats")
         if stats:
             self.last_stats = stats
         with self._lock:
+            if "end" in msg:
+                self._ring.release(msg["end"])
             entry = self._pending.pop(msg.get("req"), None)
+            if entry is not None:
+                self.inflight -= entry[0]
         if entry is None:
             return
-        n, future = entry
-        result = None
-        exc: Optional[BaseException] = None
-        try:
-            if "error" in msg:
-                err = msg["error"]
-                exc_cls = ERRORS_BY_CODE.get(err.get("code"), ServeError)
-                exc = exc_cls(err.get("detail", ""))
-            elif "result" in msg:
-                ref = msg["result"]
-                count = int(ref["count"])
-                view = resp_ring.view(ref["pos"], count * RESULT_FIELDS * 8)
-                packed = (
-                    np.frombuffer(view, dtype=np.float64)
-                    .reshape(count, RESULT_FIELDS)
-                    .copy()
-                )
-                del view
-                resp_ring.release(ref["end"])
-                result = [
-                    FrameResult(
-                        seq=int(row[0]),
-                        raw=int(row[1]),
-                        voted=int(row[2]),
-                        cycles=None if row[3] < 0 else int(row[3]),
-                        energy_uj=None if math.isnan(row[4]) else float(row[4]),
-                    )
-                    for row in packed
-                ]
+        future = entry[1]
+        if "error" in msg:
+            err = msg["error"]
+            exc_cls = ERRORS_BY_CODE.get(err.get("code"), ServeError)
+            _settle_future(future, exc=exc_cls(err.get("detail", "")))
+        elif "rows" in msg:
+            try:
+                results = [FrameResult(*row) for row in msg["rows"]]
+            except Exception as exc:  # malformed reply: fail this caller only
+                _settle_future(future, exc=ServeError(f"undecodable worker reply: {exc}"))
             else:
-                result = msg.get("payload")
-        except Exception as decode_exc:  # malformed reply: fail this caller only
-            exc = ServeError(f"undecodable worker reply: {decode_exc}")
-        finally:
-            with self._lock:
-                self.inflight -= n
-        _settle_future(future, result=result, exc=exc)
+                _settle_future(future, result=results)
+        else:
+            _settle_future(future, result=msg.get("payload"))
 
-    def _mark_dead(self) -> None:
-        with self._lock:
-            if self.state != "up":
-                return
-            self.state = "dead"
-            pending, self._pending = self._pending, {}
-            self.inflight = 0
-        exc = WorkerCrashedError(
-            f"engine worker {self.index} died unexpectedly; session state lost"
-        )
-        for _, future in pending.values():
-            _settle_future(future, exc=exc)
-        self._teardown(unlink=True)
-        if self._on_crash is not None:
-            self._on_crash(self)
-
-    def _teardown(self, unlink: bool) -> None:
+    def _teardown(self) -> None:
         conn, self._conn = self._conn, None
         if conn is not None:
             try:
@@ -320,13 +293,42 @@ class WorkerHandle:
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5)
-        for attr in ("_req_ring", "_resp_ring"):
-            ring = getattr(self, attr)
-            setattr(self, attr, None)
-            if ring is not None:
-                ring.close(unlink=unlink)
+        ring, self._ring = self._ring, None
+        if ring is not None:
+            ring.close()
 
     # ------------------------------------------------------------------ #
+    def open(self, session: Session) -> None:
+        """Mirror ``session`` on the worker (fire-and-forget; a shard that is
+        respawning gets it once its new worker is up)."""
+        with self._lock:
+            self.sessions[session.id] = session
+            if self.state == "up":
+                self._notify_open(session)
+
+    def _notify_open(self, session: Session) -> None:
+        self._notify(
+            {
+                "op": "open",
+                "sid": session.id,
+                "window": session.window,
+                "num_classes": session.num_classes,
+            }
+        )
+
+    def close(self, session_id: str) -> None:
+        """Retire the session's mirror (fire-and-forget)."""
+        with self._lock:
+            if self.sessions.pop(session_id, None) is not None and self.state == "up":
+                self._notify({"op": "close", "sid": session_id})
+
+    def _notify(self, msg: dict) -> None:
+        """Send a message that gets no reply; the caller holds ``_lock``."""
+        try:
+            self._conn.send(msg)
+        except (BrokenPipeError, OSError):
+            pass  # the worker died: the pump's crash path purges its shard
+
     def submit(self, session_id: str, frames: np.ndarray, max_queue: int) -> Future:
         """Ship one frames payload to the worker; returns the result future.
 
@@ -337,6 +339,8 @@ class WorkerHandle:
         n = int(frames.shape[0])
         payload = memoryview(frames).cast("B")
         with self._lock:
+            if self._draining or self.state == "stopped":
+                raise ShuttingDownError("server is draining")
             if self.state != "up":
                 raise WorkerCrashedError(f"engine worker {self.index} is down")
             if self.inflight + n > max_queue:
@@ -345,58 +349,47 @@ class WorkerHandle:
                     f"({self.inflight}/{max_queue} frames in flight)"
                 )
             try:
-                pos, end = self._req_ring.write(payload, timeout=0.0)
+                pos, end = self._ring.write(payload, timeout=0.0)
             except RingFull as exc:
                 raise OverloadedError(
                     f"worker {self.index} request ring full"
                 ) from exc
-            req = self._next_req
-            self._next_req += 1
-            future: Future = Future()
-            self._pending[req] = (n, future)
-            self.inflight += n
-            try:
-                self._conn.send(
-                    {
-                        "op": "frames",
-                        "req": req,
-                        "sid": session_id,
-                        "pos": pos,
-                        "end": end,
-                        "shape": frames.shape,
-                        "dtype": frames.dtype.str,
-                    }
-                )
-            except (BrokenPipeError, OSError) as exc:
-                # The pump will observe EOF and run the full crash path;
-                # fail this caller immediately.
-                self._pending.pop(req, None)
-                self.inflight -= n
-                raise WorkerCrashedError(
-                    f"engine worker {self.index} is down"
-                ) from exc
-        return future
+            return self._request(
+                {
+                    "op": "frames",
+                    "sid": session_id,
+                    "pos": pos,
+                    "end": end,
+                    "shape": frames.shape,
+                    "dtype": frames.dtype.str,
+                },
+                n,
+            )
 
-    def _enqueue_rpc(self, op: str, payload: dict) -> Future:
-        with self._lock:
-            if self.state != "up":
-                raise WorkerCrashedError(f"engine worker {self.index} is down")
-            req = self._next_req
-            self._next_req += 1
-            future: Future = Future()
-            self._pending[req] = (0, future)
-            try:
-                self._conn.send({"op": op, "req": req, **payload})
-            except (BrokenPipeError, OSError) as exc:
-                self._pending.pop(req, None)
-                raise WorkerCrashedError(
-                    f"engine worker {self.index} is down"
-                ) from exc
+    def _request(self, msg: dict, n: int) -> Future:
+        """Send a message that gets a reply (carrying ``n`` frames); the
+        caller holds ``_lock``."""
+        req = msg["req"] = self._next_req
+        self._next_req += 1
+        future: Future = Future()
+        self._pending[req] = (n, future)
+        self.inflight += n
+        try:
+            self._conn.send(msg)
+        except (BrokenPipeError, OSError) as exc:
+            # The pump will observe EOF and run the full crash path;
+            # fail this caller immediately.
+            self._pending.pop(req, None)
+            self.inflight -= n
+            raise WorkerCrashedError(f"engine worker {self.index} is down") from exc
         return future
 
     def rpc(self, op: str, timeout: float = 30.0, **payload):
-        """Blocking control round-trip (open/close/prime/stats/drain)."""
-        future = self._enqueue_rpc(op, payload)
+        """Blocking control round-trip (prime / drain)."""
+        with self._lock:
+            if self.state != "up":
+                raise WorkerCrashedError(f"engine worker {self.index} is down")
+            future = self._request({"op": op, **payload}, 0)
         try:
             return future.result(timeout=timeout)
         except TimeoutError as exc:
@@ -404,62 +397,42 @@ class WorkerHandle:
                 f"engine worker {self.index} {op!r} timed out after {timeout:.0f}s"
             ) from exc
 
-    def rpc_nowait(self, op: str, **payload) -> None:
-        """Fire-and-forget control message (session retirement on eviction)."""
-        try:
-            future = self._enqueue_rpc(op, payload)
-        except ServeError:
-            return  # worker already gone: nothing to retire
-        future.add_done_callback(
-            lambda f: f.exception() if not f.cancelled() else None
-        )
-
     # ------------------------------------------------------------------ #
     def drain(self, timeout: float = 60.0) -> None:
         """Flush the worker's batcher queue, then shut the process down.
 
         The ``drain`` op is pipelined behind any frames already written, so
-        every in-flight request resolves before the "drained" ack.  Holding
-        ``_spawn_lock`` lets a concurrent lazy spawn finish (or fail) first,
-        so a worker started moments before the stop cannot leak."""
+        every in-flight request resolves before the "drained" ack."""
         with self._spawn_lock, self._lock:
-            if self.state != "up":
-                self.state = "stopped"
-                return
+            up = self.state == "up"
             self._draining = True
-        try:
-            self.rpc("drain", timeout=timeout)
-        except ServeError:  # died mid-drain: fall through to teardown
-            pass
-        pump = self._pump_thread
-        if pump is not None:
-            pump.join(timeout=5)
-            self._pump_thread = None
-        with self._lock:
-            self.state = "stopped"
-        self._teardown(unlink=True)
+            if not up:
+                self.state = "stopped"
+        if up:
+            try:
+                self.rpc("drain", timeout=timeout)
+            except ServeError:  # died mid-drain: fall through to teardown
+                pass
+        self._shutdown()
 
     def abort(self) -> None:
-        """Immediate shutdown: terminate the process, drop in-flight work."""
+        """Immediate shutdown: terminate the process; in-flight requests
+        fail with 503 ``shutting_down``."""
         with self._spawn_lock, self._lock:
-            if self.state not in ("up", "dead"):
-                self.state = "stopped"
-                return
             self._draining = True  # pump EOF -> stopped, not crashed
-            pending, self._pending = self._pending, {}
-            self.inflight = 0
             self.state = "stopped"
-        exc = ShuttingDownError("server stopped")
-        for _, future in pending.values():
-            _settle_future(future, exc=exc)
-        proc = self._proc
+            proc = self._proc
         if proc is not None and proc.is_alive():
             proc.terminate()
-        self._teardown(unlink=True)
-        pump = self._pump_thread
+        self._shutdown()
+
+    def _shutdown(self) -> None:
+        pump, self._pump_thread = self._pump_thread, None
         if pump is not None:
             pump.join(timeout=5)
-            self._pump_thread = None
+        with self._lock:
+            self.state = "stopped"
+        self._teardown()
 
     def kill(self) -> None:
         """Test hook: SIGKILL the worker (simulates a crash; the pump thread
@@ -470,106 +443,114 @@ class WorkerHandle:
 
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:
-        d = {
+        ring = self._ring
+        return {
             "up": 1 if self.alive else 0,
-            "state": self.state,
             "sessions": len(self.sessions),
             "inflight": self.inflight,
-            "restarts": self.restarts,
+            "ring_occupancy": None if ring is None else ring.occupancy(),
             "stats": dict(self.last_stats),
         }
-        req_ring, resp_ring = self._req_ring, self._resp_ring
-        try:
-            if req_ring is not None:
-                d["req_ring_occupancy"] = req_ring.occupancy()
-            if resp_ring is not None:
-                d["resp_ring_occupancy"] = resp_ring.occupancy()
-        except (ValueError, OSError):  # racing a teardown
-            pass
-        return d
 
     def ring_names(self) -> List[str]:
-        return [
-            ring.name for ring in (self._req_ring, self._resp_ring) if ring is not None
-        ]
+        ring = self._ring
+        return [] if ring is None else [ring.name]
 
 
 class EngineWorkerPool:
-    """N lazily-spawned engine workers plus the shard routing between them."""
+    """N engine workers plus the shard routing between them: the
+    ``workers=N`` dispatcher of :class:`~repro.serve.service.ServeService`.
+
+    Implements the same seam as :class:`~repro.serve.batcher.MicroBatcher`
+    (``open`` / ``submit`` / ``close`` / ``depth`` / ``start`` / ``stop``)
+    and adds the pool's gauges and per-worker series to ``metrics``.
+    """
 
     def __init__(
         self,
-        spec: WorkerSpec,
-        config: ServeConfig,
-        on_crash: Optional[Callable[[WorkerHandle], None]] = None,
+        engine,
+        config,
+        metrics,
+        clock: Callable[[], float] = time.monotonic,
+        on_crash: Optional[Callable[[List[Session]], None]] = None,
     ):
         if config.workers < 1:
             raise ValueError("EngineWorkerPool needs workers >= 1")
+        spec = WorkerSpec.from_engine(engine)
         self.config = config
-        self.crashes_total = 0
+        self._metrics = metrics
+        self._clock = clock
         self._on_crash = on_crash
-        self._stopping = False
-        self._frame_shape: Optional[Tuple[int, ...]] = None
         # Deterministic chaos bookkeeping (config.chaos; all counters, no RNG).
         self.chaos_kills = 0
         self._chaos_frames = 0
         self._chaos_submits = 0
         self._chaos_lock = threading.Lock()
-        ctx = mp.get_context(config.mp_context)
         self.handles = [
-            WorkerHandle(i, spec, config, ctx, on_crash=self._crashed)
+            WorkerHandle(i, spec, config, on_crash=self._crashed)
             for i in range(config.workers)
         ]
+        metrics.register_gauge("pool_workers", lambda: self.workers)
+        metrics.register_gauge("pool_workers_up", self.workers_up)
+        metrics.register_renderer(self.render)
 
     # ------------------------------------------------------------------ #
     @property
     def workers(self) -> int:
         return len(self.handles)
 
-    def shard_of(self, session_id: str) -> int:
-        return shard_of(session_id, self.workers)
+    @property
+    def depth(self) -> int:
+        """Frames in flight across all workers (the ``queue_depth`` gauge)."""
+        return sum(h.inflight for h in self.handles)
 
     def handle(self, session_id: str) -> WorkerHandle:
-        return self.handles[self.shard_of(session_id)]
+        return self.handles[shard_of(session_id, self.workers)]
 
-    def _crashed(self, handle: WorkerHandle) -> None:
-        self.crashes_total += 1
+    def _crashed(self, handle: WorkerHandle, sessions: List[Session]) -> None:
+        self._metrics.inc("pool_worker_crashes_total")
         if self._on_crash is not None:
-            self._on_crash(handle)
+            self._on_crash(sessions)
 
     # ------------------------------------------------------------------ #
-    def open_session(
-        self,
-        session_id: str,
-        window: Optional[int] = None,
-        num_classes: Optional[int] = None,
-    ) -> int:
-        """Mirror a parent-allocated session on its shard's worker; returns
-        the worker index.  Spawns (and re-primes) the worker if cold."""
-        if self._stopping:
-            raise ShuttingDownError("worker pool is draining")
-        h = self.handle(session_id)
-        h.ensure_started(prime_shape=self._frame_shape)
+    def start(self) -> None:
+        """Spawn every worker (a failed spawn stops the ones already up)."""
         try:
-            h.rpc("open", sid=session_id, window=window, num_classes=num_classes)
-        except WorkerCrashedError:
-            raise  # the worker (and any mirror it held) is gone
-        except ServeError:
-            # Timed out (or otherwise failed) after the request was sent:
-            # the worker may still have executed the open, and workers never
-            # self-evict — fire-and-forget a close so no mirror is orphaned.
-            h.rpc_nowait("close", sid=session_id)
+            for h in self.handles:
+                h.start()
+        except BaseException:
+            self.stop(drain=False)
             raise
-        h.sessions.add(session_id)
-        return h.index
+
+    def stop(self, drain: bool = True) -> None:
+        for h in self.handles:
+            if drain:
+                h.drain()
+            else:
+                h.abort()
+
+    def prime(self, frame_shape: Tuple[int, ...]) -> None:
+        """Warm every worker's trace cache now (one decode per worker)
+        instead of on first traffic."""
+        for h in self.handles:
+            h.prime(frame_shape)
+
+    # ------------------------------------------------------------------ #
+    def open(self, session: Session) -> dict:
+        handle = self.handle(session.id)
+        handle.open(session)
+        return {"worker": handle.index}
+
+    def close(self, session: Session) -> None:
+        self.handle(session.id).close(session.id)
 
     def _apply_chaos(self, handle: WorkerHandle, n: int) -> None:
         """Run the configured deterministic failure injection for one submit.
 
         Trigger evaluation is counter-based under one lock; the disruptive
         actions (sleep, SIGKILL, simulated ring-full 429) happen outside it.
-        A killed worker takes the normal PR 9 crash path — pump EOF, 503 on
-        in-flight requests, session purge, lazy respawn — so chaos tests
+        A killed worker takes the normal crash path — pump EOF, 503 on
+        in-flight requests, session purge, respawn — so chaos tests
         exercise exactly the machinery real crashes do.
         """
         chaos = self.config.chaos
@@ -598,257 +579,56 @@ class EngineWorkerPool:
                 f"chaos: simulated full request ring on worker {handle.index}"
             )
 
-    def submit(self, session_id: str, frames: np.ndarray) -> Future:
-        if self._frame_shape is None and getattr(frames, "ndim", 0) == 4:
-            self._frame_shape = tuple(int(d) for d in frames.shape[1:])
-        handle = self.handle(session_id)
-        self._apply_chaos(handle, int(frames.shape[0]))
-        return handle.submit(session_id, frames, self.config.max_queue)
-
-    def close_session(self, session_id: str) -> Optional[dict]:
-        """Close on the worker; None when the worker is gone (the caller
-        falls back to the parent-side describe)."""
-        h = self.handle(session_id)
-        h.sessions.discard(session_id)
+    def submit(self, session: Session, frames: np.ndarray) -> Future:
+        """Admit ``frames`` for ``session`` and ship them to its worker;
+        returns a future resolving to the ordered ``List[FrameResult]``."""
+        n = int(frames.shape[0])
+        handle = self.handle(session.id)
+        if handle.prime_shape is None:
+            handle.prime_shape = tuple(int(d) for d in frames.shape[1:])
+        self._apply_chaos(handle, n)
+        session.admit(n, self.config.max_session_queue, self._clock())
         try:
-            return h.rpc("close", sid=session_id)
-        except ServeError:
-            return None
+            sent = handle.submit(session.id, frames, self.config.max_queue)
+        except BaseException:
+            # The worker's mirror numbers the frames, so only the pending
+            # count needs rolling back.
+            session.release(n)
+            raise
+        future: Future = Future()
+        sent.add_done_callback(lambda f: self._settle(session, n, f, future))
+        return future
 
-    def retire_session(self, session_id: str) -> None:
-        """Fire-and-forget close (TTL eviction path)."""
-        h = self.handle(session_id)
-        h.sessions.discard(session_id)
-        h.rpc_nowait("close", sid=session_id)
-
-    def prime(self, frame_shape: Tuple[int, ...]) -> None:
-        """Spawn every worker and warm each one's trace cache now (one
-        decode per worker) instead of on first traffic."""
-        self._frame_shape = tuple(int(d) for d in frame_shape)
-        for h in self.handles:
-            h.ensure_started(prime_shape=self._frame_shape)
+    def _settle(self, session: Session, n: int, sent: Future, future: Future) -> None:
+        """Book a worker reply into the parent session, then resolve the
+        caller's future (so a client that saw its response finds the frames
+        in ``frames_seen``, the vote-margin gauge and ``/metrics``)."""
+        exc = sent.exception()
+        results = None if exc is not None else sent.result()
+        with session.lock:
+            session.pending -= n
+            if results is not None:
+                session.frames_done += n
+                for r in results:
+                    session.record_margin(r.margin)
+        if results is not None:
+            self._metrics.inc("frames_total", n)
+        _settle_future(future, result=results, exc=exc)
 
     # ------------------------------------------------------------------ #
-    def stop(self, drain: bool = True) -> None:
-        self._stopping = True
-        for h in self.handles:
-            if drain:
-                h.drain()
-            else:
-                h.abort()
-
-    # ------------------------------------------------------------------ #
-    @property
-    def inflight(self) -> int:
-        return sum(h.inflight for h in self.handles)
-
     def workers_up(self) -> int:
         return sum(1 for h in self.handles if h.alive)
 
     def restarts_total(self) -> int:
         return sum(h.restarts for h in self.handles)
 
-    def shard_map(self) -> Dict[int, List[str]]:
-        return {h.index: sorted(h.sessions) for h in self.handles}
-
-    def describe_workers(self) -> List[dict]:
-        return [h.describe() for h in self.handles]
-
     def ring_names(self) -> List[str]:
-        names: List[str] = []
-        for h in self.handles:
-            names.extend(h.ring_names())
-        return names
+        return [name for h in self.handles for name in h.ring_names()]
 
-
-class PoolServeService(ServeService):
-    """ServeService whose engine work runs on a sharded worker pool.
-
-    The parent keeps the authoritative session registry (ids, TTLs,
-    backpressure bookkeeping); each worker mirrors the sessions of its
-    shard and owns the voter state.  HTTP semantics, routing and the
-    ``/metrics`` core are inherited unchanged — this class swaps the
-    in-process batcher for pool dispatch and adds the pool telemetry.
-    """
-
-    def __init__(
-        self,
-        engine,
-        config: Optional[ServeConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        config = config or ServeConfig(workers=1)
-        if config.workers < 1:
-            raise ValueError("PoolServeService needs config.workers >= 1")
-        spec = WorkerSpec.from_engine(engine)  # validate before building state
-        super().__init__(engine, config, clock)
-        self.pool = EngineWorkerPool(spec, self.config, on_crash=self._worker_crashed)
-        self.sessions.on_evict = self._session_evicted
-        # The parent's batcher is never started: queue depth is the pool's
-        # in-flight frame count instead.
-        self.metrics.register_gauge("queue_depth", lambda: self.pool.inflight)
-        self.metrics.register_gauge("pool_workers", lambda: self.pool.workers)
-        self.metrics.register_gauge("pool_workers_up", lambda: self.pool.workers_up())
-        self.metrics.register_renderer(self._render_pool)
-        # Session opens may spawn + prime a cold worker (seconds to minutes):
-        # handle() defers them onto this executor so the asyncio front-end's
-        # loop — /healthz, /metrics, every other shard's traffic — never
-        # stalls behind a spawn (reject-not-block).
-        self._open_executor = ThreadPoolExecutor(
-            max_workers=max(2, self.config.workers),
-            thread_name_prefix="repro-serve-open",
-        )
-
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        # Workers spawn lazily on first session per shard; nothing to do.
-        self._started = True
-        self._stopping = False
-
-    def stop(self, drain: bool = True) -> None:
-        self._stopping = True
-        # wait=False: an open mid-spawn finishes on its own thread (and then
-        # fails against the stopping pool) instead of stalling the shutdown.
-        self._open_executor.shutdown(wait=False)
-        self.pool.stop(drain=drain)
-        self.sessions.close_all()
-        self._started = False
-
-    def prime(self, frame_shape) -> None:
-        """Spawn + warm every worker up front (benchmarks, smoke tests)."""
-        self.pool.prime(frame_shape)
-
-    # ------------------------------------------------------------------ #
-    def handle(self, method: str, path: str, body: bytes):
-        if method == "POST" and path.split("?", 1)[0] == "/v1/sessions":
-            try:
-                return DeferredResponse(
-                    self._open_executor.submit(super().handle, method, path, body)
-                )
-            except RuntimeError:  # executor shut down: the service is stopping
-                return self._observed(
-                    "sessions",
-                    Response.error(ShuttingDownError("server is draining")),
-                )
-        return super().handle(method, path, body)
-
-    def open_session(
-        self, window: Optional[int] = None, num_classes: Optional[int] = None
-    ) -> dict:
-        if not self.accepting:
-            raise ShuttingDownError("server is draining")
-        try:
-            session = self.sessions.open(window=window, num_classes=num_classes)
-        except ValueError as exc:
-            raise BadRequestError(str(exc)) from exc
-        try:
-            worker = self.pool.open_session(
-                session.id, window=window, num_classes=num_classes
-            )
-        except BaseException:
-            # Roll the parent registration back so a failed spawn/RPC does
-            # not leave a session no worker knows about.
-            try:
-                self.sessions.close(session.id)
-            except UnknownSessionError:
-                pass
-            raise
-        self.metrics.inc("sessions_opened_total")
-        return {
-            "session_id": session.id,
-            "window": session.window,
-            "num_classes": session.num_classes,
-            "target": getattr(self.engine, "target", "unknown"),
-            "worker": worker,
-            "config": self.config.as_json(),
-        }
-
-    def submit_frames(self, session_id: str, frames: np.ndarray) -> PendingResponse:
-        session = self.sessions.get(session_id)
-        if self._stopping:
-            raise ShuttingDownError("server is draining")
-        try:
-            frames = self._guard_frames(session, frames)
-        except InvalidFrameError as exc:
-            raise InvalidFramesError(str(exc)) from exc
-        n = int(frames.shape[0])
-        # Check-and-increment atomically: two concurrent pushes to the same
-        # session must not both pass the limit and over-admit.
-        with session.lock:
-            if session.pending + n > self.config.max_session_queue:
-                raise OverloadedError(
-                    f"session {session_id} queue full "
-                    f"({session.pending}/{self.config.max_session_queue})"
-                )
-            session.pending += n
-        try:
-            future = self.pool.submit(session_id, frames)
-        except BaseException:
-            with session.lock:
-                session.pending -= n
-            raise
-        with session.lock:
-            session.next_seq += n
-            session.touch(self._clock())
-        future.add_done_callback(lambda f, s=session, n=n: self._settle(s, n, f))
-        return PendingResponse(
-            future=future, session_id=session_id, count=n, _metrics=self.metrics
-        )
-
-    def _settle(self, session, n: int, future: Future) -> None:
-        with session.lock:
-            session.pending -= n
-        if not future.cancelled() and future.exception() is None:
-            results = future.result()
-            with session.lock:
-                session.frames_done += n
-                if isinstance(results, list):
-                    # Shadow-vote the worker's raw predictions through the
-                    # parent-side voter (unused otherwise in pool mode) so
-                    # the per-session vote-margin gauge works for every
-                    # worker count.  Settle callbacks run on the pump thread
-                    # in per-session FIFO order, matching the worker's own
-                    # voting order.
-                    for r in results:
-                        session.record_vote(r.raw)
-            self.metrics.inc("frames_total", n)
-
-    def close_session(self, session_id: str) -> dict:
-        session = self.sessions.close(session_id)
-        payload = self.pool.close_session(session_id)
-        self.metrics.inc("sessions_closed_total")
-        # The worker's describe carries the authoritative frames_seen; fall
-        # back to the parent's view if the worker is already gone.
-        return payload if payload is not None else session.describe()
-
-    # ------------------------------------------------------------------ #
-    def _session_evicted(self, session) -> None:
-        self.pool.retire_session(session.id)
-
-    def _worker_crashed(self, handle: WorkerHandle) -> None:
-        """Voter state of the dead worker's sessions is unrecoverable:
-        retire them parent-side so the next push gets a clean 404 and the
-        client re-opens (landing on the respawned worker)."""
-        self.metrics.inc("pool_worker_crashes_total")
-        for sid in list(handle.sessions):
-            try:
-                self.sessions.close(sid)
-            except UnknownSessionError:
-                pass
-        handle.sessions.clear()
-
-    # ------------------------------------------------------------------ #
-    def healthz(self) -> Tuple[int, dict]:
-        status, payload = super().healthz()
-        payload["queue_depth"] = self.pool.inflight
-        payload["workers"] = self.pool.workers
-        payload["workers_up"] = self.pool.workers_up()
-        return status, payload
-
-    def pool_stats(self) -> dict:
+    def stats(self) -> dict:
         """Aggregated per-worker batching counters (piggybacked snapshots)."""
         frames = batches = batch_sum = batch_n = 0
-        for h in self.pool.handles:
+        for h in self.handles:
             stats = h.last_stats
             frames += int(stats.get("frames_total", 0))
             batches += int(stats.get("batches_total", 0))
@@ -858,43 +638,34 @@ class PoolServeService(ServeService):
             "frames_total": frames,
             "batches_total": batches,
             "mean_batch_size": (batch_sum / batch_n) if batch_n else None,
-            "workers": self.pool.workers,
-            "workers_up": self.pool.workers_up(),
-            "crashes_total": self.pool.crashes_total,
-            "restarts_total": self.pool.restarts_total(),
-            "chaos_kills": self.pool.chaos_kills,
+            "workers": self.workers,
+            "workers_up": self.workers_up(),
+            "crashes_total": self._metrics.counter("pool_worker_crashes_total"),
+            "restarts_total": self.restarts_total(),
+            "chaos_kills": self.chaos_kills,
         }
 
-    def _render_pool(self) -> str:
+    def render(self) -> str:
         """Per-worker labeled series appended to the ``/metrics`` payload."""
         p = "repro_serve_pool"
+        described = [h.describe() for h in self.handles]
         lines = [
             f"# TYPE {p}_worker_restarts_total counter",
-            f"{p}_worker_restarts_total {self.pool.restarts_total()}",
-            f"# TYPE {p}_worker_up gauge",
+            f"{p}_worker_restarts_total {self.restarts_total()}",
         ]
-        described = self.pool.describe_workers()
-        for i, d in enumerate(described):
-            lines.append(f'{p}_worker_up{{worker="{i}"}} {d["up"]}')
-        lines.append(f"# TYPE {p}_shard_sessions gauge")
-        for i, d in enumerate(described):
-            lines.append(f'{p}_shard_sessions{{worker="{i}"}} {d["sessions"]}')
-        lines.append(f"# TYPE {p}_inflight_frames gauge")
-        for i, d in enumerate(described):
-            lines.append(f'{p}_inflight_frames{{worker="{i}"}} {d["inflight"]}')
+        for name, kind, value in (
+            ("worker_up", "gauge", lambda d: d["up"]),
+            ("shard_sessions", "gauge", lambda d: d["sessions"]),
+            ("inflight_frames", "gauge", lambda d: d["inflight"]),
+            ("worker_frames_total", "counter", lambda d: int(d["stats"].get("frames_total", 0))),
+            ("worker_batches_total", "counter", lambda d: int(d["stats"].get("batches_total", 0))),
+        ):
+            lines.append(f"# TYPE {p}_{name} {kind}")
+            lines.extend(f'{p}_{name}{{worker="{i}"}} {value(d)}' for i, d in enumerate(described))
         lines.append(f"# TYPE {p}_ring_occupancy gauge")
-        for i, d in enumerate(described):
-            for ring, key in (("requests", "req_ring_occupancy"), ("results", "resp_ring_occupancy")):
-                if key in d:
-                    lines.append(
-                        f'{p}_ring_occupancy{{worker="{i}",ring="{ring}"}} {d[key]:.6f}'
-                    )
-        lines.append(f"# TYPE {p}_worker_frames_total counter")
-        for i, d in enumerate(described):
-            frames = int(d["stats"].get("frames_total", 0))
-            lines.append(f'{p}_worker_frames_total{{worker="{i}"}} {frames}')
-        lines.append(f"# TYPE {p}_worker_batches_total counter")
-        for i, d in enumerate(described):
-            batches = int(d["stats"].get("batches_total", 0))
-            lines.append(f'{p}_worker_batches_total{{worker="{i}"}} {batches}')
+        lines.extend(
+            f'{p}_ring_occupancy{{worker="{i}",ring="requests"}} {d["ring_occupancy"]:.6f}'
+            for i, d in enumerate(described)
+            if d["ring_occupancy"] is not None
+        )
         return "\n".join(lines)

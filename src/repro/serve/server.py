@@ -25,45 +25,15 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from http import HTTPStatus
 from typing import Optional
 
 from .errors import BadRequestError
-from .service import (
-    DeferredResponse,
-    PendingResponse,
-    Response,
-    ServeConfig,
-    ServeService,
-)
+from .service import PendingResponse, Response, ServeConfig, ServeService
 
 _MAX_REQUEST_LINE = 8192
 _MAX_HEADERS = 64
 _MAX_BODY = 64 * 1024 * 1024
-
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-
-def make_service(engine, config: Optional[ServeConfig] = None) -> ServeService:
-    """Build the serving core for ``engine``: in-process for ``workers=0``
-    (the default — today's exact single-engine path), the sharded
-    multi-process :class:`~repro.serve.pool.PoolServeService` otherwise."""
-    config = config or ServeConfig()
-    if config.workers and config.workers > 0:
-        from .pool import PoolServeService  # deferred: pool imports service
-
-        return PoolServeService(engine, config)
-    return ServeService(engine, config)
 
 
 class ServeServer:
@@ -78,7 +48,7 @@ class ServeServer:
         eviction_interval_s: Optional[float] = None,
     ):
         self.service = (
-            engine if isinstance(engine, ServeService) else make_service(engine, config)
+            engine if isinstance(engine, ServeService) else ServeService(engine, config)
         )
         self.host = host
         self.port = port  # 0: ephemeral; replaced by the bound port on start
@@ -160,11 +130,7 @@ class ServeServer:
                         keep_alive = False
                     else:
                         response = self.service.handle(method, path, body)
-                        if isinstance(response, DeferredResponse):
-                            # Routed off-loop (pool session opens spawn
-                            # workers); resolves to a plain Response.
-                            response = await asyncio.wrap_future(response.future)
-                        elif isinstance(response, PendingResponse):
+                        if isinstance(response, PendingResponse):
                             response = await self._await_pending(response)
                         keep_alive = headers.get("connection", "keep-alive") != "close"
                     try:
@@ -225,7 +191,7 @@ class ServeServer:
         return method, path, headers, body, None
 
     async def _write_response(self, writer, response: Response, keep_alive: bool) -> None:
-        reason = _REASONS.get(response.status, "Unknown")
+        reason = HTTPStatus(response.status).phrase
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in (response.headers or {}).items()
         )
@@ -271,7 +237,9 @@ class RunningServer:
             target=self._run, name="repro-serve-loop", daemon=True
         )
         self._thread.start()
-        self._started.wait(timeout=30)
+        # No timeout: spawning pool workers may take a while, and _run
+        # always sets the event — on success and on a startup error alike.
+        self._started.wait()
         if self._startup_error is not None:
             self._thread = None
             raise self._startup_error

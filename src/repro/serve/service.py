@@ -1,11 +1,11 @@
 """Transport-agnostic core of the serving subsystem.
 
 :class:`ServeService` glues one thread-safe :class:`~repro.engine.Engine`
-to the session registry, the cross-session micro-batcher and the metrics
-registry, and implements the HTTP route semantics once — both front-ends
-(the hand-rolled asyncio HTTP/1.1 server and the WSGI adapter) route into
+to the session registry, a frame dispatcher and the metrics registry, and
+implements the HTTP route semantics once — both front-ends (the
+hand-rolled asyncio HTTP/1.1 server and the WSGI adapter) route into
 :meth:`ServeService.handle` and only differ in how they wait for the
-batcher's future: the asyncio server awaits it, WSGI blocks on it.
+dispatcher's future: the asyncio server awaits it, WSGI blocks on it.
 """
 
 from __future__ import annotations
@@ -27,12 +27,26 @@ from .errors import (
     InvalidFramesError,
     ServeError,
     ShuttingDownError,
+    UnknownSessionError,
 )
 from .metrics import ServeMetrics
 from .sessions import SessionManager
 
 _FRAMES_PATH = re.compile(r"^/v1/sessions/([0-9a-f]+)/frames$")
 _SESSION_PATH = re.compile(r"^/v1/sessions/([0-9a-f]+)$")
+
+
+def _endpoint_of(path: str) -> str:
+    """The ``endpoint`` label of a request path, from the fixed set
+    ``healthz|metrics|sessions|frames|unknown``: a client-chosen path (a
+    session id, a typo) must never become a ``/metrics`` series."""
+    if path in ("/healthz", "/metrics"):
+        return path[1:]
+    if _FRAMES_PATH.match(path):
+        return "frames"
+    if path == "/v1/sessions" or _SESSION_PATH.match(path):
+        return "sessions"
+    return "unknown"
 
 
 @dataclass
@@ -45,8 +59,8 @@ class ChaosConfig:
     """
 
     #: SIGKILL a worker once this many frames have been submitted pool-wide
-    #: (exercises the PR 9 crash path: in-flight 503, session purge, lazy
-    #: respawn) — ``None`` disables.
+    #: (exercises the crash path: in-flight 503, session purge, respawn) —
+    #: ``None`` disables.
     kill_after_frames: Optional[int] = None
     #: restrict the kill to one worker index (``None``: whichever worker
     #: receives the submit that crosses the threshold).
@@ -64,10 +78,10 @@ class ServeConfig:
     """Knobs of the serving layer (micro-batching, backpressure, eviction).
 
     ``workers=0`` (the default) keeps everything in-process: one engine, one
-    micro-batcher, today's exact behavior.  ``workers=N`` shards sessions by
-    consistent hash onto N engine worker processes, each with its own
-    engine + micro-batcher, with frames travelling through per-worker
-    shared-memory rings (see :mod:`repro.serve.pool`).
+    micro-batcher.  ``workers=N`` shards sessions by consistent hash onto N
+    engine worker processes, each with its own engine + micro-batcher, with
+    frames travelling through per-worker shared-memory rings (see
+    :mod:`repro.serve.pool`).
     """
 
     max_batch: int = 32
@@ -83,8 +97,6 @@ class ServeConfig:
     input_range: Optional[Tuple[float, float]] = None
     # --- worker pool (0 = single-process serving, the default) ---
     workers: int = 0
-    mp_context: str = "spawn"  # "fork" is faster to start but unsafe with threads
-    ring_bytes: int = 4 * 1024 * 1024  # per direction, per worker
     worker_start_timeout_s: float = 120.0
     #: deterministic failure injection (pool mode only; None = off)
     chaos: Optional[ChaosConfig] = None
@@ -142,7 +154,7 @@ class Response:
 
 @dataclass
 class PendingResponse:
-    """A frames request waiting on the micro-batcher.
+    """A frames request waiting on the dispatcher.
 
     The front-end waits for :attr:`future` its own way (``await`` vs
     ``.result()``) and then calls :meth:`complete` / :meth:`fail` to turn
@@ -174,21 +186,16 @@ class PendingResponse:
         return Response.json(500, {"error": "internal", "detail": str(exc)})
 
 
-@dataclass
-class DeferredResponse:
-    """A fully-routed response being computed off the caller's thread.
-
-    Returned by :meth:`ServeService.handle` for routes that may block for
-    seconds (the worker pool's lazy spawn + priming on session open); the
-    asyncio front-end awaits :attr:`future`, WSGI blocks on it, and either
-    way it resolves to a plain, already-observed :class:`Response`.
-    """
-
-    future: Future
-
-
 class ServeService:
-    """Sessions + micro-batcher + metrics over one compiled engine."""
+    """Sessions + a frame dispatcher + metrics over one compiled engine.
+
+    ``config.workers`` only picks the dispatcher: ``0`` builds an
+    in-process :class:`MicroBatcher`, ``N`` an
+    :class:`~repro.serve.pool.EngineWorkerPool` of N engine processes.
+    Both implement ``open`` / ``submit(session, frames) -> Future`` /
+    ``close`` / ``depth`` / ``start`` / ``stop``, so every route has one
+    body whatever the worker count.
+    """
 
     def __init__(
         self,
@@ -209,40 +216,64 @@ class ServeService:
             if self.config.num_classes is not None
             else getattr(engine, "num_classes", 4),
             clock=clock,
+            on_evict=self._evicted,
             on_invalid=self.config.on_invalid,
             input_range=self.config.input_range,
         )
-        self.batcher = MicroBatcher(
-            engine.predict_batch,
-            max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
-            max_queue=self.config.max_queue,
-            max_session_queue=self.config.max_session_queue,
-            metrics=self.metrics,
-            clock=clock,
-        )
         self.metrics.register_gauge("active_sessions", lambda: len(self.sessions))
-        self.metrics.register_gauge("queue_depth", lambda: self.batcher.depth)
+        self.metrics.register_gauge("queue_depth", lambda: self.dispatcher.depth)
         self.metrics.register_renderer(self._render_session_health)
+        if self.config.workers:
+            from .pool import EngineWorkerPool  # deferred: pool imports this module
+
+            self.pool = EngineWorkerPool(
+                engine, self.config, self.metrics, clock, on_crash=self._purge
+            )
+            self.dispatcher = self.pool
+        else:
+            self.pool = None
+            self.dispatcher = MicroBatcher(
+                engine.predict_batch,
+                max_batch=self.config.max_batch,
+                max_wait_ms=self.config.max_wait_ms,
+                max_queue=self.config.max_queue,
+                max_session_queue=self.config.max_session_queue,
+                metrics=self.metrics,
+                clock=clock,
+            )
         self._started = False
         self._stopping = False
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        self.batcher.start()
+        """Start dispatching (spawns the pool's workers; blocks until they
+        are up)."""
+        self.dispatcher.start()
         self._started = True
         self._stopping = False
 
     def stop(self, drain: bool = True) -> None:
         """Graceful shutdown: refuse new work, drain in-flight batches."""
         self._stopping = True
-        self.batcher.stop(drain=drain)
+        self.dispatcher.stop(drain=drain)
         self.sessions.close_all()
         self._started = False
 
     @property
     def accepting(self) -> bool:
         return self._started and not self._stopping
+
+    def prime(self, frame_shape) -> None:
+        """Run one throwaway frame through every pool worker so its set-up
+        costs (trace decode, JIT) are paid before the first real push
+        (nothing to do in process)."""
+        if self.pool is not None:
+            self.pool.prime(frame_shape)
+
+    def pool_stats(self) -> Optional[dict]:
+        """Batching, crash and restart counters aggregated over the pool's
+        workers (None without a pool)."""
+        return None if self.pool is None else self.pool.stats()
 
     # ------------------------------------------------------------------ #
     def open_session(
@@ -254,12 +285,14 @@ class ServeService:
             session = self.sessions.open(window=window, num_classes=num_classes)
         except ValueError as exc:
             raise BadRequestError(str(exc)) from exc
+        placement = self.dispatcher.open(session)
         self.metrics.inc("sessions_opened_total")
         return {
             "session_id": session.id,
             "window": session.window,
             "num_classes": session.num_classes,
             "target": getattr(self.engine, "target", "unknown"),
+            **placement,
             "config": self.config.as_json(),
         }
 
@@ -289,7 +322,7 @@ class ServeService:
             frames = self._guard_frames(session, frames)
         except InvalidFrameError as exc:
             raise InvalidFramesError(str(exc)) from exc
-        future = self.batcher.submit(session, frames)
+        future = self.dispatcher.submit(session, frames)
         return PendingResponse(
             future=future,
             session_id=session_id,
@@ -299,23 +332,41 @@ class ServeService:
 
     def close_session(self, session_id: str) -> dict:
         session = self.sessions.close(session_id)
+        self.dispatcher.close(session)
         self.metrics.inc("sessions_closed_total")
         return session.describe()
 
     def evict_idle(self) -> int:
-        evicted = self.sessions.evict_idle()
-        if evicted:
-            self.metrics.inc("evictions_total", len(evicted))
-        return len(evicted)
+        return len(self.sessions.evict_idle())
+
+    def _evicted(self, session) -> None:
+        """``on_evict`` hook of both eviction paths: the sweeper and the
+        lazy TTL check of ``SessionManager.get``."""
+        self.metrics.inc("evictions_total")
+        self.dispatcher.close(session)
+
+    def _purge(self, sessions) -> None:
+        """A pool worker crashed and its sessions' voter state with it:
+        retire them here too, so their next push is a clean 404 and the
+        client re-opens onto the respawned worker."""
+        for session in sessions:
+            try:
+                self.sessions.close(session.id)
+            except UnknownSessionError:
+                pass
 
     def healthz(self) -> Tuple[int, dict]:
         status = 200 if self.accepting else 503
-        return status, {
+        payload = {
             "status": "ok" if self.accepting else "shutting_down",
             "target": getattr(self.engine, "target", "unknown"),
             "active_sessions": len(self.sessions),
-            "queue_depth": self.batcher.depth,
+            "queue_depth": self.dispatcher.depth,
         }
+        if self.pool is not None:
+            payload["workers"] = self.pool.workers
+            payload["workers_up"] = self.pool.workers_up()
+        return status, payload
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -388,10 +439,9 @@ class ServeService:
                 Response.json(404, {"error": "not_found", "detail": f"no route {path}"}),
             )
         except ServeError as exc:
-            endpoint = "frames" if "/frames" in path else path.strip("/") or "unknown"
             if exc.status == 429:
                 self.metrics.inc("rejected_total")
-            return self._observed(endpoint, Response.error(exc))
+            return self._observed(_endpoint_of(path), Response.error(exc))
 
     def resolve(self, pending: PendingResponse) -> Response:
         """Synchronously wait out a pending frames request (WSGI path)."""

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..engine.guard import InputGuard, make_guard
 from ..postproc.majority import MajorityVoter
-from .errors import UnknownSessionError
+from .errors import OverloadedError, SessionClosedError, UnknownSessionError
 
 
 class Session:
@@ -44,7 +44,7 @@ class Session:
         self.last_active = now
         self.next_seq = 0  # frames admitted (sequence numbers handed out)
         self.frames_done = 0  # frames fully predicted + voted
-        self.pending = 0  # frames admitted but not yet dispatched
+        self.pending = 0  # frames admitted, result not yet back
         self.closed = False
         # Vote-stability health: margin of the majority FIFO after the most
         # recent frame (1.0 unanimous, 0.0 tie), plus running aggregates.
@@ -54,22 +54,50 @@ class Session:
         self._margin_n = 0
         self.lock = threading.Lock()
 
-    def touch(self, now: float) -> None:
-        self.last_active = now
+    def admit(self, n: int, max_pending: int, now: float) -> int:
+        """Admit ``n`` frames for dispatch; returns the first sequence number.
+
+        The per-session admission both dispatchers share: a closed session
+        is refused (409), a push beyond ``max_pending`` frames queued or in
+        flight is rejected (429), otherwise the frames get sequence numbers,
+        count as pending and refresh the TTL — atomically, so two
+        concurrent pushes to one session cannot both pass the bound.
+        """
+        with self.lock:
+            if self.closed:
+                raise SessionClosedError(f"session {self.id} is closed")
+            if self.pending + n > max_pending:
+                raise OverloadedError(
+                    f"session {self.id} queue full ({self.pending}/{max_pending})"
+                )
+            first_seq = self.next_seq
+            self.next_seq += n
+            self.pending += n
+            self.last_active = now
+        return first_seq
+
+    def release(self, n: int) -> None:
+        """``n`` admitted frames left the dispatcher (done, failed or refused)."""
+        with self.lock:
+            self.pending -= n
 
     def record_vote(self, raw: int) -> int:
         """Vote one raw prediction and track the resulting FIFO margin.
 
-        The caller must hold ``self.lock`` (the batcher dispatch thread or
-        the pool's settle callback already does).
+        The caller must hold ``self.lock`` (the batcher dispatch thread does).
         """
         voted = self.voter.update(raw)
-        margin = self.voter.margin()
+        self.record_margin(self.voter.margin())
+        return voted
+
+    def record_margin(self, margin: float) -> None:
+        """Track the FIFO margin after one frame; the caller holds
+        ``self.lock``.  In pool mode the parent feeds in the margins its
+        worker reports, since the voter itself lives in the worker."""
         self.last_margin = margin
         self.min_margin = margin if self.min_margin is None else min(self.min_margin, margin)
         self._margin_sum += margin
         self._margin_n += 1
-        return voted
 
     @property
     def mean_margin(self) -> Optional[float]:
@@ -127,7 +155,7 @@ class SessionManager:
         self._lock = threading.Lock()
         #: called (outside the registry lock) for every TTL-evicted session,
         #: both from the sweeper and from lazy eviction in :meth:`get` — the
-        #: worker pool uses this to retire the session on its shard's worker.
+        #: service counts the eviction here and retires any worker mirror.
         self.on_evict = on_evict
 
     # ------------------------------------------------------------------ #
@@ -206,10 +234,6 @@ class SessionManager:
             if self.on_evict is not None:
                 self.on_evict(session)
         return evicted
-
-    def ids(self) -> List[str]:
-        with self._lock:
-            return list(self._sessions)
 
     def snapshot(self) -> List[Session]:
         """Live sessions at this instant (for the health metrics renderer)."""

@@ -6,30 +6,28 @@ shard — the same pieces the in-process server uses, just isolated in a
 process so N workers beat the GIL on the stats/voting paths.  The parent
 talks to it over a duplex pipe (the "doorbell": a few hundred bytes of
 control data per request) while frame payloads arrive through a
-shared-memory :class:`~repro.parallel.shm.ShmRing` and packed results
-leave through a second ring — no numpy array is ever pickled on the hot
-path.
+shared-memory :class:`~repro.parallel.shm.ShmRing` — no numpy array is
+ever pickled on the way in.
 
-Protocol (all control messages are small dicts over the pipe):
+Protocol (all messages are small dicts over the pipe):
 
 ========  =============================================================
 op        meaning
 ========  =============================================================
-frames    run a ``(N, C, H, W)`` payload at ``(pos, end)`` in the
-          request ring through the batcher for session ``sid``
-open      mirror a parent-allocated session (explicit ``sid``)
-close     retire a session; replies with its ``describe()``
+frames    run a ``(N, C, H, W)`` payload at ``(pos, end)`` in the ring
+          through the batcher for session ``sid``; replies ``rows`` (or
+          ``error``) and echoes ``end`` so the parent can free the space
+open      mirror a parent-allocated session (explicit ``sid``); no reply
+close     retire a session mirror; no reply
 prime     one throwaway batch to warm the trace cache / numpy dispatch
-stats     batching counters snapshot
 drain     flush the batcher queue, reply, exit cleanly
-exit!     test injection: die immediately (simulated crash)
 ========  =============================================================
 
-Every reply carries the originating ``req`` id; ``frames`` replies point
-at a packed ``(count, 5)`` float64 block — ``seq, raw, voted, cycles
-(-1 = None), energy_uj (NaN = None)`` — in the result ring.  Replies that
-ran the batcher piggyback a counters snapshot so the parent's aggregated
-``/metrics`` never has to block on a worker round-trip.
+Replies carry the originating ``req`` id.  A ``frames`` reply holds one
+``(seq, raw, voted, cycles, energy_uj, margin)`` row per frame — the
+fields of :class:`~repro.serve.batcher.FrameResult` — plus a counters
+snapshot, so the parent's aggregated ``/metrics`` never has to ask a
+worker for anything.
 """
 
 from __future__ import annotations
@@ -46,12 +44,6 @@ from .batcher import MicroBatcher
 from .errors import ServeError, UnknownSessionError
 from .metrics import ServeMetrics
 from .sessions import SessionManager
-
-#: packed result row: seq, raw, voted, cycles (-1 = None), energy (NaN = None)
-RESULT_FIELDS = 5
-
-#: the readiness handshake uses a reserved request id
-READY_REQ = -1
 
 # Workers never self-evict: the parent owns TTLs and sends explicit closes,
 # so a worker-local eviction could never race the parent's view.
@@ -114,29 +106,11 @@ def _encode_error(exc: BaseException) -> dict:
     return {"code": "internal", "status": 500, "detail": f"{type(exc).__name__}: {exc}"}
 
 
-def pack_results(results) -> np.ndarray:
-    """``List[FrameResult]`` -> the ``(count, 5)`` float64 wire block."""
-    packed = np.empty((len(results), RESULT_FIELDS), dtype=np.float64)
-    for i, r in enumerate(results):
-        packed[i, 0] = r.seq
-        packed[i, 1] = r.raw
-        packed[i, 2] = r.voted
-        packed[i, 3] = -1.0 if r.cycles is None else float(r.cycles)
-        packed[i, 4] = np.nan if r.energy_uj is None else float(r.energy_uj)
-    return packed
-
-
 def worker_main(
-    spec: WorkerSpec,
-    knobs: Dict[str, Any],
-    req_ring_name: str,
-    resp_ring_name: str,
-    conn,
-    index: int,
+    spec: WorkerSpec, knobs: Dict[str, Any], ring_name: str, conn, index: int
 ) -> None:
     """Entry point of one engine worker process."""
-    req_ring = ShmRing.attach(req_ring_name)
-    resp_ring = ShmRing.attach(resp_ring_name)
+    ring = ShmRing.attach(ring_name)
     send_lock = threading.Lock()
 
     def send(msg: dict) -> None:
@@ -159,8 +133,8 @@ def worker_main(
 
     try:
         engine = spec.build_engine()
-    except Exception as exc:
-        send({"op": "reply", "req": READY_REQ, "error": _encode_error(exc)})
+    except Exception as exc:  # the readiness handshake reports it
+        send({"error": _encode_error(exc)})
         return
 
     sessions = SessionManager(
@@ -177,31 +151,19 @@ def worker_main(
         metrics=metrics,
     )
     batcher.start()
-    send(
-        {
-            "op": "reply",
-            "req": READY_REQ,
-            "payload": {"pid": os.getpid(), "target": engine.target, "worker": index},
-        }
-    )
+    send({"pid": os.getpid(), "target": engine.target, "worker": index})
 
-    def finish(req: int, future) -> None:
-        # Runs on the batcher dispatch thread, strictly in dispatch order,
-        # so result-ring allocations release in order on the parent side.
+    def finish(req: int, end: int, future) -> None:
+        # Runs on the batcher dispatch thread.
         exc = future.exception()
         if exc is not None:
-            send({"op": "reply", "req": req, "error": _encode_error(exc), "stats": snapshot()})
+            send({"req": req, "end": end, "error": _encode_error(exc), "stats": snapshot()})
             return
-        results = future.result()
-        pos, end = resp_ring.write(pack_results(results))  # blocks if parent lags
-        send(
-            {
-                "op": "reply",
-                "req": req,
-                "result": {"pos": pos, "end": end, "count": len(results)},
-                "stats": snapshot(),
-            }
-        )
+        rows = [
+            (r.seq, r.raw, r.voted, r.cycles, r.energy_uj, r.margin)
+            for r in future.result()
+        ]
+        send({"req": req, "end": end, "rows": rows, "stats": snapshot()})
 
     try:
         while True:
@@ -209,101 +171,52 @@ def worker_main(
                 msg = conn.recv()
             except (EOFError, OSError):
                 break  # parent died or closed: nothing left to serve
-            op, req = msg["op"], msg["req"]
+            op, req = msg["op"], msg.get("req")
             if op == "frames":
+                end = msg["end"]
                 dtype = np.dtype(msg["dtype"])
                 shape = tuple(msg["shape"])
                 nbytes = dtype.itemsize * int(np.prod(shape))
-                view = req_ring.view(msg["pos"], nbytes)
-                # One private copy, then hand the ring space straight back:
-                # releasing in recv order keeps the cursor monotonic even
-                # when a submit is rejected below.
+                # One private copy before anything else is received: every
+                # later reply then tells the parent this payload's space is
+                # free, whichever request it answers.
+                view = ring.view(msg["pos"], nbytes)
                 frames = np.frombuffer(view, dtype=dtype).reshape(shape).copy()
                 del view
-                req_ring.release(msg["end"])
                 try:
-                    session = sessions.get(msg["sid"])
-                    future = batcher.submit(session, frames)
+                    future = batcher.submit(sessions.get(msg["sid"]), frames)
                 except ServeError as exc:
-                    send({"op": "reply", "req": req, "error": _encode_error(exc)})
+                    send({"req": req, "end": end, "error": _encode_error(exc)})
                 else:
-                    future.add_done_callback(lambda f, req=req: finish(req, f))
+                    future.add_done_callback(
+                        lambda f, req=req, end=end: finish(req, end, f)
+                    )
             elif op == "open":
-                try:
-                    session = sessions.open(
-                        window=msg.get("window"),
-                        num_classes=msg.get("num_classes"),
-                        session_id=msg["sid"],
-                    )
-                except ValueError as exc:
-                    send(
-                        {
-                            "op": "reply",
-                            "req": req,
-                            "error": {"code": "bad_request", "status": 400, "detail": str(exc)},
-                        }
-                    )
-                else:
-                    send(
-                        {
-                            "op": "reply",
-                            "req": req,
-                            "payload": {
-                                "session_id": session.id,
-                                "window": session.window,
-                                "num_classes": session.num_classes,
-                            },
-                        }
-                    )
+                # The parent opened the same session already, so this
+                # cannot fail on the arguments.
+                sessions.open(
+                    window=msg["window"],
+                    num_classes=msg["num_classes"],
+                    session_id=msg["sid"],
+                )
             elif op == "close":
                 try:
-                    session = sessions.close(msg["sid"])
-                except UnknownSessionError as exc:
-                    send({"op": "reply", "req": req, "error": _encode_error(exc)})
-                else:
-                    send(
-                        {
-                            "op": "reply",
-                            "req": req,
-                            "payload": session.describe(),
-                            "stats": snapshot(),
-                        }
-                    )
+                    sessions.close(msg["sid"])
+                except UnknownSessionError:
+                    pass
             elif op == "prime":
                 # One throwaway batch decodes the trace into this process's
                 # TraceCache and warms numpy dispatch before real traffic.
                 try:
                     engine.predict_batch(np.zeros((1, *msg["shape"]), dtype=np.float64))
                 except Exception as exc:
-                    send({"op": "reply", "req": req, "error": _encode_error(exc)})
+                    send({"req": req, "error": _encode_error(exc)})
                 else:
-                    send({"op": "reply", "req": req, "payload": {"primed": True}})
-            elif op == "stats":
-                send(
-                    {
-                        "op": "reply",
-                        "req": req,
-                        "payload": {
-                            **snapshot(),
-                            "queue_depth": batcher.depth,
-                            "sessions": len(sessions),
-                        },
-                    }
-                )
+                    send({"req": req, "payload": {"primed": True}})
             elif op == "drain":
                 batcher.stop(drain=True)  # every queued frame replies first
-                send({"op": "reply", "req": req, "payload": {"drained": True}, "stats": snapshot()})
+                send({"req": req, "payload": {"drained": True}, "stats": snapshot()})
                 break
-            elif op == "exit!":
-                os._exit(17)
-            else:
-                send(
-                    {
-                        "op": "reply",
-                        "req": req,
-                        "error": {"code": "internal", "status": 500, "detail": f"unknown op {op!r}"},
-                    }
-                )
     finally:
         try:
             batcher.stop(drain=False, timeout=5.0)
@@ -313,5 +226,4 @@ def worker_main(
             conn.close()
         except OSError:
             pass
-        req_ring.close()
-        resp_ring.close()
+        ring.close()

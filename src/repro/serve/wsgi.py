@@ -21,21 +21,10 @@ Usage::
 
 from __future__ import annotations
 
+from http import HTTPStatus
 from typing import Callable, Iterable, List, Tuple
 
-from .service import DeferredResponse, PendingResponse, Response, ServeService
-
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+from .service import PendingResponse, Response, ServeService
 
 
 def make_wsgi_app(service: ServeService) -> Callable:
@@ -57,9 +46,7 @@ def make_wsgi_app(service: ServeService) -> Callable:
 
         service.evict_idle()  # no event loop: sweep lazily per request
         response = service.handle(method, path, body)
-        if isinstance(response, DeferredResponse):
-            response = response.future.result()  # off-thread session open
-        elif isinstance(response, PendingResponse):
+        if isinstance(response, PendingResponse):
             response = service.resolve(response)
         return _emit(response, start_response)
 
@@ -67,7 +54,7 @@ def make_wsgi_app(service: ServeService) -> Callable:
 
 
 def _emit(response: Response, start_response: Callable) -> List[bytes]:
-    reason = _REASONS.get(response.status, "Unknown")
+    reason = HTTPStatus(response.status).phrase
     headers: List[Tuple[str, str]] = [
         ("Content-Type", response.content_type),
         ("Content-Length", str(len(response.body))),

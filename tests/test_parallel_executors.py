@@ -239,10 +239,34 @@ class TestShmRing:
             peer = ShmRing.attach(ring.name)
             try:
                 assert bytes(peer.view(pos, 10)) == b"hello-ring"
-                peer.release(end)
-                assert ring.occupancy() == 0.0  # consumer-side release is shared
             finally:
                 peer.close()
+            # The consumer never touches the cursors: the producer frees the
+            # space once the consumer echoes ``end`` back out of band.
+            assert ring.occupancy() == pytest.approx(10 / 128)
+            ring.release(end)
+            assert ring.occupancy() == 0.0
+        finally:
+            ring.close()
+
+    def test_out_of_order_release_keeps_tail_monotonic(self):
+        # A request rejected by the consumer (error reply) can be answered
+        # before an earlier request's success reply; releasing its ``end``
+        # frees both payloads, and the late, smaller ``end`` must not move
+        # the tail back over space that may already hold new data.
+        ring = self._ring(128)
+        try:
+            _, end_a = ring.write(b"a" * 32)
+            _, end_b = ring.write(b"b" * 32)
+            ring.release(end_b)  # the error reply for B arrives first
+            assert ring.tail == end_b and ring.occupancy() == 0.0
+            pos_c, end_c = ring.write(b"c" * 32)
+            ring.release(end_a)  # A's late success reply
+            assert ring.tail == end_b
+            assert ring.occupancy() == pytest.approx(32 / 128)
+            assert bytes(ring.view(pos_c, 32)) == b"c" * 32
+            ring.release(end_c)
+            assert ring.head == ring.tail
         finally:
             ring.close()
 

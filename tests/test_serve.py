@@ -2,8 +2,11 @@
 and the acceptance-critical parity of served outputs vs offline streams."""
 
 import json
+import re
+import sys
 import threading
 import time
+from concurrent.futures import Future
 from io import BytesIO
 
 import numpy as np
@@ -165,7 +168,7 @@ class TestSessionManager:
         mgr = SessionManager(ttl_s=5.0, clock=lambda: now[0])
         s = mgr.open()
         now[0] = 4.0
-        s.touch(now[0])
+        s.last_active = now[0]
         now[0] = 8.0
         assert mgr.evict_idle() == []
         assert mgr.get(s.id) is s
@@ -346,6 +349,70 @@ class TestMicroBatcher:
                 future.result(timeout=10)
         finally:
             self._drain_stop(batcher)
+
+    def test_cancel_racing_the_result_keeps_the_dispatch_thread(self, monkeypatch):
+        # The asyncio front-end cancels a request's future on timeout or
+        # client disconnect — possibly right between the batcher's done()
+        # check and its set_result.  That must not kill the only dispatch
+        # thread (the in-process server would hang).
+        from repro.serve import batcher as batcher_module
+
+        class CancelledAfterCheck(Future):
+            def done(self):
+                was_done = super().done()
+                self.cancel()  # the front-end gives up right after the check
+                return was_done
+
+        engine = FakeEngine()
+        batcher = MicroBatcher(engine.predict_batch, max_batch=1, max_wait_ms=0.0)
+        session = SessionManager(ttl_s=100).open()
+        batcher.start()
+        try:
+            monkeypatch.setattr(batcher_module, "Future", CancelledAfterCheck)
+            raced = batcher.submit(session, encode_frames([1]))
+            monkeypatch.undo()
+            served = batcher.submit(session, encode_frames([2]))
+            assert [r.raw for r in served.result(timeout=10)] == [2]
+            assert raced.cancelled()
+            assert session.pending == 0
+        finally:
+            self._drain_stop(batcher)
+
+    def test_concurrent_pushes_to_one_session_lose_no_update(self):
+        # Admission (front-end threads) and completion (the dispatch thread)
+        # both update one session's counters; with a tiny switch interval a
+        # lost update shows up as drifting counters or a duplicate seq.
+        engine = FakeEngine()
+        batcher = MicroBatcher(
+            engine.predict_batch, max_batch=4, max_wait_ms=0.0, max_session_queue=8
+        )
+        session = SessionManager(ttl_s=100).open(window=1)
+        served = []
+
+        def pusher():
+            for _ in range(40):
+                try:
+                    future = batcher.submit(session, encode_frames([1, 2]))
+                except OverloadedError:
+                    continue
+                served.extend(future.result(timeout=30))
+
+        batcher.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pusher) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            self._drain_stop(batcher)
+        assert sorted(r.seq for r in served) == list(range(len(served)))
+        assert session.next_seq == session.frames_done == len(served)
+        assert session.pending == 0
 
     def test_per_session_order_is_preserved(self):
         engine = FakeEngine()
@@ -558,6 +625,45 @@ class TestHttpServer:
                 client._request("GET", "/v1/nope")
             with pytest.raises(ServeClientError):  # 405
                 client._request("GET", "/v1/sessions")
+
+    def test_metrics_endpoint_labels_are_a_fixed_set(self):
+        # Error responses used to be labelled with the raw path: one series
+        # per session id, and "v1/sessions" vs "sessions" for one route.
+        service = ServeService(FakeEngine())
+        service.start()
+        try:
+            for sid in ("aaaa1111", "bbbb2222"):
+                assert service.handle("DELETE", f"/v1/sessions/{sid}", b"").status == 404
+            assert service.handle("POST", "/v1/sessions", b"{not json").status == 400
+            assert service.handle("POST", "/v1/sessions", b"").status == 201
+            assert service.handle("GET", '/x"y', b"").status == 404
+            assert service.handle("DELETE", "/healthz", b"").status == 405
+            text = service.metrics.render()
+        finally:
+            service.stop()
+        labels = set(re.findall(r'endpoint="([^"]*)"', text))
+        assert labels == {"healthz", "sessions", "unknown"}
+        p = "repro_serve_requests_total"
+        assert f'{p}{{endpoint="sessions",status="404"}} 2' in text
+        assert f'{p}{{endpoint="sessions",status="400"}} 1' in text
+        assert f'{p}{{endpoint="sessions",status="201"}} 1' in text
+
+    def test_lazy_ttl_eviction_is_counted(self):
+        now = [0.0]
+        service = ServeService(
+            FakeEngine(), ServeConfig(session_ttl_s=10.0), clock=lambda: now[0]
+        )
+        service.start()
+        try:
+            sid = service.open_session()["session_id"]
+            now[0] = 100.0
+            with pytest.raises(UnknownSessionError):
+                service.submit_frames(sid, encode_frames([0]))
+            assert len(service.sessions) == 0
+            assert service.metrics.counter("evictions_total") == 1
+            assert "repro_serve_evictions_total 1" in service.metrics.render()
+        finally:
+            service.stop()
 
     def test_malformed_json_is_400(self, running):
         server, _ = running
@@ -853,7 +959,7 @@ class TestTtlEvictionRacingInflightFrames:
             # Enqueue the victim's frames, then TTL-evict it before dispatch.
             queued = batcher.submit(victim, encode_frames([0, 0]))
             now[0] = 95.0
-            survivor.touch(now[0])  # stays fresh; only the victim idles out
+            survivor.last_active = now[0]  # stays fresh; only the victim idles out
             now[0] = 100.0
             evicted = mgr.evict_idle()
             assert victim in evicted

@@ -1,6 +1,9 @@
 """The multi-process serving pool: sharding, shared-memory transport,
 parity with offline streams, crash semantics, drain, and metrics."""
 
+import inspect
+import json
+import re
 import threading
 import time
 from http.client import HTTPConnection
@@ -12,14 +15,17 @@ import pytest
 import repro
 from repro.engine import ModelBundle
 from repro.serve import (
-    PoolServeService,
+    EngineWorkerPool,
+    MicroBatcher,
+    PendingResponse,
     ServeClient,
     ServeConfig,
     ServeError,
     ServeService,
+    Session,
     UnknownSessionError,
     WorkerCrashedError,
-    make_service,
+    WorkerHandle,
     shard_of,
     start_server,
 )
@@ -45,6 +51,13 @@ def _offline_stream(engine, frames, window):
     }
 
 
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not predicate():
+        time.sleep(0.01)
+    return predicate()
+
+
 # --------------------------------------------------------------------- #
 class TestShardOf:
     def test_deterministic_and_in_range(self):
@@ -62,14 +75,17 @@ class TestShardOf:
         assert all(shard_of(f"s{i}", 1) == 0 for i in range(16))
 
 
-class TestMakeService:
+class TestDispatcherSelection:
+    """``workers`` only picks the dispatcher behind the one service."""
+
     def test_workers_zero_is_plain_in_process_service(self):
         class E:
             def predict_batch(self, frames):  # pragma: no cover - never called
                 raise AssertionError
 
-        service = make_service(E(), ServeConfig())
-        assert type(service) is ServeService
+        service = ServeService(E(), ServeConfig())
+        assert isinstance(service.dispatcher, MicroBatcher)
+        assert service.pool is None and service.pool_stats() is None
         assert "workers" not in service.config.as_json()
 
     def test_pool_requires_a_real_engine(self):
@@ -78,13 +94,102 @@ class TestMakeService:
                 raise AssertionError
 
         with pytest.raises(ValueError, match="ModelBundle"):
-            make_service(E(), ServeConfig(workers=2))
+            ServeService(E(), ServeConfig(workers=2))
 
-    def test_workers_selects_pool_service(self, pool_engine):
-        service = make_service(pool_engine, ServeConfig(workers=2))
-        assert isinstance(service, PoolServeService)
+    def test_workers_selects_the_pool_dispatcher(self, pool_engine):
+        service = ServeService(pool_engine, ServeConfig(workers=2))
+        assert isinstance(service.dispatcher, EngineWorkerPool)
+        assert service.dispatcher is service.pool
         assert service.pool.workers == 2
         assert service.config.as_json()["workers"] == 2
+
+
+class TestFrozenBenchmarkHooks:
+    """``perfbench/serve_host.py`` imports and wraps these serving
+    internals, and the benchmark is frozen: a refactor that breaks them
+    must fail here rather than in a ``--trace 1`` run."""
+
+    def test_names_and_signatures(self):
+        from repro.serve.pool import PoolServeService
+
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert PoolServeService is ServeService
+        assert params(WorkerHandle.submit) == ["self", "session_id", "frames", "max_queue"]
+        assert params(MicroBatcher.submit) == ["self", "session", "frames"]
+        assert params(ServeService.handle) == ["self", "method", "path", "body"]
+        assert params(ServeService.prime) == ["self", "frame_shape"]
+        assert callable(ServeService.pool_stats)
+        assert callable(EngineWorkerPool.ring_names)
+        assert callable(PendingResponse.complete)
+        assert callable(Session.record_vote)
+
+
+class TestOneServingPath:
+    """``workers=0`` and ``workers=1`` run the same service code: one request
+    sequence — open, push, 429, close, 409 — gives the same statuses, the
+    same payloads (but for the worker index) and the same health gauges."""
+
+    def _run(self, engine, frames, workers):
+        # max_batch=2 dispatches a 2-frame push at once; a 1-frame push
+        # waits out the 300 ms window, long enough to overflow and close
+        # its session behind it.
+        service = ServeService(
+            engine,
+            ServeConfig(
+                workers=workers, max_batch=2, max_wait_ms=300.0, max_session_queue=2
+            ),
+        )
+        service.start()
+
+        def call(method, path, payload=None):
+            body = b"" if payload is None else json.dumps(payload).encode()
+            response = service.handle(method, path, body)
+            if isinstance(response, PendingResponse):
+                response = service.resolve(response)
+            return response
+
+        try:
+            opened = call("POST", "/v1/sessions", {"window": 3})
+            sid = json.loads(opened.body)["session_id"]
+            push = f"/v1/sessions/{sid}/frames"
+            log = [opened, call("POST", push, {"frames": frames[:2].tolist()})]
+            gauges = [
+                line
+                for line in service.metrics.render().splitlines()
+                if line.startswith("repro_serve_session_")
+            ]
+            parked = service.handle(
+                "POST", push, json.dumps({"frames": frames[2:3].tolist()}).encode()
+            )
+            log.append(call("POST", push, {"frames": frames[3:5].tolist()}))
+            log.append(call("DELETE", f"/v1/sessions/{sid}"))
+            log.append(service.resolve(parked))
+            frames_total = service.metrics.counter("frames_total")
+        finally:
+            service.stop()
+
+        def normalized(response):
+            payload = json.loads(response.body.decode().replace(sid, "SID"))
+            payload.pop("worker", None)
+            payload.get("config", {}).pop("workers", None)
+            return response.status, payload
+
+        return (
+            [normalized(r) for r in log],
+            [g.replace(sid, "SID") for g in gauges],
+            frames_total,
+        )
+
+    def test_same_sequence_for_zero_and_one_worker(self, pool_engine, pool_frames):
+        in_process = self._run(pool_engine, pool_frames, workers=0)
+        pooled = self._run(pool_engine, pool_frames, workers=1)
+        statuses = [status for status, _ in in_process[0]]
+        assert statuses == [201, 200, 429, 200, 409]
+        assert in_process[0][3][1]["frames_seen"] == 2
+        assert any("vote_margin" in g for g in in_process[1])
+        assert pooled == in_process
 
 
 # --------------------------------------------------------------------- #
@@ -105,7 +210,7 @@ class TestPoolParityWithOfflineStream:
             for key, frames in streams.items()
         }
 
-        service = PoolServeService(
+        service = ServeService(
             pool_engine, ServeConfig(workers=workers, max_batch=8, max_wait_ms=1.0)
         )
         service.start()
@@ -136,13 +241,13 @@ class TestPoolParityWithOfflineStream:
             assert [v for _, _, v in ordered] == offline[key]["voted"], f"{key} voted"
 
     def test_sessions_pin_to_their_shard_worker(self, pool_engine):
-        service = PoolServeService(pool_engine, ServeConfig(workers=2, max_wait_ms=0.5))
+        service = ServeService(pool_engine, ServeConfig(workers=2, max_wait_ms=0.5))
         service.start()
         try:
             for _ in range(6):
                 opened = service.open_session(window=3)
                 sid = opened["session_id"]
-                assert opened["worker"] == service.pool.shard_of(sid)
+                assert opened["worker"] == shard_of(sid, 2)
                 assert sid in service.pool.handles[opened["worker"]].sessions
         finally:
             service.stop()
@@ -196,7 +301,11 @@ class TestPoolOverHttp:
             'repro_serve_pool_worker_frames_total{worker="',
         ):
             assert series in text, f"missing {series!r} in:\n{text}"
-        assert 'ring="requests"' in text and 'ring="results"' in text
+        # The request ring is the only one left: results come back inline.
+        occupancy = re.findall(
+            r"^repro_serve_pool_ring_occupancy\{([^}]*)\} [0-9.eE+-]+$", text, re.M
+        )
+        assert occupancy == [f'worker="{i}",ring="requests"' for i in range(2)]
 
     def test_frames_total_counts_served_frames(self, running, pool_frames):
         with ServeClient(running.host, running.port) as client:
@@ -211,7 +320,7 @@ class TestPoolOverHttp:
 # --------------------------------------------------------------------- #
 class TestWorkerCrash:
     def _service(self, pool_engine, **knobs):
-        service = PoolServeService(pool_engine, ServeConfig(workers=1, **knobs))
+        service = ServeService(pool_engine, ServeConfig(workers=1, **knobs))
         service.start()
         return service
 
@@ -231,33 +340,64 @@ class TestWorkerCrash:
             assert excinfo.value.status == 503
             assert excinfo.value.headers == {"Retry-After": "1"}
             # The shard's sessions are purged: voter state died with the worker.
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline and sid in service.sessions.ids():
-                time.sleep(0.01)
+            assert _wait_for(lambda: len(service.sessions) == 0)
             with pytest.raises(UnknownSessionError):
                 service.submit_frames(sid, pool_frames[:1])
             assert service.metrics.counter("pool_worker_crashes_total") == 1
-            assert 'repro_serve_pool_worker_up{worker="0"} 0' in service.metrics.render()
         finally:
             service.stop()
 
     def test_crashed_shard_respawns_for_the_next_session(self, pool_engine, pool_frames):
         service = self._service(pool_engine, max_batch=8, max_wait_ms=1.0)
         try:
+            handle = service.pool.handles[0]
             sid = service.open_session(window=3)["session_id"]
             service.submit_frames(sid, pool_frames[:2]).future.result(timeout=60)
-            service.pool.handles[0].kill()
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline and service.pool.handles[0].state != "dead":
-                time.sleep(0.01)
-            assert service.pool.handles[0].state == "dead"
-            # The next open hashing onto the shard respawns the worker.
+            old_rings = handle.ring_names()
+            handle.kill()
+            # The pump respawns the worker right away, not on the next open,
+            # and the dead worker's ring is gone with it.
+            assert _wait_for(lambda: handle.restarts == 1 and handle.alive, timeout=60)
+            assert handle.ring_names() != old_rings
+            for name in old_rings:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
             sid2 = service.open_session(window=3)["session_id"]
             out = service.submit_frames(sid2, pool_frames[:2]).future.result(timeout=60)
             assert len(out) == 2
             assert service.pool.restarts_total() == 1
-            assert "repro_serve_pool_worker_restarts_total 1" in service.metrics.render()
+            text = service.metrics.render()
+            assert "repro_serve_pool_worker_restarts_total 1" in text
+            assert 'repro_serve_pool_worker_up{worker="0"} 1' in text
         finally:
+            service.stop()
+
+    def test_session_opened_while_respawning_is_mirrored(self, pool_engine, pool_frames):
+        # A slow respawn must not block (or lose) an open in the meantime:
+        # the parent registers the session and the new worker gets the
+        # mirror as soon as it is up.
+        service = self._service(pool_engine, max_batch=8, max_wait_ms=1.0)
+        handle = service.pool.handles[0]
+        spawn = handle._spawn
+        may_spawn = threading.Event()
+
+        def slow_spawn():
+            assert may_spawn.wait(timeout=30)
+            spawn()
+
+        handle._spawn = slow_spawn
+        try:
+            handle.kill()
+            assert _wait_for(lambda: handle.state == "dead")
+            sid = service.open_session(window=3)["session_id"]
+            with pytest.raises(WorkerCrashedError):
+                service.submit_frames(sid, pool_frames[:1])
+            may_spawn.set()
+            assert _wait_for(lambda: handle.alive, timeout=60)
+            out = service.submit_frames(sid, pool_frames[:2]).future.result(timeout=60)
+            assert [r.seq for r in out] == [0, 1]
+        finally:
+            may_spawn.set()
             service.stop()
 
     def test_http_client_sees_503_with_retry_after_header(self, pool_engine, pool_frames):
@@ -309,23 +449,19 @@ class TestAbandonedRequests:
     ):
         # A 400ms batching window parks the frames in the worker, giving the
         # cancellation a deterministic head start over the reply.
-        service = PoolServeService(
+        service = ServeService(
             pool_engine, ServeConfig(workers=1, max_batch=8, max_wait_ms=400.0)
         )
         service.start()
         try:
             handle = service.pool.handles[0]
             sid = service.open_session(window=3)["session_id"]
+            session = service.sessions.get(sid)
             pending = service.submit_frames(sid, pool_frames[:2])
             assert pending.future.cancel(), "reply won the race; retune the window"
-            # The late reply must decrement inflight and release the ring...
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline and handle.inflight:
-                time.sleep(0.01)
-            assert handle.inflight == 0
-            session = service.sessions.get(sid)
-            with session.lock:
-                assert session.pending == 0
+            # The late reply must decrement inflight and free the ring...
+            assert _wait_for(lambda: handle.inflight == 0 and session.pending == 0)
+            assert handle.describe()["ring_occupancy"] == 0.0
             # ...and the pump must survive to serve the next request.
             out = service.submit_frames(sid, pool_frames[2:4]).future.result(
                 timeout=30
@@ -338,7 +474,7 @@ class TestAbandonedRequests:
     def test_many_cancelled_requests_do_not_wedge_the_worker(
         self, pool_engine, pool_frames
     ):
-        service = PoolServeService(
+        service = ServeService(
             pool_engine, ServeConfig(workers=1, max_batch=4, max_wait_ms=100.0)
         )
         service.start()
@@ -348,10 +484,7 @@ class TestAbandonedRequests:
                 service.submit_frames(sid, pool_frames[:1]).future.cancel()
             out = service.submit_frames(sid, pool_frames[:1]).future.result(timeout=30)
             assert len(out) == 1
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline and service.pool.handles[0].inflight:
-                time.sleep(0.01)
-            assert service.pool.handles[0].inflight == 0
+            assert _wait_for(lambda: service.pool.handles[0].inflight == 0)
         finally:
             service.stop()
 
@@ -361,7 +494,7 @@ class TestDrainAndShutdown:
     def test_graceful_drain_flushes_every_worker_queue(self, pool_engine, pool_frames):
         # Frames park in each worker's batching window; stop(drain=True)
         # must flush them all before the workers exit.
-        service = PoolServeService(
+        service = ServeService(
             pool_engine, ServeConfig(workers=2, max_batch=64, max_wait_ms=5000.0)
         )
         service.start()
@@ -377,20 +510,43 @@ class TestDrainAndShutdown:
         assert all(h.state == "stopped" for h in service.pool.handles)
 
     def test_no_leaked_shared_memory_after_stop(self, pool_engine, pool_frames):
-        service = PoolServeService(pool_engine, ServeConfig(workers=2, max_wait_ms=0.5))
+        service = ServeService(pool_engine, ServeConfig(workers=2, max_wait_ms=0.5))
         service.start()
         sids = [service.open_session(window=3)["session_id"] for _ in range(4)]
         for sid in sids:
             service.submit_frames(sid, pool_frames[:1]).future.result(timeout=60)
         names = service.pool.ring_names()
-        assert names, "expected live rings before stop"
+        assert len(names) == 2, "expected one live ring per worker before stop"
         service.stop(drain=True)
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
+    def test_failed_spawn_raises_and_leaks_no_ring(self, pool_engine, monkeypatch):
+        from repro.parallel import ShmRing
+        from repro.serve import pool as pool_module
+
+        create = ShmRing.create
+        rings = []
+
+        def tracked_create(cls, capacity):
+            rings.append(create(capacity))
+            return rings[-1]
+
+        def refuse(process):
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(ShmRing, "create", classmethod(tracked_create))
+        monkeypatch.setattr(pool_module._MP.Process, "start", refuse)
+        service = ServeService(pool_engine, ServeConfig(workers=2))
+        with pytest.raises(WorkerCrashedError, match="fork refused"):
+            service.start()
+        assert len(rings) == 1  # the second worker was never attempted
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=rings[0].name)
+
     def test_submits_after_stop_are_rejected(self, pool_engine, pool_frames):
-        service = PoolServeService(pool_engine, ServeConfig(workers=1, max_wait_ms=0.5))
+        service = ServeService(pool_engine, ServeConfig(workers=1, max_wait_ms=0.5))
         service.start()
         sid = service.open_session(window=3)["session_id"]
         service.stop(drain=True)
@@ -401,30 +557,32 @@ class TestDrainAndShutdown:
 # --------------------------------------------------------------------- #
 class TestPoolTtlEviction:
     def test_idle_session_is_retired_on_its_worker(self, pool_engine, pool_frames):
+        # Both eviction paths — the sweeper and the lazy TTL check on a
+        # push — count the eviction and retire the worker's mirror.
         now = [0.0]
-        service = PoolServeService(
+        service = ServeService(
             pool_engine,
             ServeConfig(workers=1, session_ttl_s=10.0, max_wait_ms=0.5),
             clock=lambda: now[0],
         )
         service.start()
         try:
-            sid = service.open_session(window=3)["session_id"]
-            service.submit_frames(sid, pool_frames[:1]).future.result(timeout=60)
+            swept, lazy = (service.open_session(window=3)["session_id"] for _ in range(2))
+            for sid in (swept, lazy):
+                service.submit_frames(sid, pool_frames[:1]).future.result(timeout=60)
             handle = service.pool.handles[0]
-            assert handle.rpc("stats")["sessions"] == 1
+            assert set(handle.sessions) == {swept, lazy}
             now[0] = 100.0
-            assert service.evict_idle() == 1
             with pytest.raises(UnknownSessionError):
-                service.submit_frames(sid, pool_frames[:1])
-            # The fire-and-forget retirement reaches the worker too.
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                if handle.rpc("stats")["sessions"] == 0:
-                    break
-                time.sleep(0.01)
-            assert handle.rpc("stats")["sessions"] == 0
-            assert sid not in handle.sessions
+                service.submit_frames(lazy, pool_frames[:1])  # lazy eviction
+            assert service.evict_idle() == 1  # the sweeper takes the other
+            assert service.metrics.counter("evictions_total") == 2
+            assert handle.sessions == {}
+            # The retirements reached the worker: it no longer knows either
+            # session (the close messages precede this push on the pipe).
+            for sid in (swept, lazy):
+                with pytest.raises(UnknownSessionError):
+                    handle.submit(sid, pool_frames[:1], 64).result(timeout=30)
         finally:
             service.stop()
 
@@ -489,7 +647,7 @@ class TestChaosRecovery:
                 client.close_session(sid)
 
     def test_chaos_off_keeps_pool_stats_clean(self, pool_engine, pool_frames):
-        service = PoolServeService(
+        service = ServeService(
             pool_engine, ServeConfig(workers=1, max_batch=8, max_wait_ms=1.0)
         )
         service.start()
