@@ -39,11 +39,11 @@ class KernelHint:
     """Annotation marking an emitted loop as a known vectorizable kernel.
 
     The code generator records one hint per structured loop it emits
-    (``kind`` in ``{"sdotp", "mac8", "mac4", "memset"}``; ``label`` is the
-    loop's branch-target label).  The JIT simulator recognizes the loops
-    structurally, so the hints carry no execution semantics — they exist so
-    tests can prove that every loop codegen claims to emit is actually
-    picked up by a vectorized handler
+    (``kind`` in ``{"sdotp", "mac8", "mac4", "memset", "conv-nest",
+    "pool-nest"}``; ``label`` is the loop's branch-target label).  The JIT
+    simulator recognizes the loops structurally, so the hints carry no
+    execution semantics — they exist so tests can prove that every loop
+    codegen claims to emit is actually picked up by a vectorized handler
     (:meth:`repro.hw.sim.JitTemplate.vectorized_labels`).
     """
 
@@ -442,6 +442,7 @@ def emit_conv_layer(asm: Assembler, cfg: ConvKernelConfig) -> None:
     asm.li("s1", out_origin, comment=f"{name}: output pointer")
     asm.li("s4", cfg.out_h)
 
+    asm.hint_kernel(f"{name}_oy", "conv-nest")
     asm.label(f"{name}_oy")
     asm.mv("s0", "s11")  # patch base for ox = 0
     asm.li("s5", cfg.out_w)
@@ -553,6 +554,7 @@ def emit_maxpool_layer(asm: Assembler, cfg: PoolKernelConfig) -> None:
     asm.li("s1", out_origin)
     asm.li("s4", cfg.out_h)
 
+    asm.hint_kernel(f"{name}_oy", "pool-nest")
     asm.label(f"{name}_oy")
     asm.mv("s0", "s11")
     asm.li("s5", cfg.out_w)
@@ -573,9 +575,9 @@ def emit_maxpool_layer(asm: Assembler, cfg: PoolKernelConfig) -> None:
         asm.emit("lb", rd="t3", rs1="a2", imm=cfg.in_buf.row_stride)
         asm.emit("lb", rd="t4", rs1="a2", imm=cfg.in_buf.row_stride + cfg.in_buf.pixel_stride)
         for other in ("t2", "t3", "t4"):
-            asm.emit("bge", rs1="t1", rs2=other, target=f"{name}_skip_{other}_{id(cfg)}")
+            asm.emit("bge", rs1="t1", rs2=other, target=f"{name}_skip_{other}")
             asm.mv("t1", other)
-            asm.label(f"{name}_skip_{other}_{id(cfg)}")
+            asm.label(f"{name}_skip_{other}")
         asm.emit("sb", rs1="a5", rs2="t1", imm=0)
     else:
         asm.emit("lbu", rd="t1", rs1="a2", imm=0)
@@ -586,16 +588,16 @@ def emit_maxpool_layer(asm: Assembler, cfg: PoolKernelConfig) -> None:
         asm.emit("andi", rd="t5", rs1="t1", imm=0xF)
         for other in ("t2", "t3", "t4"):
             asm.emit("andi", rd="t0", rs1=other, imm=0xF)
-            asm.emit("bge", rs1="t5", rs2="t0", target=f"{name}_lo_{other}_{id(cfg)}")
+            asm.emit("bge", rs1="t5", rs2="t0", target=f"{name}_lo_{other}")
             asm.mv("t5", "t0")
-            asm.label(f"{name}_lo_{other}_{id(cfg)}")
+            asm.label(f"{name}_lo_{other}")
         # High nibble maximum into t6.
         asm.emit("srli", rd="t6", rs1="t1", imm=4)
         for other in ("t2", "t3", "t4"):
             asm.emit("srli", rd="t0", rs1=other, imm=4)
-            asm.emit("bge", rs1="t6", rs2="t0", target=f"{name}_hi_{other}_{id(cfg)}")
+            asm.emit("bge", rs1="t6", rs2="t0", target=f"{name}_hi_{other}")
             asm.mv("t6", "t0")
-            asm.label(f"{name}_hi_{other}_{id(cfg)}")
+            asm.label(f"{name}_hi_{other}")
         asm.emit("slli", rd="t6", rs1="t6", imm=4)
         asm.emit("or", rd="t5", rs1="t5", rs2="t6")
         asm.emit("sb", rs1="a5", rs2="t5", imm=0)

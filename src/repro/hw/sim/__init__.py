@@ -1,10 +1,11 @@
 """Compiled simulation of IBEX / MAUPITI programs.
 
 The subsystem behind ``IbexCore(mode="jit")``: programs are split once into
-basic blocks, the structured inner loops emitted by
-:mod:`repro.deploy.codegen` (SDOTP dot-product loops, scalar INT8/INT4 MAC
-loops, memset loops, whole output-channel loops) are replaced by vectorized
-numpy kernels, the remaining blocks run as generated Python
+basic blocks, the structured loops emitted by :mod:`repro.deploy.codegen`
+(SDOTP dot-product loops, scalar INT8/INT4 MAC loops, memset loops, whole
+output-channel loops in :mod:`repro.hw.sim.kernels`; whole conv and maxpool
+layers in :mod:`repro.hw.sim.nests`) are replaced by vectorized numpy
+kernels, the remaining blocks run as generated Python
 (:mod:`repro.hw.sim.jit`), and cycle / energy accounting is derived
 analytically from the shared :class:`~repro.hw.cycles.CycleModel` —
 bit-exact against the reference interpreter in registers, memory, cycle
@@ -14,11 +15,19 @@ Adding a new recognized kernel:
 
 1. emit the loop from codegen with a label and register it with
    ``Assembler.hint_kernel(label, kind)``;
-2. add a matcher + vectorized handler in :mod:`repro.hw.sim.kernels`
-   (strict structural match, handler must reproduce exit registers, memory,
-   and statistics exactly);
-3. the parity suite (``tests/test_sim_parity.py``) asserts every hinted
-   loop is vectorized and every vectorized result is bit-exact.
+2. add a matcher + vectorized handler — loop-level in
+   :mod:`repro.hw.sim.kernels`, layer-level in :mod:`repro.hw.sim.nests` —
+   with a strict structural match; the handler must reproduce exit
+   registers (the last iteration's, in execution order), memory and
+   statistics exactly, count every data-dependent side path through
+   ``KernelLoop.aux`` hit slots, and decline (return 0 iterations) when
+   its outputs overlap its inputs or the frames' control registers differ;
+3. attach it from :class:`~repro.hw.sim.jit.JitTemplate` after the kernels
+   it wraps;
+4. the parity suite (``tests/test_sim_parity.py``) asserts every hinted
+   loop is vectorized and every vectorized result is bit-exact; add a
+   randomized differential test next to ``tests/test_sim_nests.py`` that
+   drives the codegen emitter directly through interp and both jit paths.
 """
 
 from .blocks import BasicBlock, build_blocks

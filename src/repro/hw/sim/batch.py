@@ -11,8 +11,9 @@ block through their generated JIT code, and each kernel dispatch executes
 ``(frames, bytes)`` matrix instead of one tiny numpy call per frame.
 
 Data-dependent branches (requantization clamps, maxpool compares, argmax)
-do exist — they are glue-block-internal and frame-local, handled by each
-frame's generated block functions between kernel parks.  Whenever the
+do exist — the kernels count the ones inside them per frame, and the rest
+are frame-local glue handled by each frame's generated block functions
+between kernel parks.  Whenever the
 lockstep assumption is violated — frames park at different kernels, halt in
 different rounds, or any frame faults — :class:`BatchDivergence` (or the
 original exception) propagates to the caller, which re-runs the batch
@@ -54,6 +55,8 @@ class FrameOutcome:
     final_pc: int
     stats: ExecutionStats
     memory: Memory
+    #: the run's flat JIT counters (see ``JitTemplate.dispatch_counts``)
+    counters: List[int]
 
 
 def run_batch(
@@ -143,6 +146,9 @@ def run_batch(
     for i in frames:
         bound[i].finish(states[i], stats_list[i])
     return [
-        FrameOutcome(states[i].regs, states[i].final_pc, stats_list[i], mems[i])
+        FrameOutcome(
+            states[i].regs, states[i].final_pc, stats_list[i], mems[i],
+            states[i].cnt,
+        )
         for i in frames
     ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .decode import BRANCH, Decoded, JAL, STRAIGHT
-from .kernels import KernelLoop, recognize_loop, try_tap_superloop
+from .kernels import KernelLoop, recognize_loop
 
 
 class BasicBlock:
@@ -109,37 +109,4 @@ def build_blocks(decoded: List[Decoded], cycle_model) -> List[BasicBlock]:
                 [d.instr for d in block.decoded], start, cycle_model
             )
         blocks.append(block)
-    _attach_superloops(blocks, cycle_model)
     return blocks
-
-
-def _attach_superloops(blocks: List[BasicBlock], cycle_model) -> None:
-    """Fuse ``entry -> inner-loop -> exit`` block triples into one kernel.
-
-    For every vectorized SDOTP inner loop, look for the enclosing conv tap
-    loop: a fall-through predecessor block and a successor block whose
-    ``bne`` jumps back to the predecessor.  On a match the fused kernel is
-    attached to the predecessor, with its exit past the successor block.
-    """
-    by_pc = {b.pc: b for b in blocks}
-    by_end = {b.end_pc: b for b in blocks if b.term is None}
-    for block in blocks:
-        if block.kernel is None or block.kernel.kind != "sdotp":
-            continue
-        entry = by_end.get(block.pc)
-        exit_block = by_pc.get(block.end_pc)
-        if entry is None or exit_block is None or entry.kernel is not None:
-            continue
-        term = exit_block.term
-        if term is None or term.kind != BRANCH or term.taken_pc != entry.pc:
-            continue
-        fused = try_tap_superloop(
-            [d.instr for d in entry.decoded],
-            block.kernel,
-            [d.instr for d in exit_block.decoded],
-            entry.pc,
-            exit_block.end_pc,
-            cycle_model,
-        )
-        if fused is not None:
-            entry.kernel = fused

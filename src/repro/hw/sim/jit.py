@@ -18,8 +18,9 @@ The compiled artifact is split in two:
 * :class:`JitProgram` — a template **bound** to one
   :class:`~repro.hw.memory.Memory`: ``exec`` of the code object binds the
   inlined load/store helpers to that memory's dmem bytearray, and each
-  kernel loop gets its ``run`` closure from ``make_run(mem)``.  Binding is
-  cheap (one ``exec`` of an already-compiled module, no re-decode).
+  kernel loop gets its ``run`` closure from ``make_run(mem)`` on first use.
+  Binding is cheap (one ``exec`` of an already-compiled module, no
+  re-decode).
 
 Execution strategy per block, fastest first: recognized kernel loop (one
 numpy op for the whole remaining trip count) → generated block function →
@@ -70,6 +71,8 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from ..core import ExecutionStats, SimulationError
 from ..cycles import CycleModel, DEFAULT_CYCLE_MODEL
 from ..isa import Instruction
@@ -77,6 +80,7 @@ from ..memory import Memory
 from ..sdotp import sdotp4, sdotp8
 from .blocks import BasicBlock, build_blocks
 from .kernels import attach_channel_superloops
+from .nests import attach_layer_nests
 from .decode import (
     BRANCH,
     EBREAK,
@@ -410,6 +414,7 @@ class JitTemplate:
         decoded = decode_meta(program, cycle_model)
         self.blocks = build_blocks(decoded, cycle_model)
         attach_channel_superloops(self.blocks, program, cycle_model)
+        attach_layer_nests(self.blocks, program, cycle_model)
         # Flat counter-slot layout: [execs, taken] per block, plus
         # [iterations, vectorized calls] (and one hit counter per aux side
         # path) per kernel block.
@@ -425,6 +430,19 @@ class JitTemplate:
             else:
                 self.kslots.append(-1)
         self.n_slots = slot
+        self._build_stats_weights()
+        # Memory-independent part of every bound entry (see JitProgram).
+        self._entry_statics = []
+        for i, b in enumerate(self.blocks):
+            k = b.kernel
+            self._entry_statics.append((
+                b.pc, b.n, k,
+                k.instrs_per_iter if k is not None else 0,
+                k.exit_pc if k is not None and k.exit_pc is not None else b.end_pc,
+                self.kslots[i],
+                b.term.pc if b.term is not None and b.term.kind == EBREAK else -1,
+                self.kslots[i] + 2 if k is not None and k.wants_cnt else -1,
+            ))
         self.closure_blocks: List[int] = []
         chunks = ["# Generated by repro.hw.sim.jit -- one function per basic block."]
         names = []
@@ -457,6 +475,21 @@ class JitTemplate:
                 out[b.kernel.kind] = out.get(b.kernel.kind, 0) + 1
         return out
 
+    def dispatch_counts(self, cnt: List[int]) -> Dict[str, int]:
+        """What one run dispatched, read from its flat counters.
+
+        Vectorized calls per kernel kind, plus ``"blocks"``: executions of
+        generated (or closure) block functions, declined kernel blocks
+        included.
+        """
+        out: Dict[str, int] = {"blocks": 0}
+        for b, es, ks in zip(self.blocks, self.eslots, self.kslots):
+            out["blocks"] += cnt[es]
+            if ks >= 0 and cnt[ks + 1]:
+                kind = b.kernel.kind
+                out[kind] = out.get(kind, 0) + cnt[ks + 1]
+        return out
+
     def block_tallies(self) -> Dict[str, int]:
         """JIT/closure/kernel block coverage for reports and diagnostics."""
         kernel = sum(1 for b in self.blocks if b.kernel is not None)
@@ -469,6 +502,48 @@ class JitTemplate:
         }
 
     # ------------------------------------------------------------------ #
+    def _build_stats_weights(self) -> None:
+        """Statistics are linear in a run's counters: build the matrix.
+
+        Row ``slot`` of ``_weights`` holds what one count in that slot adds
+        to ``[instructions, cycles, *per-mnemonic counts]``.  A block
+        execution charges the block as if its branch fell through; the
+        taken slot adds the taken-minus-not-taken difference.  A kernel
+        iteration charges a taken back-branch; each vectorized call turns
+        one of them into the final not-taken one (every call runs its loop
+        to completion).  Aux slots charge their side paths.
+        """
+        cm = self.cycle_model
+        bt, bnt = cm.branch_taken, cm.branch_not_taken
+        mnemonics: Dict[str, int] = {}
+        rows: List[tuple] = []  # (slot, instrs, cycles, counts)
+        for i, b in enumerate(self.blocks):
+            e = self.eslots[i]
+            if b.term is not None and b.term.kind == BRANCH:
+                rows.append((e, b.n, b.straight_cycles + bnt, b.counts))
+                rows.append((e + 1, 0, bt - bnt, {}))
+            else:
+                rows.append((e, b.n, b.straight_cycles + b.term_cost, b.counts))
+            k = b.kernel
+            if k is not None:
+                ks = self.kslots[i]
+                rows.append((ks, k.instrs_per_iter,
+                             k.straight_cycles_per_iter + bt, k.counts_per_iter))
+                rows.append((ks + 1, 0, bnt - bt, {}))
+                for j, (a_instrs, a_cycles, a_counts) in enumerate(k.aux):
+                    rows.append((ks + 2 + j, a_instrs, a_cycles, a_counts))
+        for _, _, _, counts in rows:
+            for m in counts:
+                mnemonics.setdefault(m, 2 + len(mnemonics))
+        weights = np.zeros((self.n_slots, 2 + len(mnemonics)), dtype=np.int64)
+        for slot, instrs, cycles, counts in rows:
+            weights[slot, 0] += instrs
+            weights[slot, 1] += cycles
+            for m, c in counts.items():
+                weights[slot, mnemonics[m]] += c
+        self._weights = weights
+        self._mnemonics = list(mnemonics)
+
     def commit(
         self,
         stats: ExecutionStats,
@@ -478,46 +553,14 @@ class JitTemplate:
         slow_counts: Dict[str, int],
     ) -> None:
         """Scale a run's flat counters into exact aggregate statistics."""
-        cm = self.cycle_model
-        bt, bnt = cm.branch_taken, cm.branch_not_taken
-        total_instr = slow_instr
-        total_cycles = slow_cycles
+        totals = (np.array(cnt, dtype=np.int64) @ self._weights).tolist()
         merged: Dict[str, int] = dict(slow_counts)
-        for i, b in enumerate(self.blocks):
-            execs = cnt[self.eslots[i]]
-            if execs:
-                total_instr += execs * b.n
-                cycles = execs * b.straight_cycles
-                if b.term is not None and b.term.kind == BRANCH:
-                    taken = cnt[self.eslots[i] + 1]
-                    cycles += taken * bt + (execs - taken) * bnt
-                else:
-                    cycles += execs * b.term_cost
-                total_cycles += cycles
-                for m, c in b.counts.items():
-                    merged[m] = merged.get(m, 0) + execs * c
-            ks = self.kslots[i]
-            if ks >= 0 and cnt[ks]:
-                k = b.kernel
-                iters, calls = cnt[ks], cnt[ks + 1]
-                total_instr += iters * k.instrs_per_iter
-                # Each vectorized call runs its loop to completion: the
-                # back-branch is taken on all but the final iteration.
-                total_cycles += (
-                    iters * k.straight_cycles_per_iter
-                    + (iters - calls) * bt
-                    + calls * bnt
-                )
-                for m, c in k.counts_per_iter.items():
-                    merged[m] = merged.get(m, 0) + iters * c
-                for j, (a_instrs, a_cycles, a_counts) in enumerate(k.aux):
-                    hits = cnt[ks + 2 + j]
-                    if hits:
-                        total_instr += hits * a_instrs
-                        total_cycles += hits * a_cycles
-                        for m, c in a_counts.items():
-                            merged[m] = merged.get(m, 0) + hits * c
-        stats.record_block(total_instr, total_cycles, merged)
+        for m, c in zip(self._mnemonics, totals[2:]):
+            if c:
+                merged[m] = merged.get(m, 0) + c
+        stats.record_block(
+            slow_instr + totals[0], slow_cycles + totals[1], merged
+        )
 
 
 class _RunState:
@@ -537,6 +580,24 @@ class _RunState:
     )
 
 
+def _lazy_run(kernel, memory: Memory):
+    """``kernel.make_run(memory)``, bound on first call.
+
+    The batched executor runs kernels for all frames at once through
+    ``make_run_many``; a frame's own runner is only needed when it runs
+    alone or a batched kernel declines.
+    """
+    bound = None
+
+    def run(*args):
+        nonlocal bound
+        if bound is None:
+            bound = kernel.make_run(memory)
+        return bound(*args)
+
+    return run
+
+
 class JitProgram:
     """A :class:`JitTemplate` bound to one concrete memory."""
 
@@ -552,24 +613,11 @@ class JitProgram:
         fns = g["_FNS"]
         self._decoded = None  # lazy per-instruction closures (fallback paths)
         entries: Dict[int, tuple] = {}
-        for i, b in enumerate(template.blocks):
-            kernel = b.kernel
-            krun = kernel.make_run(memory) if kernel is not None else None
-            kexit = (
-                kernel.exit_pc
-                if kernel is not None and kernel.exit_pc is not None
-                else b.end_pc
-            )
-            kipi = kernel.instrs_per_iter if kernel is not None else 0
-            kaux = (
-                template.kslots[i] + 2
-                if kernel is not None and kernel.wants_cnt
-                else -1
-            )
-            fpc = b.term.pc if b.term is not None and b.term.kind == EBREAK else -1
-            entries[b.pc] = (
-                fns[i], b.n, krun, kipi, kexit, template.kslots[i], fpc, i, kaux
-            )
+        for i, (pc, n, kernel, kipi, kexit, kslot, fpc, kaux) in enumerate(
+            template._entry_statics
+        ):
+            krun = _lazy_run(kernel, memory) if kernel is not None else None
+            entries[pc] = (fns[i], n, krun, kipi, kexit, kslot, fpc, i, kaux)
         self.entries = entries
 
     # ------------------------------------------------------------------ #

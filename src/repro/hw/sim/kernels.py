@@ -2,11 +2,13 @@
 
 :mod:`repro.deploy.codegen` emits a small set of *structured* inner loops —
 the SDOTP SIMD dot-product loop, the scalar INT8 and packed-INT4
-multiply-accumulate loops, and the buffer-clearing memset loop.  These loops
+multiply-accumulate loops, and the buffer-clearing memset loop — and wraps
+the MAC loops in one output-channel loop per output pixel.  These loops
 execute the overwhelming majority of all simulated instructions, so the
 trace compiler pattern-matches their basic blocks and replaces the
 per-instruction interpretation of the *whole remaining trip count* with one
-numpy computation plus analytical cycle accounting.
+numpy computation plus analytical cycle accounting.  (Whole conv and
+maxpool layers are matched one level up, in :mod:`repro.hw.sim.nests`.)
 
 Correctness contract: a handler must leave **registers, memory, cycle count
 and per-mnemonic statistics** exactly as the reference interpreter would
@@ -61,8 +63,9 @@ class KernelLoop:
     feed the analytical statistics: a full run of ``n`` iterations costs
     ``n * straight + (n - 1) * branch_taken + branch_not_taken`` cycles,
     where the two branch terms account for the loop's own back-branch.
-    Multi-level loops (e.g. the conv tap loop) fold the cycles and counts
-    of their inner loop into the per-iteration figures.
+    Multi-level loops (the output-channel loop, the layer nests of
+    :mod:`repro.hw.sim.nests`) fold the cycles and counts of their inner
+    loops into the per-iteration figures.
     """
 
     __slots__ = (
@@ -136,73 +139,67 @@ def _signed_nibbles(hi: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------- #
 # Cross-frame helpers.  The batched executor clones the platform memory once
-# per frame; reads go through raw uint8 views over each clone's dmem so one
-# kernel dispatch touches numpy exactly once for all frames.
+# per frame; reads go through raw uint8 views over each clone's dmem (see
+# FrameDmem) so one kernel dispatch touches numpy exactly once for all frames.
 # --------------------------------------------------------------------------- #
-def _make_gather(mems: Sequence[Memory]):
-    """Build ``(gather, scatter)`` closures over every frame's dmem.
+def _extent(shape: Tuple[int, ...], strides: Tuple[int, ...]) -> int:
+    """Bytes spanned by a strided view with non-negative strides."""
+    if 0 in shape:
+        return 0
+    return 1 + sum((n - 1) * s for n, s in zip(shape, strides))
 
-    ``gather(addr, count)`` returns an ``(F, count)`` uint8 array or
-    ``None``; ``scatter(addr, rows)`` writes an ``(F, count)`` array back
-    and returns ``False`` when out of bounds.  When every frame's dmem
-    lives at a uniform address stride — the batched executor backs them
-    with rows of one ``(F, dmem_size)`` numpy matrix (see
-    :meth:`~repro.hw.memory.Memory.clone`) — the closures reassemble that
-    matrix once and every gather is a **zero-copy column slice**.
-    Otherwise they fall back to per-frame row copies.  A ``None`` /
-    ``False`` result means the span is not fully inside dmem; the caller
-    then declines and the per-frame path (full bounds checking, exact
-    faults) takes over.
+
+class FrameDmem:
+    """Every frame's dmem as the rows of one ``(frames, size)`` uint8 matrix.
+
+    The batched executor backs each frame's memory clone with a row of one
+    contiguous matrix (see :meth:`~repro.hw.memory.Memory.clone`) and a
+    single memory is a one-row matrix, so every read of a kernel is a
+    **zero-copy** view across all frames and every write one numpy
+    assignment.  Memories that are not rows of one allocation get no
+    matrix: every view is then ``None`` and the kernels decline, leaving
+    the per-frame path to run them.  A ``None`` view also means the span is
+    not fully inside dmem; the per-frame path then raises the exact fault.
     """
-    region = mems[0].regions["dmem"]
-    base, size = region.base, region.size
-    views = [np.frombuffer(m._data["dmem"], dtype=np.uint8) for m in mems]
-    mat = None
-    if all(v.size == size for v in views):
+
+    __slots__ = ("mat", "base", "size")
+
+    def __init__(self, mems: Sequence[Memory]):
+        region = mems[0].regions["dmem"]
+        self.base, self.size = region.base, region.size
+        views = [np.frombuffer(m._data["dmem"], dtype=np.uint8) for m in mems]
+        self.mat = None
+        if any(v.size != self.size for v in views):
+            return
         if len(views) == 1:
-            mat = views[0].reshape(1, size)
-        else:
-            addrs = [v.__array_interface__["data"][0] for v in views]
-            step = addrs[1] - addrs[0]
-            if step >= size and all(
-                b - a == step for a, b in zip(addrs, addrs[1:])
-            ):
-                # Rows of one shared allocation: stitch the parent matrix
-                # back together.  Only the [addr, addr+size) row spans are
-                # ever dereferenced, all of which are valid frame views.
-                mat = np.lib.stride_tricks.as_strided(
-                    views[0], shape=(len(views), size), strides=(step, 1)
-                )
-    if mat is not None:
-        def gather(addr: int, count: int) -> Optional[np.ndarray]:
-            off = addr - base
-            if off < 0 or off + count > size:
-                return None
-            return mat[:, off : off + count]
+            self.mat = views[0].reshape(1, self.size)
+            return
+        addrs = [v.__array_interface__["data"][0] for v in views]
+        step = addrs[1] - addrs[0]
+        if step >= self.size and all(b - a == step for a, b in zip(addrs, addrs[1:])):
+            # Rows of one shared allocation: stitch the parent matrix back
+            # together.  Only the [addr, addr+size) row spans are ever
+            # dereferenced, all of which are valid frame views.
+            self.mat = np.lib.stride_tricks.as_strided(
+                views[0], shape=(len(views), self.size), strides=(step, 1)
+            )
 
-        def scatter(addr: int, rows: np.ndarray) -> bool:
-            off = addr - base
-            count = rows.shape[1]
-            if off < 0 or off + count > size:
-                return False
-            mat[:, off : off + count] = rows
-            return True
-    else:
-        def gather(addr: int, count: int) -> Optional[np.ndarray]:
-            off = addr - base
-            if off < 0 or off + count > size:
-                return None
-            return np.stack([v[off : off + count] for v in views])
+    def gather(self, addr: int, count: int) -> Optional[np.ndarray]:
+        """``(frames, count)`` view of the bytes at ``addr``."""
+        off = addr - self.base
+        if self.mat is None or off < 0 or off + count > self.size:
+            return None
+        return self.mat[:, off : off + count]
 
-        def scatter(addr: int, rows: np.ndarray) -> bool:
-            off = addr - base
-            count = rows.shape[1]
-            if off < 0 or off + count > size:
-                return False
-            for v, row in zip(views, rows):
-                v[off : off + count] = row
-            return True
-    return gather, scatter
+    def window(self, addr: int, shape: tuple, strides: tuple) -> Optional[np.ndarray]:
+        """Writable ``(frames, *shape)`` strided view starting at ``addr``."""
+        off = addr - self.base
+        if self.mat is None or off < 0 or off + _extent(shape, strides) > self.size:
+            return None
+        m = self.mat
+        return np.lib.stride_tricks.as_strided(
+            m[:, off:], shape=(m.shape[0],) + shape, strides=(m.strides[0],) + strides
+        )
 
 
 def _uniform(regs_list, idxs) -> bool:
@@ -296,7 +293,7 @@ def _match_sdotp(body, cycle_model) -> Optional[KernelLoop]:
         return run
 
     def make_run_many(mems):
-        gather, _ = _make_gather(mems)
+        gather = FrameDmem(mems).gather
 
         def run_many(regs_list):
             r0 = regs_list[0]
@@ -374,7 +371,7 @@ def _match_mac8(body, cycle_model) -> Optional[KernelLoop]:
         return run
 
     def make_run_many(mems):
-        gather, _ = _make_gather(mems)
+        gather = FrameDmem(mems).gather
 
         def run_many(regs_list):
             r0 = regs_list[0]
@@ -468,7 +465,7 @@ def _match_mac4(body, cycle_model) -> Optional[KernelLoop]:
         return run
 
     def make_run_many(mems):
-        gather, _ = _make_gather(mems)
+        gather = FrameDmem(mems).gather
 
         def run_many(regs_list):
             r0 = regs_list[0]
@@ -586,183 +583,7 @@ def recognize_loop(
 
 
 # --------------------------------------------------------------------------- #
-# Second-level recognition: the convolution tap loop.
-#
-# The conv kernel wraps the SDOTP inner product in a "kx" loop over the
-# kernel's horizontal taps:
-#
-#     kx:   mv   P,  AP        ; patch pixel pointer
-#           mv   Q,  WP        ; weight tap pointer
-#           li   N,  W         ; constant words-per-tap
-#     simd: <sdotp inner loop>                    (self-loop block)
-#           mv   WP, Q         ; weights are consumed contiguously
-#           addi AP, AP, S     ; advance one pixel
-#           addi KW, KW, -1
-#           bne  KW, zero, kx
-#
-# Weights are contiguous across taps and the activation rows are strided by
-# a compile-time constant, so the *entire* tap loop is one dot product of
-# ``KW * W`` words — worth recognizing because per-tap trip counts are tiny
-# (``W = ceil(c_in * bits / 32)``) and block dispatch would dominate.
-# --------------------------------------------------------------------------- #
-def try_tap_superloop(
-    entry_body: List[Instruction],
-    inner: KernelLoop,
-    exit_body: List[Instruction],
-    entry_pc: int,
-    exit_fallthrough_pc: int,
-    cycle_model,
-) -> Optional[KernelLoop]:
-    """Fuse ``entry block -> sdotp inner loop -> exit block`` into one kernel.
-
-    ``entry_body`` is the fall-through block ending at the inner loop,
-    ``exit_body`` the block after it, whose ``bne`` targets ``entry_pc``.
-    Returns a :class:`KernelLoop` to attach to the entry block (with
-    ``exit_pc`` set past the exit block), or ``None``.
-    """
-    if inner.kind != "sdotp" or len(entry_body) != 3 or len(exit_body) != 4:
-        return None
-    m = inner.meta
-    P, Q, A, B, ACC, N = m["P"], m["Q"], m["A"], m["B"], m["ACC"], m["N"]
-    mv_p, mv_q, li_n = entry_body
-    mv_wp, adv_ap, dec, br = exit_body
-    AP, WP, KW = mv_p.rs1, mv_wp.rd, dec.rd
-    if not (
-        _is(mv_p, "add", rd=P, rs2=0)
-        and _is(mv_q, "add", rd=Q, rs1=WP, rs2=0)
-        and _is(li_n, "addi", rd=N, rs1=0)
-        and li_n.imm > 0
-        and _is(mv_wp, "add", rs1=Q, rs2=0)
-        and _is(adv_ap, "addi", rd=AP, rs1=AP)
-        and _is(dec, "addi", rd=KW, rs1=KW, imm=-1)
-        and _is(br, "bne", rs1=KW, rs2=0)
-    ):
-        return None
-    inner_regs = {P, Q, A, B, ACC, N}
-    outer_regs = (AP, WP, KW)
-    if (
-        len(set(outer_regs)) != 3
-        or 0 in outer_regs
-        or inner_regs & set(outer_regs)
-    ):
-        return None
-    W = li_n.imm
-    S = adv_ap.imm
-    eight_bit = m["eight_bit"]
-    tap_bytes = 4 * W
-
-    def make_run(mem):
-        load_bytes = mem.load_bytes
-
-        def run(regs):
-            kw = _counter(regs, KW)
-            if kw == 0:
-                return 0
-            ap = regs[AP]
-            raw_b = load_bytes(regs[WP], tap_bytes * kw)
-            if S == tap_bytes:
-                raw_a = load_bytes(ap, tap_bytes * kw)
-            else:
-                raw_a = b"".join(
-                    load_bytes((ap + j * S) & MASK, tap_bytes) for j in range(kw)
-                )
-            if eight_bit:
-                va = np.frombuffer(raw_a, dtype=np.int8).astype(np.int64)
-                vb = np.frombuffer(raw_b, dtype=np.int8).astype(np.int64)
-                total = int(va @ vb)
-            else:
-                va = np.frombuffer(raw_a, dtype=np.uint8).astype(np.int64)
-                vb = np.frombuffer(raw_b, dtype=np.uint8).astype(np.int64)
-                total = int(
-                    _signed_nibbles(va & 0xF) @ _signed_nibbles(vb & 0xF)
-                    + _signed_nibbles(va >> 4) @ _signed_nibbles(vb >> 4)
-                )
-            regs[ACC] = (regs[ACC] + total) & MASK
-            regs[A] = int.from_bytes(raw_a[-4:], "little")
-            regs[B] = int.from_bytes(raw_b[-4:], "little")
-            q_final = (regs[WP] + tap_bytes * kw) & MASK
-            regs[P] = (ap + (kw - 1) * S + tap_bytes) & MASK
-            regs[Q] = q_final
-            regs[WP] = q_final
-            regs[AP] = (ap + kw * S) & MASK
-            regs[N] = 0
-            regs[KW] = 0
-            return kw
-
-        return run
-
-    def make_run_many(mems):
-        gather, _ = _make_gather(mems)
-
-        def run_many(regs_list):
-            r0 = regs_list[0]
-            kw = _counter(r0, KW)
-            if kw == 0 or not _uniform(regs_list, (AP, WP, KW)):
-                return 0
-            ap = r0[AP]
-            total_bytes = tap_bytes * kw
-            mb = gather(r0[WP], total_bytes)
-            if mb is None:
-                return 0
-            if S == tap_bytes:
-                ma = gather(ap, total_bytes)
-                if ma is None:
-                    return 0
-            else:
-                parts = []
-                for j in range(kw):
-                    part = gather((ap + j * S) & MASK, tap_bytes)
-                    if part is None:
-                        return 0
-                    parts.append(part)
-                ma = np.concatenate(parts, axis=1)
-            totals = _dot_rows_i8(ma, mb) if eight_bit else _dot_rows_nib(ma, mb)
-            q_final = (r0[WP] + total_bytes) & MASK
-            p_final = (ap + (kw - 1) * S + tap_bytes) & MASK
-            ap_final = (ap + kw * S) & MASK
-            for i, regs in enumerate(regs_list):
-                regs[ACC] = (regs[ACC] + int(totals[i])) & MASK
-                regs[A] = int.from_bytes(ma[i, -4:].tobytes(), "little")
-                regs[B] = int.from_bytes(mb[i, -4:].tobytes(), "little")
-                regs[P] = p_final
-                regs[Q] = q_final
-                regs[WP] = q_final
-                regs[AP] = ap_final
-                regs[N] = 0
-                regs[KW] = 0
-            return kw
-
-        return run_many
-
-    counts = {"add": 3, "addi": 3 + 3 * W, "bne": 1 + W, "lw": 2 * W}
-    counts["sdotp8" if eight_bit else "sdotp4"] = W
-    bt, bnt = cycle_model.branch_taken, cycle_model.branch_not_taken
-    straight = (
-        sum(cycle_model.cost(i) for i in entry_body)
-        + W * inner.straight_cycles_per_iter
-        + (W - 1) * bt
-        + bnt
-        + sum(cycle_model.cost(i) for i in exit_body[:-1])
-    )
-    loop = KernelLoop(
-        "sdotp-taps",
-        entry_body[0].label,
-        instrs_per_iter=len(entry_body) + W * inner.instrs_per_iter + len(exit_body),
-        straight_cycles_per_iter=straight,
-        counts_per_iter=counts,
-        exit_pc=exit_fallthrough_pc,
-    )
-    loop.make_run = make_run
-    loop.make_run_many = make_run_many
-    loop.meta = {
-        "P": P, "Q": Q, "A": A, "B": B, "ACC": ACC, "N": N,
-        "AP": AP, "WP": WP, "KW": KW, "W": W, "S": S, "eight_bit": eight_bit,
-    }
-    return loop
-
-
-# --------------------------------------------------------------------------- #
-# Third-level recognition: the whole per-output-channel loop.
+# Second-level recognition: the whole per-output-channel loop.
 #
 # For every output pixel (conv) or output vector (fc) codegen emits one
 # rigid, fully-determined loop over the output channels:
@@ -782,7 +603,9 @@ def try_tap_superloop(
 # dispatch per output *pixel* instead of one per channel per tap.  The only
 # data-dependent control flow (the two clamp branches, the odd/even nibble
 # path) is counted per frame through the kernel's ``aux`` slots so cycle
-# and per-mnemonic statistics stay bit-exact.
+# and per-mnemonic statistics stay bit-exact.  The matched loop is kept as
+# a :class:`ChannelSpec`, which the layer-wide ``conv-nest`` kernel of
+# :mod:`repro.hw.sim.nests` reuses to run every pixel of a layer at once.
 # --------------------------------------------------------------------------- #
 class _NoMatch(Exception):
     pass
@@ -809,6 +632,69 @@ class _Walk:
         return ins
 
 
+class _Tally:
+    """Instructions, cycles and per-mnemonic counts of one fixed code path."""
+
+    __slots__ = ("instrs", "cycles", "counts", "_cost")
+
+    def __init__(self, cycle_model):
+        self.instrs = 0
+        self.cycles = 0
+        self.counts: Dict[str, int] = {}
+        self._cost = cycle_model.cost
+
+    def add(self, ins: Instruction, mult: int = 1, charge: bool = True) -> None:
+        """Count ``ins`` ``mult`` times.  ``charge=False`` leaves its cycles
+        to the caller (branches, whose cost depends on the outcome)."""
+        self.counts[ins.mnemonic] = self.counts.get(ins.mnemonic, 0) + mult
+        self.instrs += mult
+        if charge:
+            self.cycles += mult * self._cost(ins)
+
+    def add_all(self, instrs: Sequence[Instruction], mult: int = 1) -> None:
+        for ins in instrs:
+            self.add(ins, mult)
+
+    def add_path(self, instrs: int, cycles: int, counts: dict, mult: int = 1) -> None:
+        """Add ``mult`` executions of an already-tallied path."""
+        if not mult:
+            return
+        self.instrs += mult * instrs
+        self.cycles += mult * cycles
+        for m, c in counts.items():
+            self.counts[m] = self.counts.get(m, 0) + mult * c
+
+    def add_loop(self, loop: KernelLoop, iters: int, bt: int, bnt: int,
+                 runs: int = 1) -> None:
+        """Add ``runs`` runs of ``loop`` to completion, ``iters`` iterations
+        each; the back-branch is taken on all but the last iteration."""
+        self.add_path(
+            loop.instrs_per_iter, loop.straight_cycles_per_iter,
+            loop.counts_per_iter, runs * iters,
+        )
+        self.cycles += runs * ((iters - 1) * bt + bnt)
+
+    def kernel(self, kind: str, label: Optional[str], exit_pc: int) -> KernelLoop:
+        return KernelLoop(kind, label, self.instrs, self.cycles, self.counts, exit_pc)
+
+
+def _take_li(w: _Walk) -> Tuple[int, int, Tuple[Instruction, ...]]:
+    """Consume an ``Assembler.li`` expansion; returns ``(rd, value, instrs)``."""
+    ins = w.peek()
+    if ins is not None and ins.mnemonic == "addi" and ins.rs1 == 0:
+        w.i += 1
+        return ins.rd, ins.imm & MASK, (ins,)
+    if ins is None or ins.mnemonic != "lui":
+        raise _NoMatch
+    w.i += 1
+    value = ins.imm
+    p = w.peek()
+    if p is not None and _is(p, "addi", rd=ins.rd, rs1=ins.rd):
+        w.i += 1
+        return ins.rd, (value + p.imm) & MASK, (ins, p)
+    return ins.rd, value & MASK, (ins,)
+
+
 def _take_addi_big(w: _Walk, rd: int):
     """Consume an ``Assembler.addi_big`` expansion updating register ``rd``.
 
@@ -822,25 +708,272 @@ def _take_addi_big(w: _Walk, rd: int):
     if ins.mnemonic == "addi" and ins.rd == rd and ins.rs1 == rd:
         w.i += 1
         return ins.imm, None, (ins,)
-    instrs = []
-    if ins.mnemonic == "addi" and ins.rs1 == 0 and ins.rd != rd:
-        scratch, value = ins.rd, ins.imm
-        instrs.append(ins)
-        w.i += 1
-    elif ins.mnemonic == "lui" and ins.rd != rd:
-        scratch, value = ins.rd, ins.imm
-        instrs.append(ins)
-        w.i += 1
-        p = w.peek()
-        if p is not None and _is(p, "addi", rd=scratch, rs1=scratch):
-            value += p.imm
-            instrs.append(p)
-            w.i += 1
-    else:
+    if ins.rd == rd:
         raise _NoMatch
+    scratch, value, instrs = _take_li(w)
     add = w.take("add", rd=rd, rs1=rd, rs2=scratch)
-    instrs.append(add)
-    return value, (scratch, value & MASK), tuple(instrs)
+    if value & 0x8000_0000:
+        value -= 1 << 32
+    return value, (scratch, value & MASK), instrs + (add,)
+
+
+def _opt_addi_big(w: _Walk, rd: int):
+    """:func:`_take_addi_big` for an update codegen omits when it is zero."""
+    at = w.i
+    try:
+        return _take_addi_big(w, rd)
+    except _NoMatch:
+        w.i = at
+        return 0, None, ()
+
+
+def _lane_table(lo, hi=None) -> np.ndarray:
+    v = np.arange(256)
+    cols = [lo(v)] if hi is None else [lo(v), hi(v)]
+    return np.stack(cols, axis=1).astype(np.float64)
+
+
+# Byte value -> multiply lanes.  Products are summed in float64, exact for
+# every layer that fits the 16 kB dmem (partial sums stay far below 2**53).
+_LANES = {
+    "int8": _lane_table(lambda v: v - ((v & 0x80) << 1)),
+    "snib": _lane_table(
+        lambda v: _signed_nibbles(v & 0xF), lambda v: _signed_nibbles(v >> 4)
+    ),
+    "unib": _lane_table(lambda v: v & 0xF, lambda v: v >> 4),
+}
+# Inner-loop mode -> (activation lanes, weight lanes).  mac4 consumes
+# activation nibbles unsigned (PACT outputs) and weight nibbles signed.
+_MODE_LANES = {
+    "sd8": ("int8", "int8"),
+    "mac8": ("int8", "int8"),
+    "sd4": ("snib", "snib"),
+    "mac4": ("unib", "snib"),
+}
+
+
+def _lane_view(region: np.ndarray, table: np.ndarray, shape, strides) -> np.ndarray:
+    """Multiply lanes of the strided byte view ``(shape, strides)`` of a
+    gathered ``(frames, bytes)`` region, as ``(frames, *shape, lanes)``.
+
+    The lookup runs once over the small contiguous region; the (possibly
+    overlapping, im2col) view is then taken over the lanes.
+    """
+    lanes = table[region]
+    f_stride, b_stride, l_stride = lanes.strides
+    return np.lib.stride_tricks.as_strided(
+        lanes,
+        shape=(lanes.shape[0],) + shape + (lanes.shape[2],),
+        strides=(f_stride,) + tuple(s * b_stride for s in strides) + (l_stride,),
+    )
+
+
+def apply_updates(regs_list, ups) -> None:
+    """Write ``(reg, value)`` updates listed in execution order, so the last
+    update of a register wins; array values hold one value per frame."""
+    for reg, v in dict(ups).items():
+        if isinstance(v, np.ndarray):
+            for regs, x in zip(regs_list, v.tolist()):
+                regs[reg] = x
+        else:
+            for regs in regs_list:
+                regs[reg] = v
+
+
+def count_clamps(cnts, aux_base: int, clamps) -> List[int]:
+    """Add per-frame requant clamp hits to the first two aux slots.
+
+    Returns the extra instructions each frame executed on those paths.
+    """
+    if clamps is None:
+        return [0] * len(cnts)
+    extras = []
+    for c, neg, hi in zip(cnts, clamps[0].tolist(), clamps[1].tolist()):
+        c[aux_base] += neg
+        c[aux_base + 1] += hi
+        extras.append(neg + hi)
+    return extras
+
+
+def single_frame(make_run_many):
+    """``make_run`` for one memory from an aux-protocol ``make_run_many``."""
+
+    def make_run(mem):
+        rm = make_run_many([mem])
+
+        def run(regs, cnt, aux_base):
+            iters, extras = rm([regs], [cnt], aux_base)
+            return iters, (extras[0] if iters else 0)
+
+        return run
+
+    return make_run
+
+
+_ONE_PIXEL = (1, 1, 0, 0, 0, 0)
+
+
+class ChannelSpec:
+    """Register roles and constants of one matched output-channel loop.
+
+    Filled in by :func:`try_channel_superloop`; :meth:`evaluate` runs the
+    loop for one output pixel (the ``conv-chan`` / ``fc-chan`` kernels) or
+    for a whole grid of pixels (the ``conv-nest`` kernel).  ``control`` are
+    the registers the loop reads or keeps live, ``scratch`` the registers
+    it only clobbers.
+    """
+
+    def evaluate(self, dm: FrameDmem, regs_list, n: int, bp: int, wp: int,
+                 pb: int, outp: int, p0: int = 0, grid=_ONE_PIXEL,
+                 flush: bool = False):
+        """Run ``n`` channels for every pixel of ``grid`` in every frame.
+
+        ``grid = (rows, cols, sy, sx, oy, ox)`` places pixel ``(r, c)`` at
+        input patch ``pb + r*sy + c*sx`` (the fc input vector for fc loops)
+        and output ``outp + r*oy + c*ox``; every pixel starts at bias base
+        ``bp``, weight base ``wp`` and INT4 store parity ``p0``.  ``flush``
+        stores each pixel's odd trailing nibble (the conv layer's flush
+        block).  Writes every output and returns ``(clamps, ups)``: per-frame
+        ``(negative, saturated)`` requant clamp-hit arrays (``None`` without
+        requantization) and the ordered register updates of the *last*
+        pixel, in execution order.  Returns ``None`` without writing when a
+        span leaves dmem or the output overlaps an input: the interpreter
+        interleaves stores and loads, which only agrees with
+        compute-all-then-store-all when the spans are disjoint.
+        """
+        rows, cols, sy, sx, oy, ox = grid
+        F = len(regs_list)
+        T, span, out_bits = self.taps, self.span, self.out_bits
+        a_geom = ((rows, cols, self.kh, self.kw, span),
+                  (sy, sx, self.row_stride, self.pixel_stride, 1))
+        w_geom = ((n, T, span), (self.oc_stride, self.tap_adv, 1))
+        bias_g = dm.gather(bp, 4 * n)
+        act = dm.gather(pb, _extent(*a_geom))
+        wts = dm.gather(wp, _extent(*w_geom))
+        if bias_g is None or act is None or wts is None:
+            return None
+        n_pairs = (p0 + n) // 2
+        if out_bits == 32:
+            out_len = 4 * n
+        elif out_bits == 8:
+            out_len = n
+        else:
+            out_len = n_pairs + (1 if flush and (p0 + n) & 1 else 0)
+        if out_len:
+            o_geom = ((rows, cols, out_len), (oy, ox, 1))
+            o_end = outp + _extent(*o_geom)
+            for lo, g in ((bp, bias_g), (pb, act), (wp, wts)):
+                if outp < lo + g.shape[1] and lo < o_end:
+                    return None
+            out = dm.window(outp, *o_geom)
+            if out is None:
+                return None
+
+        a_lanes, w_lanes = _MODE_LANES[self.mode]
+        va = _lane_view(act, _LANES[a_lanes], *a_geom).reshape(F, rows * cols, -1)
+        vw = _lane_view(wts, _LANES[w_lanes], *w_geom).reshape(F, n, -1)
+        dots = np.matmul(va, vw.transpose(0, 2, 1)).astype(np.int64)
+        bias = np.ascontiguousarray(bias_g).view("<i4").astype(np.int64)
+        acc32 = (bias[:, None, :] + dots) & MASK
+
+        clamps = None
+        if self.requant:
+            r0 = regs_list[0]
+            mult, rnd, lev_raw = r0[self.MUL], r0[self.RND], r0[self.LEV]
+            lev_s = lev_raw - (1 << 32) if lev_raw & 0x8000_0000 else lev_raw
+            # The int64 product may wrap; wrapping keeps the low 32 bits.
+            t = (acc32 * mult + rnd) & MASK
+            s = t - ((t & 0x8000_0000) << 1)
+            if self.shift:
+                s = s >> self.shift
+            neg = s < 0
+            s = np.where(neg, 0, s)
+            hi_clamp = s > lev_s
+            vals = np.where(hi_clamp, lev_raw, s)
+            clamps = (neg.sum(axis=(1, 2)), hi_clamp.sum(axis=(1, 2)))
+        else:
+            vals = acc32
+
+        # ----- pack + store ----- #
+        if out_bits == 32:
+            byts = vals.astype("<u4").view(np.uint8)
+        elif out_bits == 8:
+            byts = (vals & 0xFF).astype(np.uint8)
+        else:
+            if p0:
+                pend0 = np.array([regs[self.PEND] for regs in regs_list], dtype=np.int64)
+                head = np.broadcast_to(pend0[:, None, None], (F, rows * cols, 1))
+                extended = np.concatenate([head, vals], axis=2)
+            else:
+                extended = vals
+            lob = extended[:, :, 0 : 2 * n_pairs : 2]
+            hib = extended[:, :, 1 : 2 * n_pairs : 2]
+            byts = (((hib << 4) | lob) & 0xFF).astype(np.uint8)
+            if out_len > n_pairs:
+                tail = (extended[:, :, -1:] & 0xFF).astype(np.uint8)
+                byts = np.concatenate([byts, tail], axis=2)
+        if out_len:
+            out[...] = byts.reshape(F, rows, cols, out_len)
+
+        # ----- final architectural state of the last pixel ----- #
+        last_act = act[:, act.shape[1] - span :]
+        last_w = wts[:, wts.shape[1] - span :]
+        if self.mode in ("sd8", "sd4"):
+            a_fin = np.ascontiguousarray(last_act[:, -4:]).view("<u4").ravel()
+            b_fin = np.ascontiguousarray(last_w[:, -4:]).view("<u4").ravel()
+        elif self.mode == "mac8":
+            la = last_act[:, -1].astype(np.int8).astype(np.int64)
+            lb = last_w[:, -1].astype(np.int8).astype(np.int64)
+            a_fin = (la * lb) & MASK
+            b_fin = lb & MASK
+        else:
+            a_fin = last_act[:, -1].astype(np.int64)
+            b_fin = last_w[:, -1].astype(np.int64)
+        pb_last = pb + (rows - 1) * sy + (cols - 1) * sx
+        t2_final = (wp + (n - 1) * self.oc_stride + T * self.tap_adv) & MASK
+        ups = [(self.T2, t2_final), (self.N, 0), (self.A, a_fin), (self.B, b_fin)]
+        if self.mode == "mac4":
+            ups.append((self.C, a_fin >> 4))
+            ups.append((self.D, ((((b_fin >> 4) ^ 8) - 8) * (a_fin >> 4)) & MASK))
+        ups.append((self.ACC, acc32[:, -1, -1]))
+        if self.conv:
+            row_last = pb_last + (self.kh - 1) * self.row_stride
+            ups.append((self.T1, (row_last + (self.kw - 1) * self.pixel_stride
+                                  + self.tap_adv) & MASK))
+            ups.append((self.WTAP, t2_final))
+            ups.append((self.TAPP, (row_last + self.kw * self.pixel_stride) & MASK))
+            if self.t6_kx is not None:
+                ups.append(self.t6_kx)
+            ups.append((self.KW, 0))
+            ups.append((self.ROWP, (pb_last + self.kh * self.row_stride) & MASK))
+            if self.t6_ky is not None:
+                ups.append(self.t6_ky)
+            ups.append((self.KH, 0))
+        else:
+            ups.append((self.T1, (pb + self.tap_adv) & MASK))
+        if self.requant:
+            ups.append((self.RES, vals[:, -1, -1]))
+        if out_bits == 4:
+            ups.append((self.PEND, extended[:, -1, 2 * ((p0 + n - 1) // 2)]))
+            ups.append((self.PAR, (p0 + n) & 1))
+            if n_pairs:
+                t5 = (self.T5, ((hib[:, -1, -1] << 4) & MASK) | lob[:, -1, -1])
+                # When the last channel takes the even path, the last odd
+                # store ran before its inner loop, which may reuse T5.
+                if (p0 + n) & 1:
+                    ups.insert(0, t5)
+                else:
+                    ups.append(t5)
+        outp_last = outp + (rows - 1) * oy + (cols - 1) * ox
+        # A flushed trailing nibble is the caller's to account for.
+        chan_len = n_pairs if out_bits == 4 else out_len
+        ups.append((self.OUTP, (outp_last + chan_len) & MASK))
+        ups.append((self.BP, (bp + 4 * n) & MASK))
+        if self.t6_tail is not None:
+            ups.append(self.t6_tail)
+        ups.append((self.WP, (wp + n * self.oc_stride) & MASK))
+        ups.append((self.CNTR, 0))
+        return clamps, ups
 
 
 def try_channel_superloop(
@@ -849,9 +982,10 @@ def try_channel_superloop(
     """Match the full conv/fc output-channel loop starting at index ``head``.
 
     Returns a :class:`KernelLoop` (kind ``conv-chan`` / ``fc-chan``) with
-    ``aux`` side-path counters, or ``None``.  Matching is strict: any
-    deviation from the exact codegen shape declines and the simulator falls
-    back to the per-tap kernels, which are always bit-exact.
+    ``aux`` side-path counters and its :class:`ChannelSpec` in
+    ``meta["spec"]``, or ``None``.  Matching is strict: any deviation from
+    the exact codegen shape declines and the simulator falls back to the
+    inner-loop kernels, which are always bit-exact.
     """
     try:
         return _match_channel_loop(program, head, cycle_model)
@@ -862,16 +996,8 @@ def try_channel_superloop(
 def _match_channel_loop(program, head, cycle_model):
     bt, bnt = cycle_model.branch_taken, cycle_model.branch_not_taken
     cost = cycle_model.cost
-    counts: Dict[str, int] = {}
-    ipi = 0
-    straight = 0
-
-    def add(ins, mult=1, charge=True):
-        nonlocal ipi, straight
-        counts[ins.mnemonic] = counts.get(ins.mnemonic, 0) + mult
-        ipi += mult
-        if charge:
-            straight += mult * cost(ins)
+    tally = _Tally(cycle_model)
+    add = tally.add
 
     w = _Walk(program, head)
     lw_b = w.take("lw", imm=0)
@@ -884,7 +1010,7 @@ def _match_channel_loop(program, head, cycle_model):
     if nxt is None:
         raise _NoMatch
     conv = nxt.mnemonic == "add" and nxt.rs2 == 0
-    ROWP = WTAP = TAPP = KH = KW_ = PB = -1
+    ROWP = WTAP = TAPP = KH = KW = PB = -1
     kh = kw = 1
     act_addr = 0
     if conv:
@@ -903,7 +1029,7 @@ def _match_channel_loop(program, head, cycle_model):
         mv_tap = w.take("add", rs2=0, rs1=ROWP)
         TAPP = mv_tap.rd
         li_kw = w.take("addi", rs1=0)
-        KW_, kw = li_kw.rd, li_kw.imm
+        KW, kw = li_kw.rd, li_kw.imm
         if kw <= 0:
             raise _NoMatch
         add(mv_tap, kh)
@@ -917,22 +1043,8 @@ def _match_channel_loop(program, head, cycle_model):
         add(mv_t1, T)
         add(mv_t2, T)
     else:
-        ins = w.peek()
-        if ins is not None and ins.mnemonic == "addi" and ins.rs1 == 0:
-            w.i += 1
-            T1, act_addr = ins.rd, ins.imm & MASK
-            add(ins)
-        elif ins is not None and ins.mnemonic == "lui":
-            w.i += 1
-            T1, act_addr = ins.rd, ins.imm & MASK
-            add(ins)
-            p = w.peek()
-            if p is not None and _is(p, "addi", rd=T1, rs1=T1):
-                w.i += 1
-                act_addr = (act_addr + p.imm) & MASK
-                add(p)
-        else:
-            raise _NoMatch
+        T1, act_addr, li_act = _take_li(w)
+        tally.add_all(li_act)
         mv_t2 = w.take("add", rs2=0)
         T2, WP = mv_t2.rd, mv_t2.rs1
         add(mv_t2)
@@ -969,10 +1081,7 @@ def _match_channel_loop(program, head, cycle_model):
     if br_idx + body[-1].imm // 4 != loop_head:
         raise _NoMatch
     w.i = loop_head + body_len
-    for ins in body[:-1]:
-        add(ins, T * words)
-    add(body[-1], T * words, charge=False)
-    straight += T * ((words - 1) * bt + bnt)
+    tally.add_loop(inner, words, bt, bnt, runs=T)  # once per tap
     # Trailing alignment pads (mac modes advance both pointers past the pad).
     pad = 0
     p = w.peek()
@@ -998,25 +1107,23 @@ def _match_channel_loop(program, head, cycle_model):
         mv_back = w.take("add", rd=WTAP, rs1=T2, rs2=0)
         add(mv_back, T)
         pixel_stride, t6_kx, pix_instrs = _take_addi_big(w, TAPP)
-        for ins in pix_instrs:
-            add(ins, T)
-        dec_kw = w.take("addi", rd=KW_, rs1=KW_, imm=-1)
+        tally.add_all(pix_instrs, T)
+        dec_kw = w.take("addi", rd=KW, rs1=KW, imm=-1)
         add(dec_kw, T)
-        br_kx = w.take("bne", rs1=KW_, rs2=0)
+        br_kx = w.take("bne", rs1=KW, rs2=0)
         if (w.i - 1) + br_kx.imm // 4 != kx_head:
             raise _NoMatch
         add(br_kx, T, charge=False)
-        straight += kh * ((kw - 1) * bt + bnt)
+        tally.cycles += kh * ((kw - 1) * bt + bnt)
         row_stride, t6_ky, row_instrs = _take_addi_big(w, ROWP)
-        for ins in row_instrs:
-            add(ins, kh)
+        tally.add_all(row_instrs, kh)
         dec_kh = w.take("addi", rd=KH, rs1=KH, imm=-1)
         add(dec_kh, kh)
         br_ky = w.take("bne", rs1=KH, rs2=0)
         if (w.i - 1) + br_ky.imm // 4 != ky_head:
             raise _NoMatch
         add(br_ky, kh, charge=False)
-        straight += (kh - 1) * bt + bnt
+        tally.cycles += (kh - 1) * bt + bnt
         if pixel_stride <= 0 or row_stride <= 0:
             raise _NoMatch
 
@@ -1047,7 +1154,7 @@ def _match_channel_loop(program, head, cycle_model):
         clamp1 = w.take("add", rd=RES, rs1=LEV, rs2=0)
         add(bge1, charge=False)
         add(bge2, charge=False)
-        straight += 2 * bt  # common path: both clamps skipped (branch taken)
+        tally.cycles += 2 * bt  # common path: both clamps skipped (branch taken)
         aux.append((1, (bnt - bt) + cost(clamp0), {"add": 1}))
         aux.append((1, (bnt - bt) + cost(clamp1), {"add": 1}))
         store_val = RES
@@ -1088,7 +1195,7 @@ def _match_channel_loop(program, head, cycle_model):
         out_adv = w.take("addi", rd=OUTP, rs1=OUTP, imm=1)
         li_zero = w.take("addi", rd=PAR, rs1=0, imm=0)
         add(br_par, charge=False)
-        straight += bnt  # common-path convention: charge the even fall-through
+        tally.cycles += bnt  # common-path convention: charge the even fall-through
         aux.append(
             (3, cost(mv_pend) + cost(li_one) + cost(jal),
              {"add": 1, "addi": 1, "jal": 1})
@@ -1107,8 +1214,7 @@ def _match_channel_loop(program, head, cycle_model):
     oc_stride, t6_tail, oc_instrs = _take_addi_big(w, WP)
     if oc_stride <= 0:
         raise _NoMatch
-    for ins in oc_instrs:
-        add(ins)
+    tally.add_all(oc_instrs)
     dec = w.take("addi", imm=-1)
     CNTR = dec.rd
     if dec.rs1 != CNTR:
@@ -1118,14 +1224,13 @@ def _match_channel_loop(program, head, cycle_model):
     if (w.i - 1) + backedge.imm // 4 != head:
         raise _NoMatch
     add(backedge, charge=False)  # commit charges the back-branch analytically
-    exit_pc = 4 * w.i
 
     # ----- register-role sanity: control regs pairwise distinct, scratch
     # regs disjoint from them (requant result may alias the inner scratch
-    # registers; ordered final-state updates below handle that). ----- #
+    # registers; ordered final-state updates handle that). ----- #
     control = [CNTR, BP, WP, OUTP, ACC, T1, T2, N]
     if conv:
-        control += [PB, ROWP, WTAP, TAPP, KH, KW_]
+        control += [PB, ROWP, WTAP, TAPP, KH, KW]
     if requant:
         control += [MUL, RND, LEV]
     if out_bits == 4:
@@ -1145,11 +1250,25 @@ def _match_channel_loop(program, head, cycle_model):
     if scratch & set(control) or 0 in scratch:
         raise _NoMatch
 
-    kind_mode = (
+    spec = ChannelSpec()
+    spec.mode = (
         ("sd8" if m.get("eight_bit") else "sd4")
         if inner.kind == "sdotp"
         else inner.kind
     )
+    spec.conv, spec.requant, spec.out_bits, spec.shift = conv, requant, out_bits, shift
+    spec.kh, spec.kw, spec.taps, spec.span, spec.tap_adv = kh, kw, T, span_read, tap_adv
+    spec.oc_stride, spec.pixel_stride, spec.row_stride = oc_stride, pixel_stride, row_stride
+    spec.CNTR, spec.BP, spec.WP, spec.OUTP, spec.ACC = CNTR, BP, WP, OUTP, ACC
+    spec.T1, spec.T2, spec.N, spec.PB = T1, T2, N, PB
+    spec.ROWP, spec.WTAP, spec.TAPP, spec.KH, spec.KW = ROWP, WTAP, TAPP, KH, KW
+    spec.MUL, spec.RND, spec.LEV, spec.RES = MUL, RND, LEV, RES
+    spec.PAR, spec.PEND, spec.T5 = PAR, PEND, T5
+    spec.A, spec.B, spec.C, spec.D = m["A"], m["B"], m.get("C", -1), m.get("D", -1)
+    spec.t6_kx, spec.t6_ky, spec.t6_tail = t6_kx, t6_ky, t6_tail
+    spec.control, spec.scratch = set(control), scratch
+    spec.clamp_aux = tuple(aux[:2]) if requant else ()
+    spec.parity_aux = tuple(aux[-2:]) if out_bits == 4 else ()
     uniform_regs = [CNTR, BP, WP, OUTP]
     if conv:
         uniform_regs.append(PB)
@@ -1157,240 +1276,45 @@ def _match_channel_loop(program, head, cycle_model):
         uniform_regs += [MUL, RND, LEV]
     if out_bits == 4:
         uniform_regs.append(PAR)
-    A, B = m["A"], m["B"]
-    C = m.get("C", -1)
-    D = m.get("D", -1)
-    mac4 = inner.kind == "mac4"
+    parity_base = 2 if requant else 0
 
     def make_run_many(mems):
-        gather, scatter = _make_gather(mems)
-        F = len(mems)
-        lev_bit = 0x8000_0000
+        dm = FrameDmem(mems)
 
         def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
             n = _counter(r0, CNTR)
             if n == 0 or not _uniform(regs_list, uniform_regs):
                 return 0, None
-            bp, wp, outp = r0[BP], r0[WP], r0[OUTP]
-            bias_g = gather(bp, 4 * n)
-            if bias_g is None:
-                return 0, None
-            spans = [(bp, bp + 4 * n)]
-            if conv:
-                pb = r0[PB]
-                taps = []
-                for ky in range(kh):
-                    row = (pb + ky * row_stride) & MASK
-                    for kx in range(kw):
-                        a = (row + kx * pixel_stride) & MASK
-                        g = gather(a, span_read)
-                        if g is None:
-                            return 0, None
-                        spans.append((a, a + span_read))
-                        taps.append(g)
-                act = np.concatenate(taps, axis=1) if T > 1 else taps[0]
-            else:
-                act = gather(act_addr, span_read)
-                if act is None:
-                    return 0, None
-                spans.append((act_addr, act_addr + span_read))
-            wext = (n - 1) * oc_stride + (T - 1) * tap_adv + span_read
-            wg = gather(wp, wext)
-            if wg is None:
-                return 0, None
-            spans.append((wp, wp + wext))
-            if out_bits == 32:
-                out_len = 4 * n
-            elif out_bits == 8:
-                out_len = n
-            else:
-                p0 = 1 if r0[PAR] else 0
-                out_len = (p0 + n) // 2
-            # The interleaved store-then-read of the interpreter is only
-            # congruent with compute-all-then-store-all when the output
-            # span is disjoint from every gathered input span.
-            for lo, hi in spans:
-                if outp < hi and lo < outp + out_len:
-                    return 0, None
-
-            w4 = np.lib.stride_tricks.as_strided(
-                wg,
-                shape=(F, n, T, span_read),
-                strides=(wg.strides[0], oc_stride, tap_adv, 1),
+            p0 = 1 if out_bits == 4 and r0[PAR] else 0
+            done = spec.evaluate(
+                dm, regs_list, n, r0[BP], r0[WP],
+                r0[PB] if conv else act_addr, r0[OUTP], p0,
             )
-            act3 = act.reshape(F, T, span_read)
-            if kind_mode in ("sd8", "mac8"):
-                va = act3.view(np.int8).astype(np.int64)
-                vw = w4.view(np.int8).astype(np.int64)
-                dots = np.einsum("fts,fnts->fn", va, vw)
-            elif kind_mode == "sd4":
-                va = act3.astype(np.int64)
-                vw = w4.astype(np.int64)
-                dots = np.einsum(
-                    "fts,fnts->fn",
-                    _signed_nibbles(va & 0xF), _signed_nibbles(vw & 0xF),
-                ) + np.einsum(
-                    "fts,fnts->fn",
-                    _signed_nibbles(va >> 4), _signed_nibbles(vw >> 4),
-                )
-            else:  # mac4: unsigned activation nibbles, signed weight nibbles
-                va = act3.astype(np.int64)
-                vw = w4.astype(np.int64)
-                dots = np.einsum(
-                    "fts,fnts->fn", va & 0xF, _signed_nibbles(vw & 0xF)
-                ) + np.einsum(
-                    "fts,fnts->fn", va >> 4, _signed_nibbles(vw >> 4)
-                )
-            bias = np.ascontiguousarray(bias_g).view("<i4").astype(np.int64)
-            acc32 = (bias + dots) & MASK
-
-            extras = [0] * F
-            if requant:
-                mult, rnd, lev_raw = r0[MUL], r0[RND], r0[LEV]
-                lev_s = lev_raw - (1 << 32) if lev_raw & lev_bit else lev_raw
-                t = (acc32 * mult + rnd) & MASK
-                s = t - ((t & lev_bit) << 1)
-                if shift:
-                    s = s >> shift
-                neg = s < 0
-                s = np.where(neg, 0, s)
-                hi_clamp = s > lev_s
-                vals = np.where(hi_clamp, lev_raw, s)
-                n_neg = neg.sum(axis=1)
-                n_hi = hi_clamp.sum(axis=1)
-            else:
-                vals = acc32
-
-            # ----- pack + store ----- #
-            if out_bits == 32:
-                byts = vals.astype("<u4").view(np.uint8)
-            elif out_bits == 8:
-                byts = (vals & 0xFF).astype(np.uint8)
-            else:
-                if p0:
-                    pend0 = np.array(
-                        [regs[PEND] for regs in regs_list], dtype=np.int64
-                    )
-                    extended = np.concatenate([pend0[:, None], vals], axis=1)
-                else:
-                    extended = vals
-                if out_len:
-                    pairs = extended[:, : 2 * out_len]
-                    lob = pairs[:, 0::2]
-                    hib = pairs[:, 1::2]
-                    byts = (((hib << 4) | lob) & 0xFF).astype(np.uint8)
-            if out_len and not scatter(outp, byts):
+            if done is None:
                 return 0, None
-
-            # ----- aux hit counters / extra executed instructions ----- #
-            ax = 0
-            if requant:
-                for f in range(F):
-                    a_, b_ = int(n_neg[f]), int(n_hi[f])
-                    c = cnts[f]
-                    c[aux_base] += a_
-                    c[aux_base + 1] += b_
-                    extras[f] = a_ + b_
-                ax = 2
+            clamps, ups = done
+            extras = count_clamps(cnts, aux_base, clamps)
             if out_bits == 4:
-                n_odd = out_len
+                n_odd = (p0 + n) // 2
                 n_even = n - n_odd
-                extra4 = 3 * n_even + 5 * n_odd
-                for f in range(F):
-                    c = cnts[f]
-                    c[aux_base + ax] += n_even
-                    c[aux_base + ax + 1] += n_odd
-                    extras[f] += extra4
-
-            # ----- final architectural state, in execution order ----- #
-            last_act = act3[:, -1, :]
-            last_w = w4[:, -1, -1, :]
-            if kind_mode in ("sd8", "sd4"):
-                a_fin = np.ascontiguousarray(last_act[:, -4:]).view("<u4").ravel()
-                b_fin = np.ascontiguousarray(last_w[:, -4:]).view("<u4").ravel()
-            elif kind_mode == "mac8":
-                la = last_act[:, -1].astype(np.int8).astype(np.int64)
-                lb = last_w[:, -1].astype(np.int8).astype(np.int64)
-                a_fin = (la * lb) & MASK
-                b_fin = lb & MASK
-            else:
-                la = last_act[:, -1].astype(np.int64)
-                lb = last_w[:, -1].astype(np.int64)
-                a_fin = la
-                b_fin = lb
-                c_fin = la >> 4
-                d_fin = ((((lb >> 4) ^ 8) - 8) * (la >> 4)) & MASK
-            t2_final = (wp + (n - 1) * oc_stride + T * tap_adv) & MASK
-            ups = [(T2, t2_final), (N, 0), (A, a_fin), (B, b_fin)]
-            if mac4:
-                ups += [(C, c_fin), (D, d_fin)]
-            ups.append((ACC, acc32[:, -1]))
-            if conv:
-                row_last = (pb + (kh - 1) * row_stride) & MASK
-                ups.append((T1, (row_last + (kw - 1) * pixel_stride
-                                 + tap_adv) & MASK))
-                ups.append((WTAP, t2_final))
-                ups.append((TAPP, (row_last + kw * pixel_stride) & MASK))
-                if t6_kx is not None:
-                    ups.append(t6_kx)
-                ups.append((KW_, 0))
-                ups.append((ROWP, (pb + kh * row_stride) & MASK))
-                if t6_ky is not None:
-                    ups.append(t6_ky)
-                ups.append((KH, 0))
-            else:
-                ups.append((T1, (act_addr + tap_adv) & MASK))
-            if requant:
-                ups.append((RES, vals[:, -1]))
-            if out_bits == 4:
-                pend_last = 2 * ((p0 + n - 1) // 2)
-                ups.append((PEND, extended[:, pend_last]))
-                ups.append((PAR, (p0 + n) & 1))
-                if out_len:
-                    ups.append(
-                        (T5, (((hib[:, -1] << 4) & MASK) | lob[:, -1]))
-                    )
-            ups.append((OUTP, (outp + out_len) & MASK))
-            ups.append((BP, (bp + 4 * n) & MASK))
-            if t6_tail is not None:
-                ups.append(t6_tail)
-            ups.append((WP, (wp + n * oc_stride) & MASK))
-            ups.append((CNTR, 0))
-            for f, regs in enumerate(regs_list):
-                for reg, v in ups:
-                    regs[reg] = int(v[f]) if isinstance(v, np.ndarray) else v
+                for f, c in enumerate(cnts):
+                    c[aux_base + parity_base] += n_even
+                    c[aux_base + parity_base + 1] += n_odd
+                    extras[f] += 3 * n_even + 5 * n_odd
+            apply_updates(regs_list, ups)
             return n, extras
 
         return run_many
 
-    def make_run(mem):
-        rm = make_run_many([mem])
-
-        def run(regs, cnt, aux_base):
-            iters, extras = rm([regs], [cnt], aux_base)
-            return iters, (extras[0] if iters else 0)
-
-        return run
-
-    loop = KernelLoop(
-        "conv-chan" if conv else "fc-chan",
-        program[head].label,
-        instrs_per_iter=ipi,
-        straight_cycles_per_iter=straight,
-        counts_per_iter=counts,
-        exit_pc=exit_pc,
+    loop = tally.kernel(
+        "conv-chan" if conv else "fc-chan", program[head].label, 4 * w.i
     )
-    loop.make_run = make_run
+    loop.make_run = single_frame(make_run_many)
     loop.make_run_many = make_run_many
     loop.aux = tuple(aux)
     loop.wants_cnt = True
-    loop.meta = {
-        "mode": kind_mode, "kh": kh, "kw": kw, "words": words,
-        "span": span_read, "tap_adv": tap_adv, "out_bits": out_bits,
-        "requant": requant, "shift": shift, "oc_stride": oc_stride,
-        "pixel_stride": pixel_stride, "row_stride": row_stride,
-    }
+    loop.meta = {"spec": spec}
     return loop
 
 
@@ -1398,9 +1322,9 @@ def attach_channel_superloops(blocks, program: List[Instruction], cycle_model):
     """Attach channel superloops to the head blocks of matching oc loops.
 
     Called by the JIT template build after :func:`build_blocks` has
-    attached the per-tap kernels.  Candidates are
-    backward ``bne`` targets whose block opens with the bias ``lw``; the
-    strict matcher declines everything else.
+    attached the inner-loop kernels.  Candidates are backward ``bne``
+    targets whose block opens with the bias ``lw``; the strict matcher
+    declines everything else.
     """
     by_pc = {b.pc: b for b in blocks}
     seen = set()

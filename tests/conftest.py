@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import generate_linaige
 from repro.flow import Preprocessor, build_seed_cnn
@@ -20,6 +21,10 @@ from repro.quant import (
     qat_finetune,
     quantize_model,
 )
+
+# A larger example budget for the simulator differential tests, selected in
+# CI with ``--hypothesis-profile sim-large``; tier-1 runs keep the default.
+settings.register_profile("sim-large", max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.deploy import compile_network, simulate_batch
+from repro.deploy.runtime import pack_input_frames
 from repro.hw import (
     DMEM_BASE,
     DMEM_SIZE,
@@ -214,8 +215,9 @@ class TestJitSemantics:
 # Cross-frame batching
 # --------------------------------------------------------------------------- #
 class TestBatchedExecution:
+    @pytest.mark.parametrize("target", ["maupiti", "ibex"])
     def test_batched_path_actually_engages(
-        self, integer_network, prepared_data, monkeypatch
+        self, integer_network, prepared_data, monkeypatch, target
     ):
         """The jit batch path must run, not silently fall back."""
         import repro.deploy.runtime as runtime
@@ -223,7 +225,9 @@ class TestBatchedExecution:
         frames = prepared_data["preprocessor"](
             prepared_data["test_session"].frames[:3]
         )
-        compiled = compile_network(integer_network, use_sdotp=True)
+        use_sdotp = target == "maupiti"
+        factory = maupiti_platform if use_sdotp else ibex_platform
+        compiled = compile_network(integer_network, use_sdotp=use_sdotp)
         calls = []
         original = runtime._simulate_batch_jit
 
@@ -233,7 +237,7 @@ class TestBatchedExecution:
             return result
 
         monkeypatch.setattr(runtime, "_simulate_batch_jit", spy)
-        batch = simulate_batch(maupiti_platform(sim_mode="jit"), compiled, frames)
+        batch = simulate_batch(factory(sim_mode="jit"), compiled, frames)
         assert len(calls) == 1, "batched jit path fell back to sequential"
         assert len(batch.predictions) == 3
 
@@ -277,6 +281,48 @@ class TestBatchedExecution:
         np.testing.assert_array_equal(
             batch.cycles_per_frame, [r.stats.cycles for r in batch.results]
         )
+
+
+    @pytest.mark.parametrize("target", ["maupiti", "ibex"])
+    def test_one_dispatch_per_conv_and_pool_layer(
+        self, integer_network, prepared_data, target
+    ):
+        """Per frame, every conv and maxpool layer is one kernel dispatch,
+        on the single-frame and on the batched path."""
+        from repro.deploy.runtime import load_model, write_input
+        from repro.hw.sim.batch import run_batch
+
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:3]
+        )
+        use_sdotp = target == "maupiti"
+        platform = (maupiti_platform if use_sdotp else ibex_platform)()
+        compiled = compile_network(integer_network, use_sdotp=use_sdotp)
+        load_model(platform, compiled)
+        core = platform.core
+        template = get_template(compiled.program, core.cycle_model, use_sdotp)
+        kinds = [s.kind for s in compiled.layer_summaries]
+
+        write_input(platform, compiled, frames[0])
+        stats = core.stats
+        bound = template.bind(compiled.program, platform.memory)
+        state = bound.start([0] * 32, stats, 0, core.max_instructions)
+        bound.advance(state, stats)
+        tallies = [template.dispatch_counts(state.cnt)]
+        outcomes = run_batch(
+            platform.memory, compiled.program,
+            [p.tobytes() for p in pack_input_frames(compiled, frames)],
+            compiled.input_buffer.address, core.cycle_model, use_sdotp,
+            core.max_instructions,
+        )
+        tallies += [template.dispatch_counts(o.counters) for o in outcomes]
+        for counts in tallies:
+            assert counts.get("conv-nest") == kinds.count("conv")
+            assert counts.get("pool-nest") == kinds.count("maxpool")
+            assert counts.get("conv-chan", 0) == 0
+            dispatches = sum(v for k, v in counts.items() if k != "blocks")
+            assert dispatches <= 8
+            assert counts["blocks"] <= 60
 
 
 # --------------------------------------------------------------------------- #
@@ -365,7 +411,8 @@ class TestReportPlumbing:
         assert report.sim["blocks"]["total"] > 0
         assert report.sim["blocks"]["jit"] > 0
         assert sum(report.sim["kernel_counts"].values()) >= 1
-        assert report.sim["kernel_counts"].get("sdotp-taps", 0) >= 1
+        assert report.sim["kernel_counts"].get("conv-nest", 0) >= 1
+        assert report.sim["kernel_counts"].get("pool-nest", 0) >= 1
 
     def test_compiled_model_fingerprint_stable(self, integer_network):
         a = compile_network(integer_network, use_sdotp=True)

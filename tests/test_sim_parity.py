@@ -9,7 +9,8 @@ suite checks the contract
 * on every Table-I deployment configuration (INT8 / mixed / INT4, scalar
   and SDOTP kernels),
 * on the four recognized kernel loops in isolation (driven through the
-  real codegen emitters),
+  real codegen emitters; ``test_sim_nests.py`` does the same for whole
+  random conv and maxpool layers),
 * on randomized straight-line / branchy programs that exercise the
   single-step fallback and the closure semantics of every instruction,
 * and on adversarial near-miss loops that must fall back gracefully.
@@ -92,8 +93,13 @@ def test_table1_config_bit_exact(table1_network, prepared_data, use_sdotp):
     factory = maupiti_platform if use_sdotp else ibex_platform
     platforms = {mode: factory(sim_mode=mode) for mode in SIM_MODES}
     bi, bj = (
-        simulate_batch(platforms[mode], compiled, frames) for mode in SIM_MODES
+        simulate_batch(platforms[mode], compiled, frames, keep_results=True)
+        for mode in SIM_MODES
     )
+    # Every frame's statistics, not only the last frame left on the core.
+    for ri, rj in zip(bi.results, bj.results):
+        assert rj.stats.instructions == ri.stats.instructions
+        assert rj.stats.per_mnemonic == ri.stats.per_mnemonic
     np.testing.assert_array_equal(bj.predictions, bi.predictions)
     np.testing.assert_array_equal(bj.logits, bi.logits)
     np.testing.assert_array_equal(bj.cycles_per_frame, bi.cycles_per_frame)
@@ -183,11 +189,26 @@ def test_memset_nonzero_value_vectorized():
     assert interp.memory.load_word(DMEM_BASE + 28, signed=False) == 0x1234ABCD
 
 
-def test_conv_tap_superloop_fused(table1_network):
-    """The SDOTP conv tap loops are fused into 'sdotp-taps' kernels."""
-    compiled = compile_network(table1_network, use_sdotp=True)
-    template = JitTemplate(compiled.program, None, True)
-    assert template.kernel_counts().get("sdotp-taps", 0) >= 1
+def test_layer_nests_recognized(table1_network):
+    """Every conv and maxpool layer gets a whole-layer nest kernel."""
+    for use_sdotp in (False, True):
+        compiled = compile_network(table1_network, use_sdotp=use_sdotp)
+        kinds = [s.kind for s in compiled.layer_summaries]
+        counts = JitTemplate(compiled.program, None, use_sdotp).kernel_counts()
+        assert counts.get("conv-nest") == kinds.count("conv")
+        assert counts.get("pool-nest") == kinds.count("maxpool")
+
+
+def test_codegen_labels_deterministic(table1_network):
+    """Two compiles of one network emit the same labels and program."""
+    a = compile_network(table1_network, use_sdotp=True)
+    b = compile_network(table1_network, use_sdotp=True)  # both kept alive
+    assert [i.label for i in a.program] == [i.label for i in b.program]
+    assert a.kernel_hints == b.kernel_hints
+    assert a.fingerprint == b.fingerprint
+    ta = JitTemplate(a.program, None, True)
+    tb = JitTemplate(b.program, None, True)
+    assert ta.vectorized_labels() == tb.vectorized_labels()
 
 
 # --------------------------------------------------------------------------- #
