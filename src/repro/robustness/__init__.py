@@ -17,9 +17,9 @@ majority-voted) plus per-scenario cycle/energy cost::
     report.curve("int-golden", "dead-pixels")   # severity-ordered curve
     report.as_json()                            # BENCH_robust.json payload
 
-``benchmarks/perf_robust.py`` drives this harness end to end (including a
-``--chaos`` mode that kills a serving worker mid-stream and checks the
-client-side recovery) and writes ``BENCH_robust.json``.
+``benchmarks/perf_robust.py`` drives this harness end to end and writes
+``BENCH_robust.json``; ``TestEvaluate.test_deterministic_across_reruns``
+(``tests/test_robustness.py``) checks that reruns are byte-identical.
 """
 
 from .evaluate import RobustnessReport, ScenarioResult, evaluate

@@ -12,6 +12,7 @@ target measures them.
 Everything is deterministic: scenario ``(fault_idx, severity_idx)`` derives
 its RNG from ``np.random.SeedSequence([seed, fault_idx, severity_idx])``,
 so two runs with the same seed produce bit-identical reports (enforced by
+``TestEvaluate.test_deterministic_across_reruns`` and by
 ``benchmarks/perf_robust.py``).  Faulted frames are generated once per
 ``(fault, severity)`` cell and shared across targets, so adding a target
 costs inference only, not regeneration.

@@ -255,6 +255,9 @@ class MicroBatcher:
             self._run_batch(batch)
 
     def _run_batch(self, batch: List[_Item]) -> None:
+        # Each frame frees its admission slot before its request resolves:
+        # a client that has its response may push again at once (a pool
+        # worker replies from the request future's callback).
         # Frames of sessions closed/evicted while queued never reach the
         # engine; their requests fail with 409.
         live: List[_Item] = []
@@ -262,6 +265,7 @@ class MicroBatcher:
             with item.session.lock:
                 closed = item.session.closed
             if closed:
+                item.session.release(1)
                 item.request.fail(
                     SessionClosedError(f"session {item.session.id} closed mid-stream")
                 )
@@ -278,6 +282,7 @@ class MicroBatcher:
                 result = self._runner(np.stack([item.frame for item in live]))
             except Exception as exc:  # propagate engine failures per request
                 for item in live:
+                    item.session.release(1)
                     item.request.fail(exc)
             else:
                 predictions = result.predictions
@@ -286,6 +291,7 @@ class MicroBatcher:
                 for i, item in enumerate(live):
                     raw = int(predictions[i])
                     with item.session.lock:
+                        item.session.pending -= 1
                         if item.session.closed:
                             item.request.fail(
                                 SessionClosedError(
@@ -307,5 +313,3 @@ class MicroBatcher:
                             margin=margin,
                         ),
                     )
-        for item in batch:
-            item.session.release(1)

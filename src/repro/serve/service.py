@@ -486,9 +486,9 @@ def available_cpus() -> int:
     """CPUs actually *available* to this process, not the machine total.
 
     Inside containers / cgroups ``os.cpu_count()`` reports the host's
-    cores even when the process is pinned to a subset, which would let
-    the >=4-CPU benchmark gates fire on hosts that cannot deliver the
-    parallelism.  ``sched_getaffinity`` reflects the real allowance.
+    cores even when the process is pinned to a subset, which would
+    overstate the parallelism a host record claims.
+    ``sched_getaffinity`` reflects the real allowance.
     """
     import os
 

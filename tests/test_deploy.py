@@ -266,6 +266,14 @@ class TestStm32AndReports:
         assert report.entries["STM32"].latency_ms < report.entries["MAUPITI"].latency_ms
         assert len(report.rows()) == 3
 
+    def test_full_deployment_report_does_not_warn(self, integer_network, prepared_data):
+        """full_deployment_report is the supported entry point: it stays silent."""
+        frames = prepared_data["preprocessor"](prepared_data["test_session"].frames[:2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            report = full_deployment_report(integer_network, frames)
+        assert set(report.entries) == {"STM32", "IBEX", "MAUPITI"}
+
     def test_stm32_report_standalone(self, integer_network):
         entry = repro.compile(integer_network, target="stm32").report()
         assert entry.platform == "STM32"

@@ -8,6 +8,8 @@ result cache must replay identical results on repeated runs while any change
 to the seed, the config or the dataset content forces a re-train.
 """
 
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,34 @@ class TestSearchDeterminism:
         )
         assert _arch_signature(points) == _arch_signature(serial_points)
 
+    def test_reused_process_executor_is_bit_identical_and_unlinks(
+        self, sweep_data, serial_points
+    ):
+        """One executor instance across two sweeps — a cold pass that forks
+        the pool and shares the datasets, then a warm pass reusing both, as
+        a flow keeps its executor across stages; close() unlinks every
+        shared block."""
+        train, test = sweep_data
+        executor = ProcessExecutor(max_workers=2)
+        try:
+            for _ in range(2):
+                points = run_search(
+                    seed_builder((6, 6), 8),
+                    train,
+                    test,
+                    config=SearchConfig(lambdas=(1e-5, 5e-4), **TINY_SEARCH),
+                    seed=11,
+                    executor=executor,
+                )
+                assert _arch_signature(points) == _arch_signature(serial_points)
+            names = executor.shared_block_names
+            assert names
+        finally:
+            executor.close()
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
     def test_cache_replays_and_invalidates(self, sweep_data, serial_points, tmp_path):
         train, test = sweep_data
         cache = ResultCache(tmp_path / "nas")
@@ -395,6 +425,21 @@ class TestQatDeterminism:
             seed=3,
             executor="process",
             max_workers=max_workers,
+        )
+        assert _quant_signature(points) == _quant_signature(serial_points)
+
+    def test_thread_pool_is_bit_identical(
+        self, trained_small_model, prepared_data, serial_points
+    ):
+        points = explore_mixed_precision(
+            trained_small_model,
+            prepared_data["train"],
+            prepared_data["test"],
+            schemes=self.SCHEMES,
+            config=QATConfig(epochs=1, batch_size=128),
+            seed=3,
+            executor="thread",
+            max_workers=2,
         )
         assert _quant_signature(points) == _quant_signature(serial_points)
 

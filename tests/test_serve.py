@@ -209,6 +209,26 @@ class TestMicroBatcher:
         finally:
             self._drain_stop(batcher)
 
+    def test_admission_slots_are_free_when_the_request_resolves(self):
+        # A client holding its response may push again at once; a pool
+        # worker sends that response from the future's done-callback.
+        runner = BlockingRunner()
+        batcher = MicroBatcher(runner, max_batch=4, max_wait_ms=0.0)
+        session = SessionManager(ttl_s=100).open()
+        batcher.start()
+        try:
+            future = batcher.submit(session, encode_frames([0, 0]))
+            assert runner.entered.wait(timeout=10)
+            pending_at_resolve = []
+            future.add_done_callback(
+                lambda f: pending_at_resolve.append(session.pending)
+            )
+            runner.release.set()
+            future.result(timeout=10)
+            assert pending_at_resolve == [0]
+        finally:
+            self._drain_stop(batcher)
+
     def test_max_batch_splits_backlog(self):
         runner = BlockingRunner()
         batcher = MicroBatcher(runner, max_batch=4, max_wait_ms=0.0)

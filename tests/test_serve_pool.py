@@ -317,6 +317,88 @@ class TestPoolOverHttp:
         assert after - before == 4
 
 
+class TestFleetOverHttp:
+    """Four sensors stream at once through the HTTP front-end — in process
+    and through a 2-worker pool, unbatched and micro-batched — and every
+    session's outputs match its offline replay, every frame is counted,
+    and the pool neither crashes nor leaks a ring."""
+
+    SESSIONS, FRAMES, CHUNK, WINDOW = 4, 12, 4, 5
+
+    @pytest.mark.parametrize("max_batch", [1, 32])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_concurrent_sessions_match_offline(
+        self, workers, max_batch, pool_engine, pool_frames
+    ):
+        n = self.FRAMES
+        streams = [pool_frames[i * n : (i + 1) * n] for i in range(self.SESSIONS)]
+        offline = [_offline_stream(pool_engine, s, self.WINDOW) for s in streams]
+        config = ServeConfig(
+            workers=workers,
+            max_batch=max_batch,
+            max_wait_ms=0.0 if max_batch == 1 else 2.0,
+        )
+        served = [None] * self.SESSIONS
+        errors = []
+        barrier = threading.Barrier(self.SESSIONS + 1, timeout=60)
+
+        def sensor(idx):
+            try:
+                with ServeClient(server.host, server.port, timeout=60) as client:
+                    sid = client.open_session(window=self.WINDOW)["session_id"]
+                    barrier.wait()  # every sensor starts streaming together
+                    raw, voted = [], []
+                    for i in range(0, n, self.CHUNK):
+                        out = client.push(sid, streams[idx][i : i + self.CHUNK])
+                        raw.extend(r["raw"] for r in out["results"])
+                        voted.extend(r["voted"] for r in out["results"])
+                    client.close_session(sid)
+                served[idx] = {"raw": raw, "voted": voted}
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+                barrier.abort()
+
+        with start_server(pool_engine, config=config) as server:
+            if workers:
+                server.service.prime(pool_frames.shape[1:])
+            threads = [
+                threading.Thread(target=sensor, args=(i,))
+                for i in range(self.SESSIONS)
+            ]
+            for t in threads:
+                t.start()
+            with ServeClient(server.host, server.port) as probe:
+                health = probe.healthz()
+                # Every sensor has opened its session and is parked at the
+                # barrier (or failed, which the next assertion reports).
+                assert _wait_for(
+                    lambda: errors
+                    or probe.healthz()["active_sessions"] == self.SESSIONS
+                )
+                assert not errors
+                barrier.wait()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                text = probe.metrics()
+            frames_total = server.service.metrics.counter("frames_total")
+            stats = server.service.pool_stats()
+            rings = server.service.pool.ring_names() if workers else []
+        assert not errors
+        assert health["status"] == "ok"
+        assert served == offline
+        assert frames_total == self.SESSIONS * n
+        assert "repro_serve_requests_total" in text
+        if workers:
+            assert health["workers_up"] == workers
+            assert "repro_serve_pool_worker_up" in text
+            assert stats["crashes_total"] == 0
+            assert len(rings) == workers
+        for name in rings:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+
 # --------------------------------------------------------------------- #
 class TestWorkerCrash:
     def _service(self, pool_engine, **knobs):
@@ -618,12 +700,24 @@ class TestChaosRecovery:
                         out = stream.push(frames[i : i + chunk])
                         raw.extend(r["raw"] for r in out)
                         voted.extend(r["voted"] for r in out)
+                # The killed worker is back: respawned by its pump thread,
+                # then primed alongside its sibling.
+                assert _wait_for(
+                    lambda: server.service.pool.restarts_total() == 1, timeout=60
+                )
+                server.service.prime(frames.shape[1:])
+                assert client.healthz()["workers_up"] == 2
             stats = server.service.pool_stats()
+            rings = server.service.pool.ring_names()
         assert stats["chaos_kills"] == 1
         assert stats["crashes_total"] >= 1
         assert stream.recoveries >= 1  # the crash was absorbed, not surfaced
         assert raw == offline["raw"]
         assert voted == offline["voted"]
+        assert len(rings) == 2
+        for name in rings:  # shutdown unlinked the respawned worker's ring too
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_chaos_reject_simulates_ring_backpressure(
         self, pool_engine, pool_frames
