@@ -38,12 +38,13 @@ class AssemblerError(Exception):
 class KernelHint:
     """Annotation marking an emitted loop as a known vectorizable kernel.
 
-    The code generator records one hint per structured loop it emits
-    (``kind`` in ``{"sdotp", "mac8", "mac4", "memset", "conv-nest",
-    "pool-nest"}``; ``label`` is the loop's branch-target label).  The JIT
-    simulator recognizes the loops structurally, so the hints carry no
-    execution semantics — they exist so tests can prove that every loop
-    codegen claims to emit is actually picked up by a vectorized handler
+    The code generator records one hint per structured loop nest it emits
+    (``kind`` in ``{"memset", "fc-chan", "conv-nest", "pool-nest"}``;
+    ``label`` is the outermost loop's branch-target label, and the inner
+    loops run inside that kernel).  The JIT simulator recognizes the loops
+    structurally, so the hints carry no execution semantics — they exist
+    so tests can prove that every loop codegen claims to emit is actually
+    picked up by a vectorized handler of that kind
     (:meth:`repro.hw.sim.JitTemplate.vectorized_labels`).
     """
 
@@ -276,7 +277,6 @@ def _emit_inner_product(
         words = (run_values * bits + 31) // 32
         mnemonic = "sdotp8" if bits == 8 else "sdotp4"
         asm.li("t3", words)
-        asm.hint_kernel(f"{name}_simd", "sdotp")
         asm.label(f"{name}_simd")
         asm.emit("lw", rd="t4", rs1=act_ptr, imm=0)
         asm.emit("lw", rd="t5", rs1=weight_ptr, imm=0)
@@ -289,7 +289,6 @@ def _emit_inner_product(
 
     if bits == 8:
         asm.li("t3", run_values)
-        asm.hint_kernel(f"{name}_mac8", "mac8")
         asm.label(f"{name}_mac8")
         asm.emit("lb", rd="t4", rs1=act_ptr, imm=0)
         asm.emit("lb", rd="t5", rs1=weight_ptr, imm=0)
@@ -311,7 +310,6 @@ def _emit_inner_product(
     # weights are signed and need sign extension through shift pairs.
     pairs = (run_values + 1) // 2
     asm.li("t3", pairs)
-    asm.hint_kernel(f"{name}_mac4", "mac4")
     asm.label(f"{name}_mac4")
     asm.emit("lbu", rd="t4", rs1=act_ptr, imm=0)
     asm.emit("lbu", rd="t5", rs1=weight_ptr, imm=0)
@@ -517,6 +515,7 @@ def emit_fc_layer(asm: Assembler, cfg: FcKernelConfig) -> None:
     asm.li("s6", cfg.c_out)
     writer.emit_init(asm)
 
+    asm.hint_kernel(f"{name}_oc", "fc-chan")
     asm.label(f"{name}_oc")
     asm.emit("lw", rd="s7", rs1="s3", imm=0, comment=f"{name}: acc = bias")
     asm.emit("addi", rd="s3", rs1="s3", imm=4)

@@ -2,10 +2,10 @@
 
 The subsystem behind ``IbexCore(mode="jit")``: programs are split once into
 basic blocks, the structured loops emitted by :mod:`repro.deploy.codegen`
-(SDOTP dot-product loops, scalar INT8/INT4 MAC loops, memset loops, whole
-output-channel loops in :mod:`repro.hw.sim.kernels`; whole conv and maxpool
-layers in :mod:`repro.hw.sim.nests`) are replaced by vectorized numpy
-kernels, the remaining blocks run as generated Python
+(memset loops and whole output-channel loops, which subsume their inner
+SDOTP / INT8 / INT4 MAC loops, in :mod:`repro.hw.sim.kernels`; whole conv
+and maxpool layers in :mod:`repro.hw.sim.nests`) are replaced by
+vectorized numpy kernels, the remaining blocks run as generated Python
 (:mod:`repro.hw.sim.jit`), and cycle / energy accounting is derived
 analytically from the shared :class:`~repro.hw.cycles.CycleModel` —
 bit-exact against the reference interpreter in registers, memory, cycle
@@ -17,17 +17,22 @@ Adding a new recognized kernel:
    ``Assembler.hint_kernel(label, kind)``;
 2. add a matcher + vectorized handler — loop-level in
    :mod:`repro.hw.sim.kernels`, layer-level in :mod:`repro.hw.sim.nests` —
-   with a strict structural match; the handler must reproduce exit
-   registers (the last iteration's, in execution order), memory and
-   statistics exactly, count every data-dependent side path through
-   ``KernelLoop.aux`` hit slots, and decline (return 0 iterations) when
-   its outputs overlap its inputs or the frames' control registers differ;
+   with a strict structural match.  The handler is the kernel's one
+   executor factory, ``KernelLoop.make_run_many(mems)``: it binds one
+   memory per frame (a single frame is a batch of one) and returns
+   ``run_many(regs_list, cnts, aux_base) -> (iters, extras)``.  It must
+   reproduce exit registers (the last iteration's, in execution order),
+   memory and statistics exactly, count every data-dependent side path
+   through ``KernelLoop.aux`` hit slots (``extras`` are the instructions
+   each frame ran on them), and decline with ``(0, None)`` when its
+   outputs overlap its inputs or the frames' control registers differ;
 3. attach it from :class:`~repro.hw.sim.jit.JitTemplate` after the kernels
    it wraps;
 4. the parity suite (``tests/test_sim_parity.py``) asserts every hinted
-   loop is vectorized and every vectorized result is bit-exact; add a
-   randomized differential test next to ``tests/test_sim_nests.py`` that
-   drives the codegen emitter directly through interp and both jit paths.
+   loop is vectorized by a kernel of the hinted kind and every vectorized
+   result is bit-exact; add a randomized differential test next to
+   ``tests/test_sim_nests.py`` that drives the codegen emitter directly
+   through interp and both jit paths.
 """
 
 from .blocks import BasicBlock, build_blocks

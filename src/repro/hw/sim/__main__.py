@@ -3,7 +3,8 @@
 ``python -m repro.hw.sim --dump <model>`` compiles a representative
 quantized CNN for ``<model>`` (``maupiti`` or ``ibex``), JIT-compiles its
 program and prints the generated Python source of every basic block, plus
-the kernel counts and block tallies — the fastest way to inspect what the
+the block tallies, the kernel counts (what was recognized) and one frame's
+dispatch counts (what actually fires) — the fastest way to inspect what the
 codegen in :mod:`repro.hw.sim.jit` actually emits for a real workload.
 """
 
@@ -14,7 +15,8 @@ import sys
 
 
 def _build_compiled(target: str, quick: bool):
-    """Compile a small demo CNN for the requested target."""
+    """Compile a small demo CNN for the requested target; also returns one
+    preprocessed frame to run it on."""
     import numpy as np
 
     from ...datasets import generate_linaige
@@ -44,7 +46,21 @@ def _build_compiled(target: str, quick: bool):
         use_sdotp=platform.spec.supports_sdotp,
         code_overhead_bytes=platform.spec.code_overhead_bytes,
     )
-    return platform, compiled
+    return platform, compiled, pre(train[:1])[0]
+
+
+def _dispatch_counts(template, platform, compiled, frame):
+    """Kernel dispatches and generic block executions of one frame."""
+    from ...deploy.runtime import load_model, write_input
+    from ..core import ExecutionStats
+
+    load_model(platform, compiled)
+    write_input(platform, compiled, frame)
+    stats = ExecutionStats()
+    bound = template.bind(compiled.program, platform.memory)
+    state = bound.start([0] * 32, stats, 0, platform.core.max_instructions)
+    bound.advance(state, stats)
+    return template.dispatch_counts(state.cnt)
 
 
 def main(argv=None) -> int:
@@ -69,7 +85,7 @@ def main(argv=None) -> int:
 
     from .trace_cache import get_template
 
-    platform, compiled = _build_compiled(args.dump, args.quick)
+    platform, compiled, frame = _build_compiled(args.dump, args.quick)
     core = platform.core
     template = get_template(
         compiled.program, core.cycle_model, core.enable_sdotp
@@ -82,6 +98,8 @@ def main(argv=None) -> int:
         f"{tallies['jit']} jit-compiled, {tallies['closure']} closure-fallback"
     )
     print(f"# kernel counts: {template.kernel_counts()}")
+    dispatches = _dispatch_counts(template, platform, compiled, frame)
+    print(f"# dispatch counts (one frame): {dispatches}")
     print()
     print(template.source)
     return 0

@@ -114,26 +114,20 @@ def run_batch(
         pc0 = states[0].pc
         if any(states[i].pc != pc0 for i in frames):
             raise BatchDivergence("frames parked at different kernel blocks")
-        _, _, _, kipi, kexit, kslot, _, bi, kaux = bound[0].entries[pc0]
+        _, _, _, kipi, kexit, kslot, _, bi = bound[0].entries[pc0]
         rm = run_many_cache.get(pc0)
         if rm is None:
             rm = template.blocks[bi].kernel.make_run_many(mems)
             run_many_cache[pc0] = rm
-        if kaux >= 0:
-            iters, extras = rm(
-                [st.regs for st in states], [st.cnt for st in states], kaux
-            )
-        else:
-            iters = rm([st.regs for st in states])
-            extras = None
+        iters, extras = rm(
+            [st.regs for st in states], [st.cnt for st in states], kslot + 2
+        )
         if iters:
             for i in frames:
                 st = states[i]
                 st.cnt[kslot] += iters
                 st.cnt[kslot + 1] += 1
-                st.executed += kipi * iters + (
-                    extras[i] if extras is not None else 0
-                )
+                st.executed += kipi * iters + extras[i]
                 if st.executed > st.budget:
                     raise bound[i]._limit_error(st, stats_list[i])
                 st.pc = kexit

@@ -11,7 +11,8 @@ their last.  Each block carries
   statistics are accounted per *block execution* instead of per
   instruction (and scaled at the end of a run), and
 * optionally an unbound :class:`~repro.hw.sim.kernels.KernelLoop` when the
-  block is one of the recognized vectorizable loops.
+  block is a self-loop that runs vectorized on its own (the memset loop;
+  channel loops and layer nests are attached later by the JIT template).
 
 Blocks are memory-independent and read-only once a template is built;
 per-run execution counters live in the JIT's flat counter list
@@ -71,8 +72,8 @@ class BasicBlock:
 def build_blocks(decoded: List[Decoded], cycle_model) -> List[BasicBlock]:
     """Split ``decoded`` into basic blocks and attach kernel handlers.
 
-    Kernels are recognized but left unbound; executors bind them to a
-    memory through ``kernel.make_run`` / ``kernel.make_run_many``.
+    Kernels are recognized but left unbound; executors bind them to one
+    memory per frame through ``kernel.make_run_many``.
     """
     n = len(decoded)
     if n == 0:  # the simulator's fallback path reports the bad pc itself

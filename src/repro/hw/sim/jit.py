@@ -18,7 +18,8 @@ The compiled artifact is split in two:
 * :class:`JitProgram` — a template **bound** to one
   :class:`~repro.hw.memory.Memory`: ``exec`` of the code object binds the
   inlined load/store helpers to that memory's dmem bytearray, and each
-  kernel loop gets its ``run`` closure from ``make_run(mem)`` on first use.
+  kernel loop gets its runner from ``make_run_many([mem])`` on first use
+  (a single frame is a batch of one).
   Binding is cheap (one ``exec`` of an already-compiled module, no
   re-decode).
 
@@ -441,7 +442,6 @@ class JitTemplate:
                 k.exit_pc if k is not None and k.exit_pc is not None else b.end_pc,
                 self.kslots[i],
                 b.term.pc if b.term is not None and b.term.kind == EBREAK else -1,
-                self.kslots[i] + 2 if k is not None and k.wants_cnt else -1,
             ))
         self.closure_blocks: List[int] = []
         chunks = ["# Generated by repro.hw.sim.jit -- one function per basic block."]
@@ -581,19 +581,19 @@ class _RunState:
 
 
 def _lazy_run(kernel, memory: Memory):
-    """``kernel.make_run(memory)``, bound on first call.
+    """``kernel.make_run_many([memory])``, bound on first call.
 
-    The batched executor runs kernels for all frames at once through
-    ``make_run_many``; a frame's own runner is only needed when it runs
-    alone or a batched kernel declines.
+    The batched executor runs kernels for all frames at once; a frame's
+    own runner is only needed when it runs alone or a batched kernel
+    declines.
     """
     bound = None
 
-    def run(*args):
+    def run(regs_list, cnts, aux_base):
         nonlocal bound
         if bound is None:
-            bound = kernel.make_run(memory)
-        return bound(*args)
+            bound = kernel.make_run_many([memory])
+        return bound(regs_list, cnts, aux_base)
 
     return run
 
@@ -613,11 +613,11 @@ class JitProgram:
         fns = g["_FNS"]
         self._decoded = None  # lazy per-instruction closures (fallback paths)
         entries: Dict[int, tuple] = {}
-        for i, (pc, n, kernel, kipi, kexit, kslot, fpc, kaux) in enumerate(
+        for i, (pc, n, kernel, kipi, kexit, kslot, fpc) in enumerate(
             template._entry_statics
         ):
             krun = _lazy_run(kernel, memory) if kernel is not None else None
-            entries[pc] = (fns[i], n, krun, kipi, kexit, kslot, fpc, i, kaux)
+            entries[pc] = (fns[i], n, krun, kipi, kexit, kslot, fpc, i)
         self.entries = entries
 
     # ------------------------------------------------------------------ #
@@ -770,20 +770,16 @@ class JitProgram:
                     return "done"
                 continue
 
-            fn, n, krun, kipi, kexit, kslot, fpc, bi, kaux = e
+            fn, n, krun, kipi, kexit, kslot, fpc, bi = e
             if krun is not None:
                 if stop_at_kernel:
                     st.pc, st.executed = pc, executed
                     return "kernel"
-                if kaux >= 0:
-                    iters, extra = krun(regs, cnt, kaux)
-                else:
-                    iters = krun(regs)
-                    extra = 0
+                iters, extras = krun([regs], [cnt], kslot + 2)
                 if iters:
                     cnt[kslot] += iters
                     cnt[kslot + 1] += 1
-                    executed += kipi * iters + extra
+                    executed += kipi * iters + extras[0]
                     if executed > budget:
                         st.pc, st.executed = pc, executed
                         raise self._limit_error(st, stats)
@@ -807,18 +803,14 @@ class JitProgram:
 
     def kernel_step(self, st: _RunState, stats: ExecutionStats) -> None:
         """One execution of the kernel block at ``st.pc`` (batched decline path)."""
-        fn, n, krun, kipi, kexit, kslot, fpc, bi, kaux = self.entries[st.pc]
+        fn, n, krun, kipi, kexit, kslot, fpc, bi = self.entries[st.pc]
         regs = st.regs
         cnt = st.cnt
-        if kaux >= 0:
-            iters, extra = krun(regs, cnt, kaux)
-        else:
-            iters = krun(regs)
-            extra = 0
+        iters, extras = krun([regs], [cnt], kslot + 2)
         if iters:
             cnt[kslot] += iters
             cnt[kslot + 1] += 1
-            st.executed += kipi * iters + extra
+            st.executed += kipi * iters + extras[0]
             st.pc = kexit
         else:
             npc = (

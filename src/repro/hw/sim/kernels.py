@@ -1,14 +1,17 @@
 """Vectorized replacements for the structured loops emitted by codegen.
 
-:mod:`repro.deploy.codegen` emits a small set of *structured* inner loops —
-the SDOTP SIMD dot-product loop, the scalar INT8 and packed-INT4
-multiply-accumulate loops, and the buffer-clearing memset loop — and wraps
-the MAC loops in one output-channel loop per output pixel.  These loops
-execute the overwhelming majority of all simulated instructions, so the
-trace compiler pattern-matches their basic blocks and replaces the
-per-instruction interpretation of the *whole remaining trip count* with one
-numpy computation plus analytical cycle accounting.  (Whole conv and
-maxpool layers are matched one level up, in :mod:`repro.hw.sim.nests`.)
+:mod:`repro.deploy.codegen` emits a small set of *structured* loops: the
+buffer-clearing memset loop, and one output-channel loop per output pixel
+(conv) or output vector (fc) around an inner SDOTP, scalar INT8 or
+packed-INT4 multiply-accumulate loop.  These loops execute the
+overwhelming majority of all simulated instructions, so the trace compiler
+pattern-matches them and replaces the per-instruction interpretation of
+the *whole remaining trip count* with one numpy computation plus
+analytical cycle accounting.  (Whole conv and maxpool layers are matched
+one level up, in :mod:`repro.hw.sim.nests`.)  The inner MAC loops are
+recognized only as part of a channel loop, which takes their register
+roles and per-iteration tallies; when a channel loop declines they run as
+generic blocks.
 
 Correctness contract: a handler must leave **registers, memory, cycle count
 and per-mnemonic statistics** exactly as the reference interpreter would
@@ -20,16 +23,15 @@ then falls back to generic block execution, which is always bit-exact.
 
 Recognition is structural, on the assembled instructions themselves, and
 **memory-independent**, so a recognized :class:`KernelLoop` belongs to a
-reusable template (the process-wide JIT trace cache stores these).  It
-exposes ``make_run(mem)`` / ``make_run_many(mems)`` factories that bind a
-concrete :class:`~repro.hw.memory.Memory` (or one memory per frame for the
-cross-frame batched executor) at execution time.
+reusable template (the process-wide JIT trace cache stores these).  Its one
+executor factory, ``make_run_many(mems)``, binds one memory per frame at
+execution time; a single frame is a batch of one.
 
 The code generator additionally *annotates* every loop it emits
 (:class:`repro.deploy.codegen.KernelHint`); the annotations are used by
 tests and diagnostics to prove that every emitted loop actually hits a
-vectorized handler (``JitTemplate.vectorized_labels``), so codegen and the
-recognizers cannot silently drift apart.
+vectorized handler of the hinted kind (``JitTemplate.vectorized_labels``),
+so codegen and the recognizers cannot silently drift apart.
 """
 
 from __future__ import annotations
@@ -47,17 +49,20 @@ MASK = 0xFFFFFFFF
 class KernelLoop:
     """A recognized loop with a vectorized executor.
 
-    ``make_run(mem)`` returns ``run(regs)``, which executes the remaining
-    trip count ``n`` (read from the counter register) in one shot and
-    returns ``n``; returning 0 means the handler declined and the block must
-    be executed generically.  After a successful run the simulator resumes
-    at ``exit_pc`` (the loop's fall-through pc when ``None``).
-
-    ``make_run_many(mems)`` returns ``run_many(regs_list)`` executing the
-    same loop for several frames at once — one numpy op over a stacked
-    ``(frames, bytes)`` matrix — provided the loop's pointer/counter
-    registers are identical across frames; it declines (returns 0)
-    otherwise, and the caller falls back to per-frame execution.
+    ``make_run_many(mems)`` binds one memory per frame (a single frame is a
+    list of one) and returns ``run_many(regs_list, cnts, aux_base)``.  The
+    runner executes the remaining trip count ``n`` (read from the counter
+    register) for every frame at once — one numpy op over the stacked
+    ``(frames, bytes)`` matrix of :class:`FrameDmem` — adds each frame's
+    side-path hits to its ``cnts[f][aux_base + j]`` slots and returns
+    ``(n, extras)``, where ``extras[f]`` counts the instructions frame
+    ``f`` ran on those side paths.  It returns ``(0, None)`` to decline —
+    the control registers differ across frames, a span leaves dmem, or
+    the outputs overlap the inputs — and the block is then executed
+    generically, frame by frame.  After a successful run the simulator
+    resumes at ``exit_pc`` (the loop's fall-through pc when ``None``).
+    Recognizers used only as building blocks of a larger kernel leave
+    ``make_run_many`` as ``None``.
 
     ``instrs_per_iter`` / ``straight_cycles_per_iter`` / ``counts_per_iter``
     feed the analytical statistics: a full run of ``n`` iterations costs
@@ -71,7 +76,6 @@ class KernelLoop:
     __slots__ = (
         "kind",
         "label",
-        "make_run",
         "make_run_many",
         "instrs_per_iter",
         "straight_cycles_per_iter",
@@ -79,7 +83,6 @@ class KernelLoop:
         "exit_pc",
         "meta",
         "aux",
-        "wants_cnt",
     )
 
     def __init__(
@@ -93,23 +96,17 @@ class KernelLoop:
     ):
         self.kind = kind
         self.label = label
-        self.make_run: Optional[Callable] = None
         self.make_run_many: Optional[Callable] = None
         self.instrs_per_iter = instrs_per_iter
         self.straight_cycles_per_iter = straight_cycles_per_iter
         self.counts_per_iter = counts_per_iter
         self.exit_pc = exit_pc
         self.meta: dict = {}
-        # Data-dependent side paths (requant clamps, INT4 packing paths):
-        # tuples of (instrs, cycle_delta, mnemonic_counts) whose per-run hit
-        # counters live in extra flat slots right after [iters, calls]; see
-        # JitTemplate.commit.  The executors for kernels with a non-empty
-        # ``aux`` take ``(regs, cnt, aux_base)`` and return
-        # ``(iters, extra_instrs)``.
+        # Data-dependent side paths (requant clamps, INT4 packing paths,
+        # maxpool "new max" moves): tuples of (instrs, cycle_delta,
+        # mnemonic_counts) whose per-run hit counters live in extra flat
+        # slots right after [iters, calls]; see JitTemplate.commit.
         self.aux: tuple = ()
-        # True when the executors use the (regs, cnt, aux_base) protocol
-        # even with an empty ``aux`` (e.g. a non-requantizing channel loop).
-        self.wants_cnt = False
 
     @classmethod
     def from_body(cls, kind: str, label: Optional[str],
@@ -211,22 +208,6 @@ def _uniform(regs_list, idxs) -> bool:
     return True
 
 
-def _dot_rows_i8(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """Row-wise int8 dot products of two ``(F, n)`` uint8 matrices."""
-    va = ma.view(np.int8).astype(np.int64)
-    vb = mb.view(np.int8).astype(np.int64)
-    return np.einsum("ij,ij->i", va, vb)
-
-
-def _dot_rows_nib(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """Row-wise packed signed-nibble dot products (sdotp4 semantics)."""
-    va = ma.astype(np.int64)
-    vb = mb.astype(np.int64)
-    lo = np.einsum("ij,ij->i", _signed_nibbles(va & 0xF), _signed_nibbles(vb & 0xF))
-    hi = np.einsum("ij,ij->i", _signed_nibbles(va >> 4), _signed_nibbles(vb >> 4))
-    return lo + hi
-
-
 # --------------------------------------------------------------------------- #
 # Pattern matchers.  Each takes the block body (terminator included) and the
 # block's start index; returns a KernelLoop or None.
@@ -258,73 +239,10 @@ def _match_sdotp(body, cycle_model) -> Optional[KernelLoop]:
         return None
     if len({P, Q, A, B, ACC, N}) != 6 or 0 in (P, Q, A, B, ACC, N):
         return None
-    eight_bit = dot.mnemonic == "sdotp8"
-
-    def make_run(mem):
-        load_bytes = mem.load_bytes
-
-        def run(regs):
-            n = _counter(regs, N)
-            if n == 0:
-                return 0
-            raw_a = load_bytes(regs[P], 4 * n)
-            raw_b = load_bytes(regs[Q], 4 * n)
-            if eight_bit:
-                va = np.frombuffer(raw_a, dtype=np.int8).astype(np.int64)
-                vb = np.frombuffer(raw_b, dtype=np.int8).astype(np.int64)
-                total = int(va @ vb)
-            else:
-                va = np.frombuffer(raw_a, dtype=np.uint8).astype(np.int64)
-                vb = np.frombuffer(raw_b, dtype=np.uint8).astype(np.int64)
-                total = int(
-                    _signed_nibbles(va & 0xF) @ _signed_nibbles(vb & 0xF)
-                    + _signed_nibbles(va >> 4) @ _signed_nibbles(vb >> 4)
-                )
-            # Lane sums wrap at 32 bits every iteration; summing everything and
-            # masking once is congruent mod 2**32, hence bit-exact.
-            regs[ACC] = (regs[ACC] + total) & MASK
-            regs[A] = int.from_bytes(raw_a[-4:], "little")
-            regs[B] = int.from_bytes(raw_b[-4:], "little")
-            regs[P] = (regs[P] + 4 * n) & MASK
-            regs[Q] = (regs[Q] + 4 * n) & MASK
-            regs[N] = 0
-            return n
-
-        return run
-
-    def make_run_many(mems):
-        gather = FrameDmem(mems).gather
-
-        def run_many(regs_list):
-            r0 = regs_list[0]
-            n = _counter(r0, N)
-            if n == 0 or not _uniform(regs_list, (P, Q, N)):
-                return 0
-            nb = 4 * n
-            ma = gather(r0[P], nb)
-            mb = gather(r0[Q], nb)
-            if ma is None or mb is None:
-                return 0
-            totals = _dot_rows_i8(ma, mb) if eight_bit else _dot_rows_nib(ma, mb)
-            p_next = (r0[P] + nb) & MASK
-            q_next = (r0[Q] + nb) & MASK
-            for i, regs in enumerate(regs_list):
-                regs[ACC] = (regs[ACC] + int(totals[i])) & MASK
-                regs[A] = int.from_bytes(ma[i, -4:].tobytes(), "little")
-                regs[B] = int.from_bytes(mb[i, -4:].tobytes(), "little")
-                regs[P] = p_next
-                regs[Q] = q_next
-                regs[N] = 0
-            return n
-
-        return run_many
-
     loop = KernelLoop.from_body("sdotp", body[0].label, body, cycle_model)
-    loop.make_run = make_run
-    loop.make_run_many = make_run_many
     loop.meta = {
         "P": P, "Q": Q, "A": A, "B": B, "ACC": ACC, "N": N,
-        "eight_bit": eight_bit,
+        "eight_bit": dot.mnemonic == "sdotp8",
     }
     return loop
 
@@ -349,59 +267,7 @@ def _match_mac8(body, cycle_model) -> Optional[KernelLoop]:
         return None
     if len({P, Q, A, B, ACC, N}) != 6 or 0 in (P, Q, A, B, ACC, N):
         return None
-
-    def make_run(mem):
-        load_bytes = mem.load_bytes
-
-        def run(regs):
-            n = _counter(regs, N)
-            if n == 0:
-                return 0
-            va = np.frombuffer(load_bytes(regs[P], n), dtype=np.int8).astype(np.int64)
-            vb = np.frombuffer(load_bytes(regs[Q], n), dtype=np.int8).astype(np.int64)
-            regs[ACC] = (regs[ACC] + int(va @ vb)) & MASK
-            last_a, last_b = int(va[-1]), int(vb[-1])
-            regs[A] = (last_a * last_b) & MASK
-            regs[B] = last_b & MASK
-            regs[P] = (regs[P] + n) & MASK
-            regs[Q] = (regs[Q] + n) & MASK
-            regs[N] = 0
-            return n
-
-        return run
-
-    def make_run_many(mems):
-        gather = FrameDmem(mems).gather
-
-        def run_many(regs_list):
-            r0 = regs_list[0]
-            n = _counter(r0, N)
-            if n == 0 or not _uniform(regs_list, (P, Q, N)):
-                return 0
-            ma = gather(r0[P], n)
-            mb = gather(r0[Q], n)
-            if ma is None or mb is None:
-                return 0
-            totals = _dot_rows_i8(ma, mb)
-            sa = ma[:, -1].astype(np.int8)
-            sb = mb[:, -1].astype(np.int8)
-            p_next = (r0[P] + n) & MASK
-            q_next = (r0[Q] + n) & MASK
-            for i, regs in enumerate(regs_list):
-                last_a, last_b = int(sa[i]), int(sb[i])
-                regs[ACC] = (regs[ACC] + int(totals[i])) & MASK
-                regs[A] = (last_a * last_b) & MASK
-                regs[B] = last_b & MASK
-                regs[P] = p_next
-                regs[Q] = q_next
-                regs[N] = 0
-            return n
-
-        return run_many
-
     loop = KernelLoop.from_body("mac8", body[0].label, body, cycle_model)
-    loop.make_run = make_run
-    loop.make_run_many = make_run_many
     loop.meta = {"P": P, "Q": Q, "A": A, "B": B, "ACC": ACC, "N": N}
     return loop
 
@@ -435,72 +301,7 @@ def _match_mac4(body, cycle_model) -> Optional[KernelLoop]:
         return None
     if len({P, Q, A, B, C, D, ACC, N}) != 8 or 0 in (P, Q, A, B, C, D, ACC, N):
         return None
-
-    def make_run(mem):
-        load_bytes = mem.load_bytes
-
-        def run(regs):
-            n = _counter(regs, N)
-            if n == 0:
-                return 0
-            va = np.frombuffer(load_bytes(regs[P], n), dtype=np.uint8).astype(np.int64)
-            vb = np.frombuffer(load_bytes(regs[Q], n), dtype=np.uint8).astype(np.int64)
-            # Activation nibbles are consumed unsigned (PACT outputs); weight
-            # nibbles are sign-extended through the shift pairs.
-            lo_w = _signed_nibbles(vb & 0xF)
-            hi_w = _signed_nibbles(vb >> 4)
-            total = int((va & 0xF) @ lo_w) + int((va >> 4) @ hi_w)
-            regs[ACC] = (regs[ACC] + total) & MASK
-            last_a, last_b = int(va[-1]), int(vb[-1])
-            hi_a = last_a >> 4
-            regs[A] = last_a
-            regs[B] = last_b
-            regs[C] = hi_a
-            regs[D] = ((((last_b >> 4) ^ 8) - 8) * hi_a) & MASK
-            regs[P] = (regs[P] + n) & MASK
-            regs[Q] = (regs[Q] + n) & MASK
-            regs[N] = 0
-            return n
-
-        return run
-
-    def make_run_many(mems):
-        gather = FrameDmem(mems).gather
-
-        def run_many(regs_list):
-            r0 = regs_list[0]
-            n = _counter(r0, N)
-            if n == 0 or not _uniform(regs_list, (P, Q, N)):
-                return 0
-            ma = gather(r0[P], n)
-            mb = gather(r0[Q], n)
-            if ma is None or mb is None:
-                return 0
-            va = ma.astype(np.int64)
-            vb = mb.astype(np.int64)
-            lo = np.einsum("ij,ij->i", va & 0xF, _signed_nibbles(vb & 0xF))
-            hi = np.einsum("ij,ij->i", va >> 4, _signed_nibbles(vb >> 4))
-            totals = lo + hi
-            p_next = (r0[P] + n) & MASK
-            q_next = (r0[Q] + n) & MASK
-            for i, regs in enumerate(regs_list):
-                last_a, last_b = int(ma[i, -1]), int(mb[i, -1])
-                hi_a = last_a >> 4
-                regs[ACC] = (regs[ACC] + int(totals[i])) & MASK
-                regs[A] = last_a
-                regs[B] = last_b
-                regs[C] = hi_a
-                regs[D] = ((((last_b >> 4) ^ 8) - 8) * hi_a) & MASK
-                regs[P] = p_next
-                regs[Q] = q_next
-                regs[N] = 0
-            return n
-
-        return run_many
-
     loop = KernelLoop.from_body("mac4", body[0].label, body, cycle_model)
-    loop.make_run = make_run
-    loop.make_run_many = make_run_many
     loop.meta = {"P": P, "Q": Q, "A": A, "B": B, "C": C, "D": D, "ACC": ACC, "N": N}
     return loop
 
@@ -521,65 +322,44 @@ def _match_memset(body, cycle_model) -> Optional[KernelLoop]:
     if P == 0 or P == E or (Z == P and Z != 0):
         return None
 
-    def make_run(mem):
-        store_bytes = mem.store_bytes
-
-        def run(regs):
-            span = regs[E] - regs[P]
-            if span <= 0 or span % 4:
-                return 0
-            n = span // 4
-            store_bytes(regs[P], regs[Z].to_bytes(4, "little") * n)
-            regs[P] = regs[E]
-            return n
-
-        return run
-
     def make_run_many(mems):
         stores = [m.store_bytes for m in mems]
 
-        def run_many(regs_list):
+        def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
             if not _uniform(regs_list, (P, E)):
-                return 0
+                return 0, None
             span = r0[E] - r0[P]
             if span <= 0 or span % 4:
-                return 0
+                return 0, None
             n = span // 4
             start, end = r0[P], r0[E]
             for store, regs in zip(stores, regs_list):
                 store(start, regs[Z].to_bytes(4, "little") * n)
                 regs[P] = end
-            return n
+            return n, [0] * len(regs_list)
 
         return run_many
 
     loop = KernelLoop.from_body("memset", body[0].label, body, cycle_model)
-    loop.make_run = make_run
     loop.make_run_many = make_run_many
-    loop.meta = {"P": P, "Z": Z, "E": E}
     return loop
-
-
-_MATCHERS = (_match_sdotp, _match_mac8, _match_mac4, _match_memset)
 
 
 def recognize_loop(
     body: List[Instruction], start_index: int, cycle_model
 ) -> Optional[KernelLoop]:
-    """Try to match a basic block against the known loop shapes.
+    """Match a self-looping basic block against the standalone loop shapes.
 
     ``body`` must be a block whose terminator is a ``bne`` back to its own
-    first instruction (the caller checks the branch target).  The result is
-    unbound: execution binds it through ``make_run`` / ``make_run_many``.
+    first instruction (the caller checks the branch target).  Only the
+    memset loop runs standalone: the inner MAC loops codegen emits always
+    sit inside a channel loop, whose kernel subsumes them.  The result is
+    unbound: execution binds it through ``make_run_many``.
     """
     if body[-1].mnemonic != "bne":
         return None
-    for matcher in _MATCHERS:
-        loop = matcher(body, cycle_model)
-        if loop is not None:
-            return loop
-    return None
+    return _match_memset(body, cycle_model)
 
 
 # --------------------------------------------------------------------------- #
@@ -795,21 +575,6 @@ def count_clamps(cnts, aux_base: int, clamps) -> List[int]:
     return extras
 
 
-def single_frame(make_run_many):
-    """``make_run`` for one memory from an aux-protocol ``make_run_many``."""
-
-    def make_run(mem):
-        rm = make_run_many([mem])
-
-        def run(regs, cnt, aux_base):
-            iters, extras = rm([regs], [cnt], aux_base)
-            return iters, (extras[0] if iters else 0)
-
-        return run
-
-    return make_run
-
-
 _ONE_PIXEL = (1, 1, 0, 0, 0, 0)
 
 
@@ -984,8 +749,8 @@ def try_channel_superloop(
     Returns a :class:`KernelLoop` (kind ``conv-chan`` / ``fc-chan``) with
     ``aux`` side-path counters and its :class:`ChannelSpec` in
     ``meta["spec"]``, or ``None``.  Matching is strict: any deviation from
-    the exact codegen shape declines and the simulator falls back to the
-    inner-loop kernels, which are always bit-exact.
+    the exact codegen shape declines and the simulator falls back to
+    generic block execution, which is always bit-exact.
     """
     try:
         return _match_channel_loop(program, head, cycle_model)
@@ -1310,10 +1075,8 @@ def _match_channel_loop(program, head, cycle_model):
     loop = tally.kernel(
         "conv-chan" if conv else "fc-chan", program[head].label, 4 * w.i
     )
-    loop.make_run = single_frame(make_run_many)
     loop.make_run_many = make_run_many
     loop.aux = tuple(aux)
-    loop.wants_cnt = True
     loop.meta = {"spec": spec}
     return loop
 
@@ -1321,10 +1084,9 @@ def _match_channel_loop(program, head, cycle_model):
 def attach_channel_superloops(blocks, program: List[Instruction], cycle_model):
     """Attach channel superloops to the head blocks of matching oc loops.
 
-    Called by the JIT template build after :func:`build_blocks` has
-    attached the inner-loop kernels.  Candidates are backward ``bne``
-    targets whose block opens with the bias ``lw``; the strict matcher
-    declines everything else.
+    Called by the JIT template build after :func:`build_blocks`.
+    Candidates are backward ``bne`` targets whose block opens with the bias
+    ``lw``; the strict matcher declines everything else.
     """
     by_pc = {b.pc: b for b in blocks}
     seen = set()

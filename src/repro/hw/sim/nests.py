@@ -61,7 +61,6 @@ from .kernels import (
     _Walk,
     apply_updates,
     count_clamps,
-    single_frame,
 )
 
 
@@ -236,9 +235,7 @@ def _match_conv_nest(program: List[Instruction], head: int, by_pc: dict,
 
     loop = row.kernel("conv-nest", program[head].label, 4 * w.i)
     loop.make_run_many = make_run_many
-    loop.make_run = single_frame(make_run_many)
     loop.aux = spec.clamp_aux
-    loop.wants_cnt = True
     return loop
 
 
@@ -390,10 +387,8 @@ def _match_pool_nest(program: List[Instruction], head: int, by_pc: dict,
 
     loop = row.kernel("pool-nest", program[head].label, 4 * w.i)
     loop.make_run_many = make_run_many
-    loop.make_run = single_frame(make_run_many)
     # A "new max": the bge falls through and the mv runs.
     loop.aux = ((1, (bnt - bt) + mv_cost, {"add": 1}),)
-    loop.wants_cnt = True
     return loop
 
 

@@ -29,11 +29,16 @@ from http import HTTPStatus
 from typing import Optional
 
 from .errors import BadRequestError
-from .service import PendingResponse, Response, ServeConfig, ServeService
+from .service import (
+    PendingResponse,
+    Response,
+    ServeConfig,
+    ServeService,
+    content_length,
+)
 
 _MAX_REQUEST_LINE = 8192
 _MAX_HEADERS = 64
-_MAX_BODY = 64 * 1024 * 1024
 
 
 class ServeServer:
@@ -182,11 +187,9 @@ class ServeServer:
         else:
             return method, path, headers, b"", BadRequestError("too many headers")
         try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            return method, path, headers, b"", BadRequestError("bad Content-Length")
-        if length > _MAX_BODY:
-            return method, path, headers, b"", BadRequestError("body too large")
+            length = content_length(headers.get("content-length"))
+        except BadRequestError as exc:
+            return method, path, headers, b"", exc
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body, None
 

@@ -35,6 +35,25 @@ from .sessions import SessionManager
 _FRAMES_PATH = re.compile(r"^/v1/sessions/([0-9a-f]+)/frames$")
 _SESSION_PATH = re.compile(r"^/v1/sessions/([0-9a-f]+)$")
 
+#: Largest request body either HTTP front end accepts.
+MAX_BODY = 64 * 1024 * 1024
+
+
+def content_length(value: Optional[str]) -> int:
+    """Body length from a ``Content-Length`` header value (absent or empty: 0).
+
+    Both HTTP front ends parse the header here.  A value that is not a
+    plain non-negative decimal raises :class:`BadRequestError` "bad
+    Content-Length"; one above :data:`MAX_BODY` raises "body too large".
+    """
+    value = (value or "0").strip()
+    if not (value.isascii() and value.isdigit()):
+        raise BadRequestError("bad Content-Length")
+    length = int(value)
+    if length > MAX_BODY:
+        raise BadRequestError("body too large")
+    return length
+
 
 def _endpoint_of(path: str) -> str:
     """The ``endpoint`` label of a request path, from the fixed set

@@ -24,7 +24,8 @@ from __future__ import annotations
 from http import HTTPStatus
 from typing import Callable, Iterable, List, Tuple
 
-from .service import PendingResponse, Response, ServeService
+from .errors import BadRequestError
+from .service import PendingResponse, Response, ServeService, content_length
 
 
 def make_wsgi_app(service: ServeService) -> Callable:
@@ -39,9 +40,9 @@ def make_wsgi_app(service: ServeService) -> Callable:
         method = environ.get("REQUEST_METHOD", "GET").upper()
         path = environ.get("PATH_INFO", "/")
         try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
+            length = content_length(environ.get("CONTENT_LENGTH"))
+        except BadRequestError as exc:
+            return _emit(Response.error(exc), start_response)
         body = environ["wsgi.input"].read(length) if length else b""
 
         service.evict_idle()  # no event loop: sweep lazily per request

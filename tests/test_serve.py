@@ -32,6 +32,7 @@ from repro.serve import (
     quantile,
     start_server,
 )
+from repro.serve.service import MAX_BODY
 
 
 class FakeEngine:
@@ -953,6 +954,65 @@ class TestWsgiAdapter:
             assert status == 404 and err["error"] == "unknown_session"
         finally:
             service.stop()
+
+
+def _raw_http_status(server, content_length, body):
+    """POST one request over a raw socket; ``(status, json body)``."""
+    import socket
+
+    head = (
+        "POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode()
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(head + body)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    status_line, _, rest = raw.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def _wsgi_status(service, content_length, body):
+    environ = {
+        "REQUEST_METHOD": "POST",
+        "PATH_INFO": "/v1/sessions",
+        "CONTENT_LENGTH": content_length,
+        "wsgi.input": BytesIO(body),
+    }
+    captured = {}
+    raw = b"".join(
+        make_wsgi_app(service)(environ, lambda status, headers: captured.update(
+            status=int(status.split()[0])
+        ))
+    )
+    return captured["status"], json.loads(raw)
+
+
+@pytest.mark.parametrize(
+    "content_length, detail",
+    [("-1", "bad Content-Length"), ("abc", "bad Content-Length"),
+     (str(MAX_BODY + 1), "body too large")],
+    ids=["negative", "non-integer", "too-large"],
+)
+@pytest.mark.parametrize("front_end", ["asyncio", "wsgi"])
+def test_invalid_content_length_is_rejected(front_end, content_length, detail):
+    """Both front ends answer 400 to a Content-Length they cannot honour,
+    instead of dropping the connection or reading the body to EOF."""
+    body = json.dumps({"window": 3}).encode()
+    if front_end == "asyncio":
+        with start_server(FakeEngine()) as server:
+            status, err = _raw_http_status(server, content_length, body)
+            assert len(server.service.sessions) == 0
+    else:
+        service = ServeService(FakeEngine())
+        service.start()
+        try:
+            status, err = _wsgi_status(service, content_length, body)
+            assert len(service.sessions) == 0
+        finally:
+            service.stop()
+    assert (status, err["error"], err["detail"]) == (400, "bad_request", detail)
 
 
 # --------------------------------------------------------------------- #

@@ -8,8 +8,8 @@ suite checks the contract
 
 * on every Table-I deployment configuration (INT8 / mixed / INT4, scalar
   and SDOTP kernels),
-* on the four recognized kernel loops in isolation (driven through the
-  real codegen emitters; ``test_sim_nests.py`` does the same for whole
+* on the inner MAC loops and the memset loop in isolation (driven through
+  the real codegen emitters; ``test_sim_nests.py`` does the same for whole
   random conv and maxpool layers),
 * on randomized straight-line / branchy programs that exercise the
   single-step fallback and the closure semantics of every instruction,
@@ -21,7 +21,12 @@ import pytest
 
 import repro
 from repro.deploy import compile_network, simulate_batch, verify_against_golden
-from repro.deploy.codegen import Assembler, _emit_inner_product
+from repro.deploy.codegen import (
+    Assembler,
+    FcKernelConfig,
+    _emit_inner_product,
+    emit_fc_layer,
+)
 from repro.deploy.packing import pack_padded_run, padded_run_length
 from repro.hw import (
     DMEM_BASE,
@@ -114,14 +119,29 @@ def test_table1_config_bit_exact(table1_network, prepared_data, use_sdotp):
 
 
 def test_every_codegen_hint_is_vectorized(table1_network):
-    """Every loop codegen annotates must hit a vectorized handler."""
+    """Every loop codegen annotates gets a kernel of the annotated kind, and
+    the only unannotated kernels are the channel loops inside conv nests."""
     for use_sdotp in (False, True):
         compiled = compile_network(table1_network, use_sdotp=use_sdotp)
         template = JitTemplate(compiled.program, None, use_sdotp)
         assert compiled.kernel_hints, "codegen should annotate its loops"
-        vectorized = template.vectorized_labels()
-        missing = {h.label for h in compiled.kernel_hints} - vectorized
-        assert not missing, f"unvectorized codegen loops: {sorted(missing)}"
+        attached = {
+            b.label: b.kernel.kind for b in template.blocks if b.kernel is not None
+        }
+        hinted = {h.label: h.kind for h in compiled.kernel_hints}
+        wrong = {
+            label: (kind, attached.get(label))
+            for label, kind in hinted.items()
+            if attached.get(label) != kind
+        }
+        assert not wrong, f"hinted kind vs attached kernel: {wrong}"
+        unhinted = {attached[label] for label in attached.keys() - hinted.keys()}
+        assert unhinted <= {"conv-chan"}
+        layers = [s.kind for s in compiled.layer_summaries]
+        kinds = [h.kind for h in compiled.kernel_hints]
+        assert kinds.count("fc-chan") == layers.count("linear")
+        assert kinds.count("conv-nest") == layers.count("conv")
+        assert kinds.count("pool-nest") == layers.count("maxpool")
 
 
 # --------------------------------------------------------------------------- #
@@ -214,28 +234,59 @@ def test_codegen_labels_deterministic(table1_network):
 # --------------------------------------------------------------------------- #
 # Adversarial near-misses: must fall back, not mis-vectorize
 # --------------------------------------------------------------------------- #
-def test_aliased_sdotp_loop_falls_back():
-    """An sdotp-shaped loop whose accumulator aliases a pointer register
-    must not be vectorized (and must still match the interpreter)."""
+def _spliced_fc_program(splice):
+    """A one-layer INT8 SDOTP fc program with ``splice`` applied to the
+    instructions of its inner ``lw; lw; sdotp8`` loop head."""
+    cfg = FcKernelConfig(
+        name="fc", in_address=DMEM_BASE, in_values=16,
+        out_buf_address=DMEM_BASE + 512, weights_address=DMEM_BASE + 1024,
+        bias_address=DMEM_BASE + 2048, c_out=3, bits=8, out_bits=32,
+        requantize=False, use_sdotp=True, weight_row_stride=16,
+    )
     asm = Assembler()
-    asm.li("t1", DMEM_BASE)
-    asm.li("t2", DMEM_BASE + 64)
-    asm.li("t3", 4)
-    asm.label("loop")
-    asm.emit("lw", rd="t4", rs1="t1", imm=0)
-    asm.emit("lw", rd="t5", rs1="t2", imm=0)
-    asm.emit("sdotp8", rd="t1", rs1="t4", rs2="t5")  # acc == act pointer!
-    asm.emit("addi", rd="t1", rs1="t1", imm=4)
-    asm.emit("addi", rd="t2", rs1="t2", imm=4)
-    asm.emit("addi", rd="t3", rs1="t3", imm=-1)
-    asm.emit("bne", rs1="t3", rs2="zero", target="loop")
+    emit_fc_layer(asm, cfg)
     asm.emit("ebreak")
     program = asm.assemble()
+    assert JitTemplate(program, None, True).kernel_counts() == {"fc-chan": 1}
+    head = next(i for i, ins in enumerate(program) if ins.mnemonic == "sdotp8") - 2
+    splice(*program[head : head + 3])
+    return program, cfg
 
-    assert not JitTemplate(program, None, True).vectorized_labels()
+
+def test_aliased_sdotp_loop_falls_back():
+    """An fc layer whose sdotp accumulator aliases the activation pointer
+    must not be vectorized (and must still match the interpreter)."""
+
+    def acc_is_act_pointer(ld_act, ld_wt, dot):
+        dot.rd = ld_act.rs1
+
+    program, cfg = _spliced_fc_program(acc_is_act_pointer)
+    assert "fc-chan" not in JitTemplate(program, None, True).kernel_counts()
 
     def setup(c):
-        c.memory.store_bytes(DMEM_BASE, bytes([1] * 128))
+        # Every word's dot product is 0, so the aliased pointer stays valid.
+        c.memory.store_bytes(cfg.in_address, bytes(b for b in range(1, 5) for _ in range(4)))
+        c.memory.store_bytes(cfg.weights_address, bytes([1, 255] * 24))
+        c.memory.store_bytes(cfg.bias_address, bytes(range(7, 19)))
+
+    run_both(program, setup=setup)
+
+
+def test_sdotp_operands_in_one_register_fall_back():
+    """Both loads of the sdotp loop writing one register is invisible to the
+    channel loop's role checks; only the inner matcher's distinctness check
+    keeps the fc kernel from computing the wrong dot product."""
+
+    def one_operand_register(ld_act, ld_wt, dot):
+        ld_wt.rd = ld_act.rd
+        dot.rs2 = ld_act.rd
+
+    program, _ = _spliced_fc_program(one_operand_register)
+    assert "fc-chan" not in JitTemplate(program, None, True).kernel_counts()
+    data = np.random.default_rng(0).integers(0, 256, 4096, dtype=np.uint8).tobytes()
+
+    def setup(c):
+        c.memory.store_bytes(DMEM_BASE, data)
 
     run_both(program, setup=setup)
 
