@@ -62,18 +62,21 @@ def im2col(
     ph, pw = _pair(padding)
     out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
 
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    # Zero-padded channels-last copy of ``x``: its window view below reads
+    # the (c, kh, kw) column entries of one output pixel from nearby memory,
+    # so the one copy into ``cols`` is cheaper than from an NCHW buffer.
+    padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    padded[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
 
-    # Strided sliding-window view: (N, C, out_h, out_w, kh, kw)
-    s0, s1, s2, s3 = x.strides
+    # Strided sliding-window view: (N, out_h, out_w, C, kh, kw)
+    s0, s1, s2, s3 = padded.strides
     windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
+        padded,
+        shape=(n, out_h, out_w, c, kh, kw),
+        strides=(s0, s1 * sh, s2 * sw, s3, s1, s2),
         writeable=False,
     )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
+    cols = windows.reshape(n * out_h * out_w, c * kh * kw)
     return np.ascontiguousarray(cols), (out_h, out_w)
 
 
@@ -91,13 +94,18 @@ def col2im(
     ph, pw = _pair(padding)
     out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
 
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    # Accumulate tap by tap, (i, j) in order, into a channels-last buffer:
+    # each add then reads and writes whole channel rows.  The copy back to
+    # NCHW is not optional: later reductions (BatchNorm's sums) add in
+    # memory order, so the gradient must keep the layout it always had.
+    acc = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            padded[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw] += cols6[
-                :, :, :, :, i, j
+            acc[:, i : i + out_h * sh : sh, j : j + out_w * sw : sw, :] += cols6[
+                ..., i, j
             ]
+    padded = acc.transpose(0, 3, 1, 2).copy()
     if ph or pw:
         return padded[:, :, ph : ph + h, pw : pw + w]
     return padded
@@ -173,8 +181,29 @@ def conv2d_backward(grad_out: np.ndarray, cache: dict):
     return grad_x, grad_weight, grad_bias
 
 
+def _window_taps(x: np.ndarray, kernel, stride, out_shape):
+    """Yield ``(k, view)`` per pooling-window tap, ``k = i * kw + j``, where
+    ``view[n, c, oi, oj] == x[n, c, oi * sh + i, oj * sw + j]``."""
+    (kh, kw), (sh, sw), (out_h, out_w) = kernel, stride, out_shape
+    for i in range(kh):
+        for j in range(kw):
+            yield i * kw + j, x[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw]
+
+
+def _tap_index(argmax: np.ndarray) -> np.ndarray:
+    """Flat indices of each window's argmax tap in a ``(kh*kw, *argmax.shape)``
+    tap-major buffer."""
+    size = argmax.size
+    return argmax.ravel() * size + np.arange(size)
+
+
 def maxpool2d_forward(x: np.ndarray, kernel_size, stride=None) -> Tuple[np.ndarray, dict]:
-    """2D max pooling forward; ``stride`` defaults to ``kernel_size``."""
+    """2D max pooling forward; ``stride`` defaults to ``kernel_size``.
+
+    ``argmax`` (cached for the backward pass) follows ``np.argmax`` over each
+    window's taps in row-major order: the first maximum wins a tie (``-0.0``
+    ties ``0.0``) and the first NaN wins over any number.
+    """
     if stride is None:
         stride = kernel_size
     n, c, h, w = x.shape
@@ -182,16 +211,21 @@ def maxpool2d_forward(x: np.ndarray, kernel_size, stride=None) -> Tuple[np.ndarr
     sh, sw = _pair(stride)
     out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), 0)
 
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, out_h, out_w, kh * kw)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+    # Tap-major copy of the windows, so every comparison below runs over
+    # contiguous memory instead of one short argmax per window.
+    taps = np.empty((kh * kw, n, c, out_h, out_w), dtype=x.dtype)
+    for k, view in _window_taps(x, (kh, kw), (sh, sw), (out_h, out_w)):
+        taps[k] = view
+    argmax = np.zeros((n, c, out_h, out_w), dtype=np.intp)
+    best = taps[0].copy()  # compares like the value at argmax (sign of zero aside)
+    for k in range(1, kh * kw):
+        take = ~(taps[k] <= best)  # greater, or a NaN ...
+        take &= best == best  # ... unless a NaN already won
+        argmax += take * (k - argmax)
+        np.maximum(best, taps[k], out=best)
+    # Gather the winners themselves, which keeps the sign of zero and NaN
+    # payloads that ``best`` may have lost.
+    out = taps.take(_tap_index(argmax)).reshape(argmax.shape)
     cache = {
         "argmax": argmax,
         "x_shape": x.shape,
@@ -203,23 +237,22 @@ def maxpool2d_forward(x: np.ndarray, kernel_size, stride=None) -> Tuple[np.ndarr
 
 
 def maxpool2d_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
-    """Backward pass of :func:`maxpool2d_forward` (scatter to argmax)."""
-    n, c, h, w = cache["x_shape"]
-    kh, kw = cache["kernel"]
-    sh, sw = cache["stride"]
-    out_h, out_w = cache["out_shape"]
-    argmax = cache["argmax"]
+    """Backward pass of :func:`maxpool2d_forward` (scatter to argmax).
 
-    grad_x = np.zeros((n, c, h, w), dtype=grad_out.dtype)
-    ki = argmax // kw
-    kj = argmax % kw
-    oi = np.arange(out_h)[None, None, :, None]
-    oj = np.arange(out_w)[None, None, None, :]
-    rows = oi * sh + ki
-    cols = oj * sw + kj
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    np.add.at(grad_x, (ni, ci, rows, cols), grad_out)
+    Where windows overlap, an input element sums the gradients of every
+    window it won, in window order; the taps are added in descending ``k``,
+    which visits those windows in ascending order.
+    """
+    kh, kw = cache["kernel"]
+    argmax = cache["argmax"]
+    # grad_taps[k] is grad_out where tap k won its window, +0.0 elsewhere;
+    # adding +0.0 never changes a sum that starts from +0.0.
+    grad_taps = np.zeros((kh * kw,) + argmax.shape, dtype=grad_out.dtype)
+    grad_taps.put(_tap_index(argmax), grad_out)
+    grad_x = np.zeros(cache["x_shape"], dtype=grad_out.dtype)
+    taps = list(_window_taps(grad_x, (kh, kw), cache["stride"], cache["out_shape"]))
+    for k, view in reversed(taps):
+        view += grad_taps[k]
     return grad_x
 
 

@@ -185,7 +185,9 @@ class BatchNorm2d(Module):
             )
         if self.training:
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            x_hat = x - mean[None, :, None, None]
+            # What ``x.var(axis=(0, 2, 3))`` computes, sharing the centring.
+            var = (x_hat * x_hat).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
             )
@@ -193,14 +195,15 @@ class BatchNorm2d(Module):
                 (1 - self.momentum) * self.running_var + self.momentum * var
             )
         else:
-            mean = self.running_mean
             var = self.running_var
+            x_hat = x - self.running_mean[None, :, None, None]
 
-        m = mean[None, :, None, None]
-        v = var[None, :, None, None]
-        x_hat = (x - m) / np.sqrt(v + self.eps)
-        out = self.gamma.data[None, :, None, None] * x_hat + self.beta.data[None, :, None, None]
-        self._cache = {"x_hat": x_hat, "var": var, "x": x, "mean": mean}
+        # In place where possible: fresh activation-sized temporaries cost
+        # more than the arithmetic on them.
+        x_hat /= np.sqrt(var + self.eps)[None, :, None, None]
+        out = self.gamma.data[None, :, None, None] * x_hat
+        out += self.beta.data[None, :, None, None]
+        self._cache = {"x_hat": x_hat, "var": var}
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
