@@ -9,12 +9,15 @@ before reporting speed:
 
 * JIT compile time vs steady-state streaming time, split per mode,
 * frames/sec per mode and the jit speedup over the interpreter,
-* simulated cycles/sec (how much silicon time one wall-clock second buys).
+* simulated cycles/sec (how much silicon time one wall-clock second buys),
+* a jit batch sweep: microseconds per frame of ``predict_batch`` at batch
+  sizes 1, 8, 16 and 32 (median and quartiles over ``SWEEP`` repeats after
+  warm-up calls), which shows what batching across frames buys.
 
 Results are written as machine-readable JSON (``BENCH_sim.json`` at the
-repository root by default) to seed the performance trajectory; CI runs
-``perf_sim.py --quick`` as a smoke job, so any cross-mode mismatch or a
-collapse of the compiled path fails every PR.
+repository root by default) with the host and git SHA, so two commits'
+files can be compared; CI runs ``perf_sim.py --quick`` as a parity-only
+smoke job (no sweep), so any cross-mode mismatch fails every PR.
 
 Usage::
 
@@ -30,6 +33,7 @@ import sys
 import time
 
 import numpy as np
+from perf_nn import git_sha, spread  # sibling script: same host/SHA/spread record
 
 import repro
 from repro.datasets import generate_linaige
@@ -47,6 +51,9 @@ FULL = dict(conv_channels=(24, 24), hidden_features=40, frames=6, scale=0.05)
 QUICK = dict(conv_channels=(12, 16), hidden_features=24, frames=3, scale=0.03)
 SCHEME = (8, 4, 4, 8)
 MODES = ("interp", "jit")
+# The jit batch sweep (full runs only): batch sizes, untimed warm-up calls
+# and timed repeats per size.
+SWEEP = dict(batches=(1, 8, 16, 32), warmup=3, repeats=25)
 
 # Full-run acceptance floor (wall-clock ratios are too noisy on the quick
 # CI workload, so --quick only enforces bit-exact parity).
@@ -68,8 +75,8 @@ def build_workload(cfg):
     qmodel = quantize_model(
         model, PrecisionScheme(SCHEME), calibration_data=pre(train)[:256]
     )
-    frames = pre(dataset.session(2).frames)[: cfg["frames"]]
-    return ModelBundle(qmodel, label="perf-sim workload"), frames
+    held_out = pre(dataset.session(2).frames)
+    return ModelBundle(qmodel, label="perf-sim workload"), held_out
 
 
 def time_mode(bundle, target, mode, frames):
@@ -99,6 +106,24 @@ def time_mode(bundle, target, mode, frames):
         batch = engine.predict_batch(frames)
         steady_s = min(steady_s, time.perf_counter() - start)
     return batch, compile_s, steady_s
+
+
+def batch_sweep(bundle, target, held_out):
+    """Jit microseconds per frame of ``predict_batch`` at each sweep size."""
+    engine = repro.compile(bundle, target=target, sim_mode="jit")
+    frames = np.resize(held_out, (max(SWEEP["batches"]),) + held_out.shape[1:])
+    out = {}
+    for size in SWEEP["batches"]:
+        batch = frames[:size]
+        for _ in range(SWEEP["warmup"]):
+            engine.predict_batch(batch)
+        samples = []
+        for _ in range(SWEEP["repeats"]):
+            start = time.perf_counter()
+            engine.predict_batch(batch)
+            samples.append((time.perf_counter() - start) / size * 1e6)
+        out[str(size)] = spread(samples)
+    return out
 
 
 def check_parity(target, batches):
@@ -154,7 +179,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = QUICK if args.quick else FULL
-    bundle, frames = build_workload(cfg)
+    bundle, held_out = build_workload(cfg)
+    frames = held_out[: cfg["frames"]]
     print(f"workload: LINAIGE streaming, CNN {cfg['conv_channels']}/"
           f"{cfg['hidden_features']} INT{'-'.join(map(str, SCHEME))}, "
           f"{len(frames)} frames")
@@ -167,8 +193,9 @@ def main(argv=None) -> int:
             "scheme": list(SCHEME),
             "frames": len(frames),
             "quick": bool(args.quick),
+            "sweep": None if args.quick else SWEEP,
         },
-        "host": describe_host(),
+        "host": {**describe_host(), "numpy": np.__version__, "git_sha": git_sha()},
         "targets": {},
     }
     for target in args.targets:
@@ -182,6 +209,12 @@ def main(argv=None) -> int:
             f"jit/interp {speed['jit_vs_interp']:6.1f}x | "
             f"{row['modes']['jit']['sim_cycles_per_sec'] / 1e6:7.1f} Msimcycles/s"
         )
+        if not args.quick:
+            row["batch_sweep_us_per_frame"] = batch_sweep(bundle, target, held_out)
+            print(f"{'':<8} jit us/frame by batch: " + ", ".join(
+                f"b{size} {t['median']:.0f} (IQR {t['iqr']:.0f})"
+                for size, t in row["batch_sweep_us_per_frame"].items()
+            ))
 
     results["min_speedups"] = {
         "jit_vs_interp": min(

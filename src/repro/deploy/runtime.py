@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..hw.core import ExecutionStats
+from ..hw.core import ExecutionStats, SimulationError
+from ..hw.memory import MemoryError_
 from ..hw.platform import SmartSensorPlatform
 from ..quant.integer import IntegerNetwork
 from .program import CompiledModel
@@ -179,9 +180,13 @@ def simulate_batch(
         # Cross-frame batched walk: every frame runs against its own memory
         # clone, so a failed attempt leaves the platform untouched and the
         # sequential loop below reproduces the exact result (or fault).
+        # Only lockstep divergence and simulated faults fall back; anything
+        # else is a simulator bug and propagates.
+        from ..hw.sim.batch import BatchDivergence  # deferred: jit only
+
         try:
             return _simulate_batch_jit(platform, compiled, payloads, keep_results)
-        except Exception:
+        except (BatchDivergence, SimulationError, MemoryError_):
             pass
     buf_address = compiled.input_buffer.address
     store_bytes = platform.memory.store_bytes

@@ -2,14 +2,16 @@
 
 The subsystem behind ``IbexCore(mode="jit")``: programs are split once into
 basic blocks, the structured loops emitted by :mod:`repro.deploy.codegen`
-(memset loops and whole output-channel loops, which subsume their inner
+(memset loops and fc output-channel loops, which subsume their inner
 SDOTP / INT8 / INT4 MAC loops, in :mod:`repro.hw.sim.kernels`; whole conv
 and maxpool layers in :mod:`repro.hw.sim.nests`) are replaced by
 vectorized numpy kernels, the remaining blocks run as generated Python
 (:mod:`repro.hw.sim.jit`), and cycle / energy accounting is derived
 analytically from the shared :class:`~repro.hw.cycles.CycleModel` —
 bit-exact against the reference interpreter in registers, memory, cycle
-counts and per-mnemonic statistics.
+counts and per-mnemonic statistics.  A batch of frames
+(:mod:`repro.hw.sim.batch`) binds the generated code once and advances
+every frame through it in lockstep.
 
 Adding a new recognized kernel:
 
@@ -18,8 +20,8 @@ Adding a new recognized kernel:
 2. add a matcher + vectorized handler — loop-level in
    :mod:`repro.hw.sim.kernels`, layer-level in :mod:`repro.hw.sim.nests` —
    with a strict structural match.  The handler is the kernel's one
-   executor factory, ``KernelLoop.make_run_many(mems)``: it binds one
-   memory per frame (a single frame is a batch of one) and returns
+   executor factory, ``KernelLoop.make_run_many(mems)``: it binds a whole
+   batch's memories once (a single frame is a batch of one) and returns
    ``run_many(regs_list, cnts, aux_base) -> (iters, extras)``.  It must
    reproduce exit registers (the last iteration's, in execution order),
    memory and statistics exactly, count every data-dependent side path

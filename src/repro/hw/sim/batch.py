@@ -1,25 +1,32 @@
 """Cross-frame batched execution: one trace walk drives N frames.
 
-``deploy.simulate_batch`` used to replay the compiled trace once per frame.
 The programs codegen emits are *control-flow uniform* across frames for
 everything that matters for speed: loop trip counts (rows, columns,
 channels, taps) are compile-time constants, so every frame visits the same
-kernel blocks in the same order, only the data differs.  This module
+kernel blocks in the same order, only the data differs.  :func:`run_batch`
 exploits that: all frames advance in lockstep from kernel block to kernel
 block through their generated JIT code, and each kernel dispatch executes
 **one multi-frame numpy op** (``KernelLoop.make_run_many``) over a stacked
 ``(frames, bytes)`` matrix instead of one tiny numpy call per frame.
 
+Everything frame-independent is done once per batch: the template is
+bound once (one ``exec`` of its code object, whose memory helpers follow
+the frame being advanced), each kernel's multi-frame runner is built once,
+and every frame's statistics are scaled from one ``(frames, slots)``
+counter matrix.  Channel kernels expand weight bytes to multiply lanes once
+when a byte compare proves every frame holds the same weights.
+
 Data-dependent branches (requantization clamps, maxpool compares, argmax)
 do exist — the kernels count the ones inside them per frame, and the rest
 are frame-local glue handled by each frame's generated block functions
 between kernel parks.  Whenever the
-lockstep assumption is violated — frames park at different kernels, halt in
-different rounds, or any frame faults — :class:`BatchDivergence` (or the
-original exception) propagates to the caller, which re-runs the batch
-through the sequential path.  That fallback is always safe: every frame
-executes against its own **clone** of the platform memory, so a failed
-batched attempt leaves the platform untouched.
+lockstep assumption is violated — frames park at different kernels or
+halt in different rounds — :class:`BatchDivergence` propagates to the
+caller, which re-runs the batch through the sequential path; so does a
+simulated fault of any frame (its own exception, raised by that frame's
+memory).  That fallback is always safe: every frame executes against its
+own **clone** of the platform memory, so a failed batched attempt leaves
+the platform untouched.
 
 Sequential-equivalence note: a sequential run carries memory state from
 frame to frame, while the batch gives each frame a clone of the *initial*
@@ -82,28 +89,28 @@ def run_batch(
     n_frames = len(payloads)
     # One contiguous (frames, dmem_size) matrix backs every clone's dmem so
     # that batched kernel gathers are zero-copy column slices of `dmem_mat`
-    # instead of per-call np.stack allocations (see kernels._make_gather).
+    # instead of per-call np.stack allocations (see kernels.FrameDmem).
     dmem_size = memory.regions["dmem"].size
     dmem_mat = np.empty((n_frames, dmem_size), dtype=np.uint8)
     mems: List[Memory] = []
-    bound = []
-    states = []
-    stats_list: List[ExecutionStats] = []
     for idx, payload in enumerate(payloads):
         m = memory.clone(dmem_buffer=dmem_mat[idx].data)
         m.store_bytes(buf_address, payload)
-        jp = template.bind(program, m)
-        stats = ExecutionStats()
         mems.append(m)
-        bound.append(jp)
-        states.append(jp.start([0] * 32, stats, 0, max_instructions))
-        stats_list.append(stats)
+    # One binding for the whole batch: the block functions switch to each
+    # frame's memory as that frame advances.
+    jp = template.bind(program, *mems)
+    frames = range(n_frames)
+    stats_list = [ExecutionStats() for _ in frames]
+    states = [
+        jp.start([0] * 32, stats_list[i], 0, max_instructions, frame=i)
+        for i in frames
+    ]
 
     run_many_cache: dict = {}
-    frames = range(n_frames)
     while True:
         events = [
-            bound[i].advance(states[i], stats_list[i], stop_at_kernel=True)
+            jp.advance(states[i], stats_list[i], stop_at_kernel=True)
             for i in frames
         ]
         done = sum(1 for e in events if e == "done")
@@ -114,11 +121,10 @@ def run_batch(
         pc0 = states[0].pc
         if any(states[i].pc != pc0 for i in frames):
             raise BatchDivergence("frames parked at different kernel blocks")
-        _, _, _, kipi, kexit, kslot, _, bi = bound[0].entries[pc0]
+        _, _, kernel, kipi, kexit, kslot, _, _ = jp.entries[pc0]
         rm = run_many_cache.get(pc0)
         if rm is None:
-            rm = template.blocks[bi].kernel.make_run_many(mems)
-            run_many_cache[pc0] = rm
+            rm = run_many_cache[pc0] = kernel.make_run_many(mems)
         iters, extras = rm(
             [st.regs for st in states], [st.cnt for st in states], kslot + 2
         )
@@ -129,16 +135,15 @@ def run_batch(
                 st.cnt[kslot + 1] += 1
                 st.executed += kipi * iters + extras[i]
                 if st.executed > st.budget:
-                    raise bound[i]._limit_error(st, stats_list[i])
+                    raise jp._limit_error(st, stats_list[i])
                 st.pc = kexit
         else:
             # Registers not uniform (or span outside dmem): run this kernel
             # block per frame; lockstep resumes if control flow agrees.
             for i in frames:
-                bound[i].kernel_step(states[i], stats_list[i])
+                jp.kernel_step(states[i], stats_list[i])
 
-    for i in frames:
-        bound[i].finish(states[i], stats_list[i])
+    template.commit(stats_list, states)
     return [
         FrameOutcome(
             states[i].regs, states[i].final_pc, stats_list[i], mems[i],

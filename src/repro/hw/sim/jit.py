@@ -15,13 +15,15 @@ The compiled artifact is split in two:
   object, plus the per-block statistics metadata.  Templates are immutable
   after construction and safe to share across threads and engines; the
   process-wide :mod:`repro.hw.sim.trace_cache` stores exactly these.
-* :class:`JitProgram` — a template **bound** to one
-  :class:`~repro.hw.memory.Memory`: ``exec`` of the code object binds the
-  inlined load/store helpers to that memory's dmem bytearray, and each
-  kernel loop gets its runner from ``make_run_many([mem])`` on first use
-  (a single frame is a batch of one).
-  Binding is cheap (one ``exec`` of an already-compiled module, no
-  re-decode).
+* :class:`JitProgram` — a template **bound** to the memories of one run:
+  a single :class:`~repro.hw.memory.Memory` on the core's path, every
+  frame's memory clone on the batched path.  One ``exec`` of the code
+  object binds the inlined load/store helpers to a *current-frame cell*
+  (that frame's dmem row and ``Memory``), which :meth:`JitProgram.advance`
+  switches to the frame of the run it resumes; a kernel loop a frame runs
+  alone gets its runner from ``make_run_many([mem])`` on first use (a
+  single frame is a batch of one).  Binding is cheap (one ``exec`` of an
+  already-compiled module per run or batch, no re-decode).
 
 Execution strategy per block, fastest first: recognized kernel loop (one
 numpy op for the whole remaining trip count) → generated block function →
@@ -53,8 +55,8 @@ bne a2, a3, -12`` compiles to::
 Registers live in locals, the branch targets are literals, and the function
 returns the next pc (``None`` for an ``ebreak`` halt — a pc can legally be
 negative through ``jalr``, so no numeric sentinel is safe).  ``_lwu`` is a
-bound fast-path accessor: a direct slice of the dmem bytearray when the
-address lands in dmem, the full bounds-checked
+bound fast-path accessor: a direct slice of the current frame's dmem when
+the address lands in dmem, that frame's full bounds-checked
 :meth:`~repro.hw.memory.Memory.load_word` otherwise — faults keep their
 exact type and message.
 
@@ -70,7 +72,7 @@ statistics.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -317,72 +319,67 @@ def _generate_block(
 # --------------------------------------------------------------------------- #
 # Memory helper binding
 # --------------------------------------------------------------------------- #
-def _bind_helpers(memory: Memory) -> Dict[str, Callable]:
+def _bind_helpers(base: int, size: int, cur: list) -> Dict[str, Callable]:
     """Fast-path dmem accessors with slow bounds-checked fallbacks.
 
-    The fast path slices the dmem bytearray directly; anything outside dmem
-    (imem, otp, out-of-bounds) routes through the ordinary ``Memory``
+    ``cur`` is the current-frame cell ``[dmem bytes, Memory]``.  The fast
+    path slices that frame's dmem directly; anything outside dmem (imem,
+    otp, out-of-bounds) routes through the frame's own ``Memory``
     accessors so faults keep their exact type and message.
     """
-    region = memory.regions["dmem"]
-    data = memory._data["dmem"]
-    base = region.base
-    size = region.size
-    lw, lh, lb = memory.load_word, memory.load_half, memory.load_byte
-    sw, sh, sb = memory.store_word, memory.store_half, memory.store_byte
 
-    def _lwu(a, _d=data, _b=base, _n=size - 3, _s=lw):
+    def _lwu(a, _c=cur, _b=base, _n=size - 3):
         o = a - _b
         if 0 <= o < _n:
-            return int.from_bytes(_d[o:o + 4], "little")
-        return _s(a, False)
+            return int.from_bytes(_c[0][o:o + 4], "little")
+        return _c[1].load_word(a, False)
 
-    def _lhu(a, _d=data, _b=base, _n=size - 1, _s=lh):
+    def _lhu(a, _c=cur, _b=base, _n=size - 1):
         o = a - _b
         if 0 <= o < _n:
-            return int.from_bytes(_d[o:o + 2], "little")
-        return _s(a, False)
+            return int.from_bytes(_c[0][o:o + 2], "little")
+        return _c[1].load_half(a, False)
 
-    def _lhs(a, _d=data, _b=base, _n=size - 1, _s=lh):
+    def _lhs(a, _c=cur, _b=base, _n=size - 1):
         o = a - _b
         if 0 <= o < _n:
-            v = int.from_bytes(_d[o:o + 2], "little")
+            v = int.from_bytes(_c[0][o:o + 2], "little")
             return v | 0xFFFF0000 if v & 0x8000 else v
-        return _s(a, True) & 0xFFFFFFFF
+        return _c[1].load_half(a, True) & 0xFFFFFFFF
 
-    def _lbu(a, _d=data, _b=base, _n=size, _s=lb):
+    def _lbu(a, _c=cur, _b=base, _n=size):
         o = a - _b
         if 0 <= o < _n:
-            return _d[o]
-        return _s(a, False)
+            return _c[0][o]
+        return _c[1].load_byte(a, False)
 
-    def _lbs(a, _d=data, _b=base, _n=size, _s=lb):
+    def _lbs(a, _c=cur, _b=base, _n=size):
         o = a - _b
         if 0 <= o < _n:
-            v = _d[o]
+            v = _c[0][o]
             return v | 0xFFFFFF00 if v & 0x80 else v
-        return _s(a, True) & 0xFFFFFFFF
+        return _c[1].load_byte(a, True) & 0xFFFFFFFF
 
-    def _sw(a, v, _d=data, _b=base, _n=size - 3, _s=sw):
+    def _sw(a, v, _c=cur, _b=base, _n=size - 3):
         o = a - _b
         if 0 <= o < _n:
-            _d[o:o + 4] = v.to_bytes(4, "little")
+            _c[0][o:o + 4] = v.to_bytes(4, "little")
         else:
-            _s(a, v)
+            _c[1].store_word(a, v)
 
-    def _sh(a, v, _d=data, _b=base, _n=size - 1, _s=sh):
+    def _sh(a, v, _c=cur, _b=base, _n=size - 1):
         o = a - _b
         if 0 <= o < _n:
-            _d[o:o + 2] = (v & 0xFFFF).to_bytes(2, "little")
+            _c[0][o:o + 2] = (v & 0xFFFF).to_bytes(2, "little")
         else:
-            _s(a, v)
+            _c[1].store_half(a, v)
 
-    def _sb(a, v, _d=data, _b=base, _n=size, _s=sb):
+    def _sb(a, v, _c=cur, _b=base, _n=size):
         o = a - _b
         if 0 <= o < _n:
-            _d[o] = v & 0xFF
+            _c[0][o] = v & 0xFF
         else:
-            _s(a, v)
+            _c[1].store_byte(a, v)
 
     return {
         "_lwu": _lwu, "_lhu": _lhu, "_lhs": _lhs, "_lbu": _lbu, "_lbs": _lbs,
@@ -462,8 +459,9 @@ class JitTemplate:
         self.code = compile(self.source, f"<repro-jit-{self.fingerprint}>", "exec")
 
     # ------------------------------------------------------------------ #
-    def bind(self, program: List[Instruction], memory: Memory) -> "JitProgram":
-        return JitProgram(self, program, memory)
+    def bind(self, program: List[Instruction], *mems: Memory) -> "JitProgram":
+        """Bind once for a whole run: ``mems`` holds every frame's memory."""
+        return JitProgram(self, program, mems)
 
     def vectorized_labels(self):
         return {b.label for b in self.blocks if b.kernel is not None and b.label}
@@ -545,28 +543,30 @@ class JitTemplate:
         self._mnemonics = list(mnemonics)
 
     def commit(
-        self,
-        stats: ExecutionStats,
-        cnt: List[int],
-        slow_instr: int,
-        slow_cycles: int,
-        slow_counts: Dict[str, int],
+        self, stats_list: Sequence[ExecutionStats], states: Sequence["_RunState"]
     ) -> None:
-        """Scale a run's flat counters into exact aggregate statistics."""
-        totals = (np.array(cnt, dtype=np.int64) @ self._weights).tolist()
-        merged: Dict[str, int] = dict(slow_counts)
-        for m, c in zip(self._mnemonics, totals[2:]):
-            if c:
-                merged[m] = merged.get(m, 0) + c
-        stats.record_block(
-            slow_instr + totals[0], slow_cycles + totals[1], merged
-        )
+        """Scale runs' flat counters into exact aggregate statistics.
+
+        Every run of a batch is scaled by one ``(runs, n_slots)`` matmul.
+        """
+        cnts = np.array([st.cnt for st in states], dtype=np.int64)
+        for stats, st, totals in zip(
+            stats_list, states, (cnts @ self._weights).tolist()
+        ):
+            merged: Dict[str, int] = dict(st.slow_counts)
+            for m, c in zip(self._mnemonics, totals[2:]):
+                if c:
+                    merged[m] = merged.get(m, 0) + c
+            stats.record_block(
+                st.slow_instr + totals[0], st.slow_cycles + totals[1], merged
+            )
 
 
 class _RunState:
     """Mutable per-run execution state (one per frame in batched mode)."""
 
     __slots__ = (
+        "frame",
         "regs",
         "cnt",
         "pc",
@@ -580,54 +580,68 @@ class _RunState:
     )
 
 
-def _lazy_run(kernel, memory: Memory):
-    """``kernel.make_run_many([memory])``, bound on first call.
-
-    The batched executor runs kernels for all frames at once; a frame's
-    own runner is only needed when it runs alone or a batched kernel
-    declines.
-    """
-    bound = None
-
-    def run(regs_list, cnts, aux_base):
-        nonlocal bound
-        if bound is None:
-            bound = kernel.make_run_many([memory])
-        return bound(regs_list, cnts, aux_base)
-
-    return run
-
-
 class JitProgram:
-    """A :class:`JitTemplate` bound to one concrete memory."""
+    """A :class:`JitTemplate` bound once to every frame's memory of a run.
+
+    The generated block functions are bound once; their memory helpers read
+    the current frame from a cell that :meth:`advance` and
+    :meth:`kernel_step` switch to the frame of the run state they resume.
+    The core's single-frame path is the same binding with one memory.
+    """
 
     def __init__(
-        self, template: JitTemplate, program: List[Instruction], memory: Memory
+        self,
+        template: JitTemplate,
+        program: List[Instruction],
+        mems: Sequence[Memory],
     ):
         self.template = template
         self.program = program
-        self.memory = memory
+        self.mems = list(mems)
+        self._dmem = [m._data["dmem"] for m in self.mems]
+        region = self.mems[0].regions["dmem"]
+        self._cur = [self._dmem[0], self.mems[0]]
+        self._frame = 0
         g: Dict[str, object] = {"__name__": f"repro_jit_{template.fingerprint}"}
-        g.update(_bind_helpers(memory))
+        g.update(_bind_helpers(region.base, region.size, self._cur))
         exec(template.code, g)
         fns = g["_FNS"]
-        self._decoded = None  # lazy per-instruction closures (fallback paths)
+        # Per frame, built on first use: per-instruction closures (fallback
+        # paths) and the runners of kernels the frame executes alone.
+        self._decoded: Dict[int, list] = {}
+        self._runners: Dict[tuple, Callable] = {}
         entries: Dict[int, tuple] = {}
         for i, (pc, n, kernel, kipi, kexit, kslot, fpc) in enumerate(
             template._entry_statics
         ):
-            krun = _lazy_run(kernel, memory) if kernel is not None else None
-            entries[pc] = (fns[i], n, krun, kipi, kexit, kslot, fpc, i)
+            entries[pc] = (fns[i], n, kernel, kipi, kexit, kslot, fpc, i)
         self.entries = entries
+
+    def _select(self, frame: int) -> None:
+        """Point the memory helpers at ``frame``'s dmem and ``Memory``."""
+        if frame != self._frame:
+            self._frame = frame
+            self._cur[0] = self._dmem[frame]
+            self._cur[1] = self.mems[frame]
+
+    def _runner(self, frame: int, bi: int) -> Callable:
+        """Block ``bi``'s kernel runner over ``frame``'s memory alone."""
+        run = self._runners.get((frame, bi))
+        if run is None:
+            kernel = self.template.blocks[bi].kernel
+            run = kernel.make_run_many([self.mems[frame]])
+            self._runners[(frame, bi)] = run
+        return run
 
     # ------------------------------------------------------------------ #
     def _fallback_decoded(self):
-        if self._decoded is None:
+        decoded = self._decoded.get(self._frame)
+        if decoded is None:
             t = self.template
-            self._decoded = decode_program(
-                self.program, self.memory, t.cycle_model, t.enable_sdotp
+            decoded = self._decoded[self._frame] = decode_program(
+                self.program, self.mems[self._frame], t.cycle_model, t.enable_sdotp
             )
-        return self._decoded
+        return decoded
 
     def _run_closure_block(self, bi: int, regs: List[int], cnt: List[int]):
         """Execute a block the source generator declined, via closures."""
@@ -667,8 +681,10 @@ class JitProgram:
         stats: ExecutionStats,
         entry_pc: int,
         max_instructions: int,
+        frame: int = 0,
     ) -> _RunState:
         st = _RunState()
+        st.frame = frame
         st.regs = regs
         st.cnt = [0] * self.template.n_slots
         st.pc = entry_pc
@@ -682,9 +698,7 @@ class JitProgram:
         return st
 
     def finish(self, st: _RunState, stats: ExecutionStats) -> None:
-        self.template.commit(
-            stats, st.cnt, st.slow_instr, st.slow_cycles, st.slow_counts
-        )
+        self.template.commit([stats], [st])
 
     def _limit_error(self, st: _RunState, stats: ExecutionStats) -> SimulationError:
         self.finish(st, stats)
@@ -702,6 +716,7 @@ class JitProgram:
     ) -> str:
         """Run until halt (``"done"``) or, with ``stop_at_kernel``, until the
         pc lands on a kernel block without executing it (``"kernel"``)."""
+        self._select(st.frame)
         t = self.template
         entries = self.entries
         regs = st.regs
@@ -770,12 +785,12 @@ class JitProgram:
                     return "done"
                 continue
 
-            fn, n, krun, kipi, kexit, kslot, fpc, bi = e
-            if krun is not None:
+            fn, n, kernel, kipi, kexit, kslot, fpc, bi = e
+            if kernel is not None:
                 if stop_at_kernel:
                     st.pc, st.executed = pc, executed
                     return "kernel"
-                iters, extras = krun([regs], [cnt], kslot + 2)
+                iters, extras = self._runner(st.frame, bi)([regs], [cnt], kslot + 2)
                 if iters:
                     cnt[kslot] += iters
                     cnt[kslot + 1] += 1
@@ -803,10 +818,11 @@ class JitProgram:
 
     def kernel_step(self, st: _RunState, stats: ExecutionStats) -> None:
         """One execution of the kernel block at ``st.pc`` (batched decline path)."""
-        fn, n, krun, kipi, kexit, kslot, fpc, bi = self.entries[st.pc]
+        self._select(st.frame)
+        fn, n, _, kipi, kexit, kslot, fpc, bi = self.entries[st.pc]
         regs = st.regs
         cnt = st.cnt
-        iters, extras = krun([regs], [cnt], kslot + 2)
+        iters, extras = self._runner(st.frame, bi)([regs], [cnt], kslot + 2)
         if iters:
             cnt[kslot] += iters
             cnt[kslot + 1] += 1

@@ -24,8 +24,8 @@ then falls back to generic block execution, which is always bit-exact.
 Recognition is structural, on the assembled instructions themselves, and
 **memory-independent**, so a recognized :class:`KernelLoop` belongs to a
 reusable template (the process-wide JIT trace cache stores these).  Its one
-executor factory, ``make_run_many(mems)``, binds one memory per frame at
-execution time; a single frame is a batch of one.
+executor factory, ``make_run_many(mems)``, binds a whole batch's memories
+once at execution time; a single frame is a batch of one.
 
 The code generator additionally *annotates* every loop it emits
 (:class:`repro.deploy.codegen.KernelHint`); the annotations are used by
@@ -49,10 +49,11 @@ MASK = 0xFFFFFFFF
 class KernelLoop:
     """A recognized loop with a vectorized executor.
 
-    ``make_run_many(mems)`` binds one memory per frame (a single frame is a
-    list of one) and returns ``run_many(regs_list, cnts, aux_base)``.  The
-    runner executes the remaining trip count ``n`` (read from the counter
-    register) for every frame at once — one numpy op over the stacked
+    ``make_run_many(mems)`` binds every frame's memory of a batch at once
+    (a single frame is a list of one) and returns
+    ``run_many(regs_list, cnts, aux_base)``.  The runner executes the
+    remaining trip count ``n`` (read from the counter register) for every
+    frame at once — one numpy op over the stacked
     ``(frames, bytes)`` matrix of :class:`FrameDmem` — adds each frame's
     side-path hits to its ``cnts[f][aux_base + j]`` slots and returns
     ``(n, extras)``, where ``extras[f]`` counts the instructions frame
@@ -582,8 +583,8 @@ class ChannelSpec:
     """Register roles and constants of one matched output-channel loop.
 
     Filled in by :func:`try_channel_superloop`; :meth:`evaluate` runs the
-    loop for one output pixel (the ``conv-chan`` / ``fc-chan`` kernels) or
-    for a whole grid of pixels (the ``conv-nest`` kernel).  ``control`` are
+    loop for one output vector (the ``fc-chan`` kernel) or for a whole grid
+    of pixels (the ``conv-nest`` kernel).  ``control`` are
     the registers the loop reads or keeps live, ``scratch`` the registers
     it only clobbers.
     """
@@ -636,8 +637,18 @@ class ChannelSpec:
 
         a_lanes, w_lanes = _MODE_LANES[self.mode]
         va = _lane_view(act, _LANES[a_lanes], *a_geom).reshape(F, rows * cols, -1)
-        vw = _lane_view(wts, _LANES[w_lanes], *w_geom).reshape(F, n, -1)
-        dots = np.matmul(va, vw.transpose(0, 2, 1)).astype(np.int64)
+        if F == 1 or (wts == wts[0]).all():
+            # Every frame holds the same weight bytes (proven, not assumed):
+            # expand them to lanes once and broadcast them over the frames.
+            # One stacked (F*pixels, K) product would be larger than the
+            # per-frame ones and can cross the BLAS's multithreading
+            # threshold, whose thread wake-up costs milliseconds.
+            vw = _lane_view(wts[:1], _LANES[w_lanes], *w_geom).reshape(n, -1)
+            dots = np.matmul(va, vw.T)
+        else:
+            vw = _lane_view(wts, _LANES[w_lanes], *w_geom).reshape(F, n, -1)
+            dots = np.matmul(va, vw.transpose(0, 2, 1))
+        dots = dots.astype(np.int64)
         bias = np.ascontiguousarray(bias_g).view("<i4").astype(np.int64)
         acc32 = (bias[:, None, :] + dots) & MASK
 
@@ -748,9 +759,11 @@ def try_channel_superloop(
 
     Returns a :class:`KernelLoop` (kind ``conv-chan`` / ``fc-chan``) with
     ``aux`` side-path counters and its :class:`ChannelSpec` in
-    ``meta["spec"]``, or ``None``.  Matching is strict: any deviation from
-    the exact codegen shape declines and the simulator falls back to
-    generic block execution, which is always bit-exact.
+    ``meta["spec"]``, or ``None``.  Only ``fc-chan`` loops get an
+    executor; a ``conv-chan`` loop is the building block of a
+    ``conv-nest``.  Matching is strict: any deviation from the exact
+    codegen shape declines and the simulator falls back to generic block
+    execution, which is always bit-exact.
     """
     try:
         return _match_channel_loop(program, head, cycle_model)
@@ -1034,9 +1047,16 @@ def _match_channel_loop(program, head, cycle_model):
     spec.control, spec.scratch = set(control), scratch
     spec.clamp_aux = tuple(aux[:2]) if requant else ()
     spec.parity_aux = tuple(aux[-2:]) if out_bits == 4 else ()
-    uniform_regs = [CNTR, BP, WP, OUTP]
+    loop = tally.kernel(
+        "conv-chan" if conv else "fc-chan", program[head].label, 4 * w.i
+    )
+    loop.aux = tuple(aux)
+    loop.meta = {"spec": spec}
     if conv:
-        uniform_regs.append(PB)
+        # A conv channel loop is a building block of ``conv-nest`` only:
+        # it runs per pixel as generic blocks whenever its nest declines.
+        return loop
+    uniform_regs = [CNTR, BP, WP, OUTP]
     if requant:
         uniform_regs += [MUL, RND, LEV]
     if out_bits == 4:
@@ -1053,8 +1073,7 @@ def _match_channel_loop(program, head, cycle_model):
                 return 0, None
             p0 = 1 if out_bits == 4 and r0[PAR] else 0
             done = spec.evaluate(
-                dm, regs_list, n, r0[BP], r0[WP],
-                r0[PB] if conv else act_addr, r0[OUTP], p0,
+                dm, regs_list, n, r0[BP], r0[WP], act_addr, r0[OUTP], p0
             )
             if done is None:
                 return 0, None
@@ -1072,12 +1091,7 @@ def _match_channel_loop(program, head, cycle_model):
 
         return run_many
 
-    loop = tally.kernel(
-        "conv-chan" if conv else "fc-chan", program[head].label, 4 * w.i
-    )
     loop.make_run_many = make_run_many
-    loop.aux = tuple(aux)
-    loop.meta = {"spec": spec}
     return loop
 
 
@@ -1086,7 +1100,9 @@ def attach_channel_superloops(blocks, program: List[Instruction], cycle_model):
 
     Called by the JIT template build after :func:`build_blocks`.
     Candidates are backward ``bne`` targets whose block opens with the bias
-    ``lw``; the strict matcher declines everything else.
+    ``lw``; the strict matcher declines everything else.  A ``conv-chan``
+    loop is attached only for :func:`~repro.hw.sim.nests.attach_layer_nests`
+    to wrap in its ``conv-nest``; that pass detaches it again.
     """
     by_pc = {b.pc: b for b in blocks}
     seen = set()

@@ -1,9 +1,9 @@
 """Layer-nest kernels: a whole conv or maxpool layer per dispatch.
 
-The channel superloop (:mod:`repro.hw.sim.kernels`) runs every output
-channel of one output *pixel* as one numpy op, which still leaves one
-dispatch per pixel, and the 2x2 maxpool byte loop (data-dependent compare
-diamonds) runs as generic blocks, byte by byte.  Codegen wraps both in the
+A conv layer's channel loop (matched by :mod:`repro.hw.sim.kernels`)
+covers every output channel of one output *pixel*, and the 2x2 maxpool
+byte loop (data-dependent compare diamonds) one output pixel's bytes.
+Codegen wraps both in the
 same rigid row/column nest (:func:`repro.deploy.codegen.emit_conv_layer`,
 :func:`~repro.deploy.codegen.emit_maxpool_layer`)::
 
@@ -34,9 +34,10 @@ maxpool "new max" (a not-taken ``bge`` plus a ``mv``) — go through the
 kernel's ``aux`` hit slots.  The INT4 store parity restarts at every pixel,
 so its odd/even paths and the flush are fixed per pixel.  Final registers
 are those of the last pixel, in execution order.  A nest declines (the
-channel kernel and the generic blocks take over) when its control
-registers differ across frames, a span leaves dmem, or the layer's output
-overlaps any input, weight or bias span it reads.
+generic blocks take over; the layer's channel loop is never a standalone
+kernel) when its control registers differ across frames, a span leaves
+dmem, or the layer's output overlaps any input, weight or bias span it
+reads.
 """
 
 from __future__ import annotations
@@ -411,9 +412,10 @@ def attach_layer_nests(blocks, program: List[Instruction], cycle_model) -> None:
 
     Called by the JIT template build after
     :func:`~repro.hw.sim.kernels.attach_channel_superloops` (a conv nest
-    wraps an attached ``conv-chan`` kernel).  Candidates are backward
-    ``bne`` targets whose block opens with a register move; the strict
-    matchers decline everything else.
+    wraps an attached ``conv-chan`` loop, which is then detached: it never
+    dispatches on its own).  Candidates are backward ``bne`` targets whose
+    block opens with a register move; the strict matchers decline
+    everything else.
     """
     by_pc = {b.pc: b for b in blocks}
     seen = set()
@@ -437,3 +439,6 @@ def attach_layer_nests(blocks, program: List[Instruction], cycle_model) -> None:
                 break
             except _NoMatch:
                 continue
+    for block in blocks:
+        if block.kernel is not None and block.kernel.kind == "conv-chan":
+            block.kernel = None

@@ -324,6 +324,107 @@ class TestBatchedExecution:
             assert dispatches <= 8
             assert counts["blocks"] <= 60
 
+    def test_one_binding_per_batch(self, integer_network, prepared_data, monkeypatch):
+        """A 16-frame batch execs the template's generated module once."""
+        import repro.hw.sim.jit as jit_module
+        from repro.deploy.runtime import load_model
+        from repro.hw.sim.batch import run_batch
+
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:16]
+        )
+        platform = maupiti_platform()
+        compiled = compile_network(integer_network, use_sdotp=True)
+        load_model(platform, compiled)
+        core = platform.core
+        template = get_template(compiled.program, core.cycle_model, True)
+        execs = []
+        builtin_exec = exec
+
+        def counting_exec(code, *args):
+            execs.append(code)
+            return builtin_exec(code, *args)
+
+        monkeypatch.setattr(jit_module, "exec", counting_exec, raising=False)
+        outcomes = run_batch(
+            platform.memory, compiled.program,
+            [p.tobytes() for p in pack_input_frames(compiled, frames)],
+            compiled.input_buffer.address, core.cycle_model, True,
+            core.max_instructions,
+        )
+        assert len(outcomes) == 16
+        assert execs == [template.code]
+
+    def test_fault_in_one_frame_is_that_frames_fault(self):
+        """Only frame 2 reads outside dmem: the batch raises the exception
+        frame 2 raises alone, and the platform memory is left untouched."""
+        from repro.hw import DEFAULT_CYCLE_MODEL, Memory
+        from repro.hw.sim.batch import run_batch
+
+        buf = DMEM_BASE + 64
+        # t2 = *(*buf): each frame loads through the address its payload holds.
+        program = [
+            Instruction("lui", rd=reg("t0"), imm=DMEM_BASE),
+            Instruction("lw", rd=reg("t1"), rs1=reg("t0"), imm=64),
+            Instruction("lw", rd=reg("t2"), rs1=reg("t1"), imm=0),
+            Instruction("ebreak"),
+        ]
+
+        def payload(address, value):
+            return address.to_bytes(4, "little") + value.to_bytes(4, "little")
+
+        good = [payload(buf + 4, 1000 + i) for i in range(4)]
+        base = Memory()
+        base.store_bytes(DMEM_BASE, bytes(range(256)) * (DMEM_SIZE // 256))
+        outcomes = run_batch(
+            base, program, good, buf, DEFAULT_CYCLE_MODEL, True, 1000
+        )
+        # Every frame read its own memory through the one shared binding.
+        assert [o.regs[reg("t2")] for o in outcomes] == [1000, 1001, 1002, 1003]
+
+        bad = list(good)
+        bad[2] = payload(0x7FFFF000, 0)
+        errors = {}
+        for mode in ("interp", "jit"):
+            core = IbexCore(memory=base.clone(), mode=mode)
+            core.memory.store_bytes(buf, bad[2])
+            with pytest.raises(Exception) as info:
+                core.run(program)
+            errors[mode] = info.value
+        before = {name: bytes(data) for name, data in base._data.items()}
+        with pytest.raises(Exception) as info:
+            run_batch(base, program, bad, buf, DEFAULT_CYCLE_MODEL, True, 1000)
+        for alone in errors.values():
+            assert type(info.value) is type(alone)
+            assert str(info.value) == str(alone)
+        assert {name: bytes(data) for name, data in base._data.items()} == before
+
+    def test_batched_path_bug_propagates(
+        self, integer_network, prepared_data, monkeypatch
+    ):
+        """Only lockstep divergence and simulated faults fall back to the
+        sequential path; a bug in the batched path is raised, not hidden."""
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:3]
+        )
+        platform = maupiti_platform(sim_mode="jit")
+        compiled = compile_network(integer_network, use_sdotp=True)
+        template = get_template(compiled.program, platform.core.cycle_model, True)
+        kernel = next(
+            b.kernel for b in template.blocks
+            if b.kernel is not None and b.kernel.kind == "conv-nest"
+        )
+        single_frame = kernel.make_run_many
+
+        def batched_only_bug(mems):
+            if len(mems) > 1:
+                raise ValueError("injected batched-kernel bug")
+            return single_frame(mems)
+
+        monkeypatch.setattr(kernel, "make_run_many", batched_only_bug)
+        with pytest.raises(ValueError, match="injected batched-kernel bug"):
+            simulate_batch(platform, compiled, frames)
+
 
 # --------------------------------------------------------------------------- #
 # Thread safety

@@ -7,7 +7,9 @@ interpreter, the JIT's single-frame path and its batched lockstep path.
 Every frame must match the interpreter on registers, data memory, final
 pc, instructions, cycles and per-mnemonic statistics, and a valid layer
 must actually run as one nest dispatch.  Layers whose output overlaps
-their input must make the nest decline and still match.
+their input must make the nest decline and still match.  Frames that each
+bring their own weights must be computed with their own weights by the
+batched ``conv-nest`` and ``fc-chan`` kernels.
 
 The example budget follows the active hypothesis profile: the default in
 tier-1, ``sim-large`` (registered in ``conftest.py``) in CI.
@@ -22,11 +24,13 @@ from repro.deploy.codegen import (
     ActBuffer,
     Assembler,
     ConvKernelConfig,
+    FcKernelConfig,
     PoolKernelConfig,
     emit_conv_layer,
+    emit_fc_layer,
     emit_maxpool_layer,
 )
-from repro.deploy.packing import padded_run_bytes
+from repro.deploy.packing import padded_run_bytes, padded_run_length
 from repro.deploy.program import _Allocator
 from repro.hw import (
     DEFAULT_CYCLE_MODEL,
@@ -57,17 +61,18 @@ def _buffer(address, height, width, channels, bits, pad):
     )
 
 
-def _run_all(program, in_buf, seed, n_frames, use_sdotp):
+def _run_all(program, in_buf, seed, n_frames, use_sdotp, payload_bytes=None):
     """Run every frame in interp, single-frame jit and batched jit.
 
-    Asserts full-state parity of both jit paths against the interpreter and
-    returns the batched outcomes.
+    Each frame's random payload covers ``payload_bytes`` from the input
+    buffer (default: the input buffer alone).  Asserts full-state parity of
+    both jit paths against the interpreter and returns the batched outcomes.
     """
     rng = np.random.default_rng(seed)
     base = Memory()
     base.store_bytes(DMEM_BASE, rng.integers(0, 256, DMEM_SIZE, dtype=np.uint8).tobytes())
     payloads = [
-        rng.integers(0, 256, in_buf.size_bytes, dtype=np.uint8).tobytes()
+        rng.integers(0, 256, payload_bytes or in_buf.size_bytes, dtype=np.uint8).tobytes()
         for _ in range(n_frames)
     ]
     cores = {}
@@ -246,6 +251,69 @@ def test_pool_nest_declines_on_output_overlapping_input(p):
     # rows whose output no longer overlaps what is left to read.
     for _, rows in _nest_rows(program, outcomes, p["use_sdotp"], "pool-nest"):
         assert rows < out_h
+
+
+# --------------------------------------------------------------------------- #
+# Frames with different weights
+# --------------------------------------------------------------------------- #
+@st.composite
+def fc_layers(draw):
+    return dict(
+        bits=draw(st.sampled_from([4, 8])),
+        in_values=draw(st.integers(1, 40)),
+        c_out=draw(st.integers(1, 12)),
+        out_bits=draw(st.sampled_from([4, 8, 32])),
+        requantize=draw(st.booleans()),
+        use_sdotp=draw(st.booleans()),
+        multiplier=draw(st.integers(1, 2**31 - 1)),
+        shift=draw(st.integers(0, 30)),
+        out_levels=draw(st.integers(0, 255)),
+        frames=draw(st.integers(2, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _fc_program(p):
+    lay = _Allocator()
+    padded = padded_run_length(p["in_values"], p["bits"])
+    in_buf = _buffer(0, 1, 1, p["in_values"], p["bits"], 0)
+    in_buf.address = lay.alloc(in_buf.size_bytes)
+    row = padded_run_bytes(p["in_values"], p["bits"])
+    weights = lay.alloc(p["c_out"] * row)
+    bias = lay.alloc(4 * p["c_out"])
+    cfg = FcKernelConfig(
+        name="fc", in_address=in_buf.address, in_values=padded,
+        out_buf_address=lay.alloc(4 * p["c_out"]), weights_address=weights,
+        bias_address=bias, c_out=p["c_out"], bits=p["bits"],
+        out_bits=p["out_bits"], multiplier=p["multiplier"], shift=p["shift"],
+        out_levels=p["out_levels"], requantize=p["requantize"],
+        use_sdotp=p["use_sdotp"], weight_row_stride=row,
+    )
+    asm = Assembler()
+    emit_fc_layer(asm, cfg)
+    asm.emit("ebreak")
+    return asm.assemble(), in_buf
+
+
+@settings(deadline=None)
+@given(conv_layers(), fc_layers())
+def test_frames_with_own_weights_match_interpreter(conv, fc):
+    """Every frame brings its own random dmem -- weights and biases
+    included -- so the batched conv-nest and fc-chan kernels must compute
+    each frame with that frame's weights, never share one frame's."""
+    program, in_buf, out_h = _conv_program(conv)
+    whole_dmem = DMEM_BASE + DMEM_SIZE - in_buf.address
+    outcomes = _run_all(program, in_buf, conv["seed"], conv["frames"],
+                        conv["use_sdotp"], payload_bytes=whole_dmem)
+    assert _nest_rows(program, outcomes, conv["use_sdotp"], "conv-nest") == [(1, out_h)] * conv["frames"]
+
+    program, in_buf = _fc_program(fc)
+    whole_dmem = DMEM_BASE + DMEM_SIZE - in_buf.address
+    outcomes = _run_all(program, in_buf, fc["seed"], fc["frames"],
+                        fc["use_sdotp"], payload_bytes=whole_dmem)
+    template = get_template(program, DEFAULT_CYCLE_MODEL, fc["use_sdotp"])
+    for o in outcomes:
+        assert template.dispatch_counts(o.counters).get("fc-chan") == 1
 
 
 # --------------------------------------------------------------------------- #
