@@ -14,7 +14,8 @@ bound once (one ``exec`` of its code object, whose memory helpers follow
 the frame being advanced), each kernel's multi-frame runner is built once,
 and every frame's statistics are scaled from one ``(frames, slots)``
 counter matrix.  Channel kernels expand weight bytes to multiply lanes once
-when a byte compare proves every frame holds the same weights.
+and broadcast them over the frames; when a byte compare finds frames with
+different weights, they decline and each frame runs the kernel alone.
 
 Data-dependent branches (requantization clamps, maxpool compares, argmax)
 do exist — the kernels count the ones inside them per frame, and the rest

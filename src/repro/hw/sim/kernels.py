@@ -603,9 +603,10 @@ class ChannelSpec:
         ``(negative, saturated)`` requant clamp-hit arrays (``None`` without
         requantization) and the ordered register updates of the *last*
         pixel, in execution order.  Returns ``None`` without writing when a
-        span leaves dmem or the output overlaps an input: the interpreter
+        span leaves dmem, the output overlaps an input (the interpreter
         interleaves stores and loads, which only agrees with
-        compute-all-then-store-all when the spans are disjoint.
+        compute-all-then-store-all when the spans are disjoint), or the
+        frames hold different weight bytes (each frame then runs alone).
         """
         rows, cols, sy, sx, oy, ox = grid
         F = len(regs_list)
@@ -635,20 +636,20 @@ class ChannelSpec:
             if out is None:
                 return None
 
+        if F > 1 and not (wts == wts[0]).all():
+            # Frames hold different weight bytes: decline, and each frame
+            # runs this kernel alone (where F == 1).
+            return None
+
+        # Every frame holds the same weight bytes (proven above, not
+        # assumed): expand them to lanes once and broadcast them over the
+        # frames.  One stacked (F*pixels, K) product would be larger than
+        # the per-frame ones and can cross the BLAS's multithreading
+        # threshold, whose thread wake-up costs milliseconds.
         a_lanes, w_lanes = _MODE_LANES[self.mode]
         va = _lane_view(act, _LANES[a_lanes], *a_geom).reshape(F, rows * cols, -1)
-        if F == 1 or (wts == wts[0]).all():
-            # Every frame holds the same weight bytes (proven, not assumed):
-            # expand them to lanes once and broadcast them over the frames.
-            # One stacked (F*pixels, K) product would be larger than the
-            # per-frame ones and can cross the BLAS's multithreading
-            # threshold, whose thread wake-up costs milliseconds.
-            vw = _lane_view(wts[:1], _LANES[w_lanes], *w_geom).reshape(n, -1)
-            dots = np.matmul(va, vw.T)
-        else:
-            vw = _lane_view(wts, _LANES[w_lanes], *w_geom).reshape(F, n, -1)
-            dots = np.matmul(va, vw.transpose(0, 2, 1))
-        dots = dots.astype(np.int64)
+        vw = _lane_view(wts[:1], _LANES[w_lanes], *w_geom).reshape(n, -1)
+        dots = np.matmul(va, vw.T).astype(np.int64)
         bias = np.ascontiguousarray(bias_g).view("<i4").astype(np.int64)
         acc32 = (bias[:, None, :] + dots) & MASK
 

@@ -37,7 +37,8 @@ are those of the last pixel, in execution order.  A nest declines (the
 generic blocks take over; the layer's channel loop is never a standalone
 kernel) when its control registers differ across frames, a span leaves
 dmem, or the layer's output overlaps any input, weight or bias span it
-reads.
+reads.  Frames that hold different weight bytes make it decline too; each
+frame then runs the nest alone.
 """
 
 from __future__ import annotations
