@@ -10,20 +10,22 @@ and coalesces frames arriving from different sensors into single
 ``Engine.predict_batch`` calls — the cross-session micro-batching that
 amortizes per-frame overhead across the fleet.
 
-The example prints each sensor's smoothed occupancy estimate (identical to
-what an offline ``Engine.stream`` replay would produce) and the server's
-final ``/metrics`` snapshot showing how well the fleet's frames batched.
+The example prints each sensor's smoothed occupancy estimate and the
+server's final ``/metrics`` snapshot showing how well the fleet's frames
+batched.  It replays every sensor's stream offline through
+``Engine.stream`` and exits non-zero unless the served votes are identical.
 
 With ``--workers N`` the server shards the fleet across N engine worker
-processes (consistent-hash on the session id, frames over shared-memory
-rings); the example then also prints which worker served each sensor and
-the pool's aggregated batching counters.  Results are bit-identical to the
-in-process run either way.
+processes (consistent-hash on the session id, frames inline on each
+worker's pipe); the example then also prints which worker served each
+sensor and the pool's aggregated batching counters.  Results are
+bit-identical to the in-process run either way.
 
 Run with:  PYTHONPATH=src python examples/serve_fleet.py [--workers N]
 """
 
 import argparse
+import sys
 import threading
 
 import numpy as np
@@ -40,7 +42,7 @@ FRAMES_PER_SENSOR = 70
 CHUNK = 8  # frames per HTTP push (a sensor uplink buffer)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--workers",
@@ -143,6 +145,18 @@ def main() -> None:
             print("\n=== final /metrics snapshot ===")
             print(probe.metrics(), end="")
 
+    mismatched = []
+    for idx, (voted, _) in enumerate(results):
+        with engine.stream(window=5) as offline:
+            replay = [offline.push(frame).voted for frame in streams[idx][0]]
+        if voted.tolist() != replay:
+            mismatched.append(idx)
+    if mismatched:
+        print(f"\nFAIL: served votes differ from the offline replay for sensors {mismatched}")
+        return 1
+    print("\nOK: every sensor's served votes equal its offline Engine.stream replay")
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -134,20 +134,13 @@ def _read_outputs_from(memory, compiled: CompiledModel) -> tuple:
     return prediction, logits
 
 
-def _read_outputs(
-    platform: SmartSensorPlatform, compiled: CompiledModel
-) -> tuple:
-    """Read back (prediction, logits) after a program run."""
-    return _read_outputs_from(platform.memory, compiled)
-
-
 def run_frame(
     platform: SmartSensorPlatform, compiled: CompiledModel, frame: np.ndarray
 ) -> InferenceResult:
     """Run a single frame through the compiled model on the simulator."""
     write_input(platform, compiled, frame)
     stats = platform.run_program(compiled.program)
-    prediction, logits = _read_outputs(platform, compiled)
+    prediction, logits = _read_outputs_from(platform.memory, compiled)
     return InferenceResult(prediction=prediction, logits=logits, stats=stats)
 
 
@@ -197,7 +190,7 @@ def simulate_batch(
     for payload in payloads:
         store_bytes(buf_address, payload.tobytes())
         stats = platform.run_program(compiled.program)
-        prediction, logits = _read_outputs(platform, compiled)
+        prediction, logits = _read_outputs_from(platform.memory, compiled)
         predictions.append(prediction)
         cycles.append(stats.cycles)
         logits_rows.append(logits)
@@ -268,16 +261,6 @@ def _simulate_batch_jit(
         results=results,
         logits=np.stack(logits_rows),
     )
-
-
-def run_frames(
-    platform: SmartSensorPlatform,
-    compiled: CompiledModel,
-    frames: np.ndarray,
-    keep_results: bool = False,
-) -> BatchInferenceResult:
-    """Run a batch of frames; alias of :func:`simulate_batch`."""
-    return simulate_batch(platform, compiled, frames, keep_results=keep_results)
 
 
 def verify_against_golden(

@@ -12,10 +12,12 @@ that turn those loops into parallel, resumable task units:
   count.  The process executor keeps one **persistent** worker pool across
   ``run()`` calls and is a context manager (``close()`` releases workers
   and shared memory).
-* **Shared-memory handoff** (:mod:`repro.parallel.shm`) — large arrays are
-  placed in ``multiprocessing.shared_memory`` once per run and referenced
-  by tiny descriptors in task payloads, eliminating the per-task dataset
-  pickling that made the PR-3 pool slower than serial.
+* **Shared-memory handoff** (:mod:`repro.parallel.shm`) — the flow's
+  datasets are placed in ``multiprocessing.shared_memory`` once per run and
+  referenced by tiny descriptors in task payloads, eliminating the per-task
+  dataset pickling that made the PR-3 pool slower than serial.  It is the
+  process executor's alone: the serving pool sends its few-KB frame pushes
+  inline on its worker pipes.
 * **Result cache** (:class:`ResultCache`, :func:`fingerprint`) — a
   content-addressed on-disk store keyed by (seed, config, dataset content),
   so repeated flow runs skip already-trained points.
@@ -36,18 +38,16 @@ from .executor import (
     get_executor,
     run_tasks,
 )
-from .shm import RingFull, SharedArray, ShmArena, ShmDescriptor, ShmRing, attach
+from .shm import SharedArray, ShmArena, ShmDescriptor, attach
 
 __all__ = [
     "EXECUTORS",
     "ProcessExecutor",
     "ResultCache",
-    "RingFull",
     "SerialExecutor",
     "SharedArray",
     "ShmArena",
     "ShmDescriptor",
-    "ShmRing",
     "ThreadExecutor",
     "attach",
     "executor_is_owned",

@@ -27,10 +27,9 @@ bit-identical whether a dataset is shared or not.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -222,175 +221,3 @@ class ShmArena:
             self.close()
         except Exception:
             pass
-
-
-# --------------------------------------------------------------------- #
-# SPSC byte ring: the serving pool's frame transport
-# --------------------------------------------------------------------- #
-
-
-class RingFull(RuntimeError):
-    """A non-blocking ring write found insufficient free space."""
-
-
-def attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach a named block WITHOUT registering it with the resource tracker.
-
-    Attaching by name normally registers the segment (bpo-38119), which is
-    doubly wrong for pool workers: the spawned child shares the parent's
-    tracker process, so (a) a worker exiting would unlink segments the
-    parent still owns, and (b) sending ``unregister`` afterwards would
-    delete the parent's own registration of the same name (the tracker
-    dedups by name), making the parent's eventual ``unlink`` complain.
-    Suppressing ``register`` for the duration of the attach sidesteps both;
-    workers attach before starting any threads, so the brief monkeypatch
-    cannot race.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-    except ImportError:  # pragma: no cover - tracker internals vary
-        return shared_memory.SharedMemory(name=name)
-
-
-class ShmRing:
-    """Single-producer / single-consumer byte ring over one shared block.
-
-    The ring stores *payload bytes only* — no in-band framing and no shared
-    cursors.  The producer copies a payload in with :meth:`write` and ships
-    the returned ``(pos, end)`` to the consumer out of band (the serving
-    pool's pipe doorbell); the consumer maps it with :meth:`view`, copies
-    it, and echoes ``end`` back the same way; the producer then frees the
-    space with :meth:`release`.  Both cursors live in the producer's
-    handle, so neither process ever writes the other's state, and every
-    hand-off is ordered by the pipe's send/recv: the ring needs no atomics
-    and holds on any CPU memory model.
-
-    Allocations are contiguous: a payload that does not fit before the end
-    of the buffer skips the tail fragment (the skip is accounted in the
-    absolute cursors, so ``release(end)`` frees it implicitly).
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, capacity: int, owner: bool):
-        self._shm = shm
-        self._owner = owner
-        self.capacity = capacity
-        self.head = 0  # absolute end of the last write (producer side)
-        self.tail = 0  # absolute cursor up to which space is free again
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def create(cls, capacity: int) -> "ShmRing":
-        if capacity < 1:
-            raise ValueError("ring capacity must be positive")
-        shm = shared_memory.SharedMemory(create=True, size=capacity)
-        return cls(shm, capacity, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmRing":
-        """The consumer's handle: :meth:`view` only."""
-        shm = attach_untracked(name)
-        return cls(shm, shm.size, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def occupancy(self) -> float:
-        """Fraction of the ring currently in flight (0.0 .. 1.0).
-
-        Clamped: an empty-ring write whose wraparound skip plus payload
-        exceeds ``capacity`` (see :meth:`write`) briefly puts more than
-        ``capacity`` absolute bytes in flight even though no physical byte
-        is used twice.
-        """
-        return min(1.0, (self.head - self.tail) / self.capacity)
-
-    # ------------------------------------------------------------------ #
-    def write(
-        self,
-        data,
-        timeout: Optional[float] = None,
-        poll_s: float = 0.0002,
-    ) -> Tuple[int, int]:
-        """Copy ``data`` (bytes-like) into the ring; returns ``(pos, end)``.
-
-        ``pos`` is the byte offset of the payload, ``end`` the absolute
-        cursor to pass to :meth:`release` once the consumer is done.  Blocks
-        polling for space (freed by another producer-side thread) up to
-        ``timeout`` seconds (``None``: forever); ``timeout=0`` is a
-        non-blocking attempt.  Raises :class:`RingFull` on timeout and
-        ``ValueError`` for payloads larger than the ring.
-        """
-        data = memoryview(data).cast("B")
-        n = data.nbytes
-        if n > self.capacity:
-            raise ValueError(
-                f"payload of {n} bytes exceeds ring capacity {self.capacity}"
-            )
-        deadline = None if timeout is None else time.monotonic() + timeout
-        head = self.head
-        while True:
-            pos = head % self.capacity
-            skip = self.capacity - pos if pos + n > self.capacity else 0
-            if (head + skip + n) - self.tail <= self.capacity:
-                break
-            if skip and self.tail == head:
-                # Ring empty: the skipped tail fragment holds no unconsumed
-                # bytes, so a payload whose skip + n window exceeds capacity
-                # (a near-maximal frame landing just past a wraparound) can
-                # still be placed at the buffer start without clobbering
-                # anything.  The absolute cursors advance by skip + n >
-                # capacity, which is fine — release() frees by cursor, not
-                # by byte position.  Without this clause such a write would
-                # poll forever: the fit condition above can never hold.
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                raise RingFull(
-                    f"ring {self.name} full ({self.head - self.tail}/"
-                    f"{self.capacity} bytes in flight, need {skip + n})"
-                )
-            time.sleep(poll_s)
-        start = head + skip
-        pos = start % self.capacity
-        self._shm.buf[pos : pos + n] = data
-        self.head = start + n
-        return pos, self.head
-
-    # ------------------------------------------------------------------ #
-    def view(self, pos: int, nbytes: int) -> memoryview:
-        """Zero-copy view of a payload; drop all references before close."""
-        return self._shm.buf[pos : pos + nbytes]
-
-    def release(self, end: int) -> None:
-        """Free the space of every payload up to the absolute cursor ``end``.
-
-        Echoed ``end`` values may arrive out of order (an error reply can
-        overtake an earlier request's success reply), so the tail only moves
-        forward.  Releasing up to the largest echoed ``end`` is safe as long
-        as the consumer copies each payload when it receives it, before it
-        replies to anything later.
-        """
-        self.tail = max(self.tail, end)
-
-    # ------------------------------------------------------------------ #
-    def close(self, unlink: Optional[bool] = None) -> None:
-        """Unmap the ring; the owning side also unlinks the block."""
-        unlink = self._owner if unlink is None else unlink
-        if unlink:
-            try:
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-        try:
-            self._shm.close()
-        except BufferError:
-            # Views are still outstanding; retire the mapping instead of
-            # segfaulting them (same policy as ShmArena.close).
-            _RETIRED.append(self._shm)

@@ -34,9 +34,9 @@ Pieces
 
 Scaling out: ``start_server(engine, workers=N)`` shards sessions by
 consistent hash onto N engine worker processes (each with its own engine
-and micro-batcher) with frames travelling through per-worker
-shared-memory rings — same service, same wire protocol, same bit-exact
-outputs; ``workers=0`` (the default) is the single-process path above.
+and micro-batcher) with frames sent inline on each worker's pipe — same
+service, same wire protocol, same bit-exact outputs; ``workers=0`` (the
+default) is the single-process path above.
 """
 
 from .batcher import FrameResult, MicroBatcher

@@ -9,18 +9,20 @@ so every frame of a session flows through exactly one worker in submission
 order — which is why served outputs stay bit-identical to an offline
 ``Engine.stream`` replay for every worker count.
 
-Transport: frame payloads travel parent -> worker through a per-worker
-shared-memory ring (:class:`repro.parallel.shm.ShmRing`), so the pipe only
-carries a ~200-byte doorbell per push — a send that cannot block on a full
-socket buffer.  Result rows come back inline in the worker's reply, which
-echoes the request's ring ``end`` so the parent can free the space.
+Transport: every parent -> worker message (a push's frames array, session
+opens and closes, ``prime``, ``drain``) goes into one FIFO outbox per
+worker, and that worker's sender thread pickles it onto the pipe.  The
+ingress only enqueues, so a worker that stops reading (stopped, swapping,
+wedged) fills its socket buffer without ever blocking the event loop; the
+``max_queue`` frames-in-flight cap answers 429 long before the outbox
+grows large.  Result rows come back inline in the worker's reply.
 
 Failure model: a worker that dies (segfault, OOM-kill) is detected by its
 pump thread via pipe EOF.  Every in-flight request on that worker fails
 with 503 + ``Retry-After: 1``, its sessions are purged (voter state lived
 in the dead process, so subsequent pushes 404), and the pump thread
 respawns and re-primes a fresh worker right away.  ``/metrics`` reports
-per-worker ``worker_up``, shard sizes, ring occupancy and cumulative
+per-worker ``worker_up``, shard sizes, frames in flight and cumulative
 crash/restart counters.
 
 Lifecycle: ``start()`` spawns every worker; ``prime()`` (used by the
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing as mp
+import queue
 import threading
 import time
 from concurrent.futures import Future
@@ -42,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..parallel.shm import RingFull, ShmRing
 from .batcher import FrameResult, _settle_future
 from .errors import (
     ERRORS_BY_CODE,
@@ -57,8 +59,6 @@ from .worker import WorkerSpec, worker_main
 
 #: "fork" is faster to start but unsafe with the parent's threads
 _MP = mp.get_context("spawn")
-#: request-ring size per worker
-_RING_BYTES = 4 * 1024 * 1024
 
 #: Kept for the frozen ``perfbench/serve_host.py``, which imports this name.
 PoolServeService = ServeService
@@ -74,9 +74,11 @@ def shard_of(session_id: str, workers: int) -> int:
 class WorkerHandle:
     """Parent-side endpoint of one engine worker process.
 
-    Owns the process, the request ring, the doorbell pipe and the pump
-    thread that drains worker replies.  Request and lifecycle state change
-    under ``_lock``; (re)spawns are serialized by ``_spawn_lock``, which
+    Owns the process, the pipe, the outbox with its sender thread (the only
+    writer of the pipe) and the pump thread that drains worker replies.
+    Callers never touch the pipe: they enqueue, so no call here blocks on a
+    worker that stopped reading.  Request and lifecycle state change under
+    ``_lock``; (re)spawns are serialized by ``_spawn_lock``, which
     ``prime``, ``drain`` and ``abort`` take too, so each waits out a
     respawn in progress.
     """
@@ -94,7 +96,7 @@ class WorkerHandle:
         #: parent-side shard map: the sessions mirrored on this worker
         self.sessions: Dict[str, Session] = {}
         self.last_stats: Dict[str, float] = {}
-        self.inflight = 0  # frames written to the ring, result not yet back
+        self.inflight = 0  # frames accepted for this worker, result not yet back
         #: frame shape a respawned worker is re-primed with (None: never)
         self.prime_shape: Optional[Tuple[int, ...]] = None
         self._spec = spec
@@ -106,7 +108,9 @@ class WorkerHandle:
         self._pending: Dict[int, Tuple[int, Future]] = {}  # req -> (n_frames, fut)
         self._proc = None
         self._conn = None
-        self._ring: Optional[ShmRing] = None
+        #: parent -> worker messages in send order; ``None`` stops the sender
+        self._outbox: Optional[queue.SimpleQueue] = None
+        self._sender_thread: Optional[threading.Thread] = None
         self._pump_thread: Optional[threading.Thread] = None
         self._draining = False
 
@@ -124,7 +128,6 @@ class WorkerHandle:
     def _spawn(self) -> None:
         config = self._config
         self._draining = False
-        self._ring = ShmRing.create(_RING_BYTES)
         parent_conn, child_conn = _MP.Pipe(duplex=True)
         self._conn = parent_conn
         knobs = {
@@ -135,7 +138,7 @@ class WorkerHandle:
         }
         proc = _MP.Process(
             target=worker_main,
-            args=(self._spec, knobs, self._ring.name, child_conn, self.index),
+            args=(self._spec, knobs, child_conn, self.index),
             name=f"repro-serve-worker-{self.index}",
             daemon=True,
         )
@@ -165,6 +168,14 @@ class WorkerHandle:
         except WorkerCrashedError:
             self._teardown()
             raise
+        self._outbox = queue.SimpleQueue()
+        self._sender_thread = threading.Thread(
+            target=_send_loop,
+            args=(parent_conn, self._outbox),
+            name=f"repro-serve-sender-{self.index}",
+            daemon=True,
+        )
+        self._sender_thread.start()
         with self._lock:
             self.state = "up"
             self.inflight = 0
@@ -250,16 +261,14 @@ class WorkerHandle:
             self._respawn()
 
     def _pump_one(self, msg: dict) -> None:
-        """Settle the future of one worker reply.  Always frees the ring
-        space the reply echoes and decrements ``inflight``, even when the
-        front-end already abandoned the future (request timeout / client
-        disconnect) — otherwise the shard would fill up and stay full."""
+        """Settle the future of one worker reply.  Always decrements
+        ``inflight``, even when the front-end already abandoned the future
+        (request timeout / client disconnect) — otherwise the shard would
+        fill up and stay full."""
         stats = msg.get("stats")
         if stats:
             self.last_stats = stats
         with self._lock:
-            if "end" in msg:
-                self._ring.release(msg["end"])
             entry = self._pending.pop(msg.get("req"), None)
             if entry is not None:
                 self.inflight -= entry[0]
@@ -281,21 +290,23 @@ class WorkerHandle:
             _settle_future(future, result=msg.get("payload"))
 
     def _teardown(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        """Stop the sender, reap the process, then close the pipe.  A send
+        blocked on a full socket buffer returns once the process is gone,
+        so the pipe is never closed under it."""
+        sender, self._sender_thread = self._sender_thread, None
+        if sender is not None:
+            self._outbox.put(None)
         proc, self._proc = self._proc, None
         if proc is not None:
             proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
+            if proc.is_alive():  # a wedged or stopped worker
+                proc.kill()
                 proc.join(timeout=5)
-        ring, self._ring = self._ring, None
-        if ring is not None:
-            ring.close()
+        if sender is not None:
+            sender.join()
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
 
     # ------------------------------------------------------------------ #
     def open(self, session: Session) -> None:
@@ -323,21 +334,19 @@ class WorkerHandle:
                 self._notify({"op": "close", "sid": session_id})
 
     def _notify(self, msg: dict) -> None:
-        """Send a message that gets no reply; the caller holds ``_lock``."""
-        try:
-            self._conn.send(msg)
-        except (BrokenPipeError, OSError):
-            pass  # the worker died: the pump's crash path purges its shard
+        """Queue a message that gets no reply; the caller holds ``_lock``."""
+        self._outbox.put(msg)
 
     def submit(self, session_id: str, frames: np.ndarray, max_queue: int) -> Future:
-        """Ship one frames payload to the worker; returns the result future.
+        """Queue one frames payload for the worker; returns the result future.
 
-        Reject-not-block: a full worker queue or a full request ring raises
+        Reject-not-block: more than ``max_queue`` frames in flight raises
         :class:`OverloadedError` (HTTP 429) instead of stalling the ingress.
         """
-        frames = np.ascontiguousarray(frames, dtype=np.float64)
+        # A private copy: the sender pickles it later, after the caller
+        # may have reused its buffer.
+        frames = np.array(frames, dtype=np.float64)
         n = int(frames.shape[0])
-        payload = memoryview(frames).cast("B")
         with self._lock:
             if self._draining or self.state == "stopped":
                 raise ShuttingDownError("server is draining")
@@ -348,40 +357,18 @@ class WorkerHandle:
                     f"worker {self.index} queue full "
                     f"({self.inflight}/{max_queue} frames in flight)"
                 )
-            try:
-                pos, end = self._ring.write(payload, timeout=0.0)
-            except RingFull as exc:
-                raise OverloadedError(
-                    f"worker {self.index} request ring full"
-                ) from exc
-            return self._request(
-                {
-                    "op": "frames",
-                    "sid": session_id,
-                    "pos": pos,
-                    "end": end,
-                    "shape": frames.shape,
-                    "dtype": frames.dtype.str,
-                },
-                n,
-            )
+            return self._request({"op": "frames", "sid": session_id, "frames": frames}, n)
 
     def _request(self, msg: dict, n: int) -> Future:
-        """Send a message that gets a reply (carrying ``n`` frames); the
-        caller holds ``_lock``."""
+        """Queue a message that gets a reply (carrying ``n`` frames); the
+        caller holds ``_lock``.  If the worker is dead, the pump's EOF path
+        fails the future."""
         req = msg["req"] = self._next_req
         self._next_req += 1
         future: Future = Future()
         self._pending[req] = (n, future)
         self.inflight += n
-        try:
-            self._conn.send(msg)
-        except (BrokenPipeError, OSError) as exc:
-            # The pump will observe EOF and run the full crash path;
-            # fail this caller immediately.
-            self._pending.pop(req, None)
-            self.inflight -= n
-            raise WorkerCrashedError(f"engine worker {self.index} is down") from exc
+        self._outbox.put(msg)
         return future
 
     def rpc(self, op: str, timeout: float = 30.0, **payload):
@@ -401,7 +388,7 @@ class WorkerHandle:
     def drain(self, timeout: float = 60.0) -> None:
         """Flush the worker's batcher queue, then shut the process down.
 
-        The ``drain`` op is pipelined behind any frames already written, so
+        The ``drain`` op is queued behind any frames already accepted, so
         every in-flight request resolves before the "drained" ack."""
         with self._spawn_lock, self._lock:
             up = self.state == "up"
@@ -443,18 +430,26 @@ class WorkerHandle:
 
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:
-        ring = self._ring
         return {
             "up": 1 if self.alive else 0,
             "sessions": len(self.sessions),
             "inflight": self.inflight,
-            "ring_occupancy": None if ring is None else ring.occupancy(),
             "stats": dict(self.last_stats),
         }
 
-    def ring_names(self) -> List[str]:
-        ring = self._ring
-        return [] if ring is None else [ring.name]
+
+def _send_loop(conn, outbox: queue.SimpleQueue) -> None:
+    """A worker's sender thread: the pipe's only writer, in outbox order.
+    It stops at the ``None`` sentinel or when the worker is gone (the
+    pump's EOF path then fails whatever was still pending)."""
+    while True:
+        msg = outbox.get()
+        if msg is None:
+            return
+        try:
+            conn.send(msg)
+        except OSError:
+            return
 
 
 class EngineWorkerPool:
@@ -548,7 +543,7 @@ class EngineWorkerPool:
         """Run the configured deterministic failure injection for one submit.
 
         Trigger evaluation is counter-based under one lock; the disruptive
-        actions (sleep, SIGKILL, simulated ring-full 429) happen outside it.
+        actions (sleep, SIGKILL, simulated overload 429) happen outside it.
         A killed worker takes the normal crash path — pump EOF, 503 on
         in-flight requests, session purge, respawn — so chaos tests
         exercise exactly the machinery real crashes do.
@@ -576,7 +571,7 @@ class EngineWorkerPool:
             handle.kill()
         if reject:
             raise OverloadedError(
-                f"chaos: simulated full request ring on worker {handle.index}"
+                f"chaos: simulated full queue on worker {handle.index}"
             )
 
     def submit(self, session: Session, frames: np.ndarray) -> Future:
@@ -623,7 +618,8 @@ class EngineWorkerPool:
         return sum(h.restarts for h in self.handles)
 
     def ring_names(self) -> List[str]:
-        return [name for h in self.handles for name in h.ring_names()]
+        """Always empty: kept for the frozen ``perfbench/serve_host.py``."""
+        return []
 
     def stats(self) -> dict:
         """Aggregated per-worker batching counters (piggybacked snapshots)."""
@@ -662,10 +658,4 @@ class EngineWorkerPool:
         ):
             lines.append(f"# TYPE {p}_{name} {kind}")
             lines.extend(f'{p}_{name}{{worker="{i}"}} {value(d)}' for i, d in enumerate(described))
-        lines.append(f"# TYPE {p}_ring_occupancy gauge")
-        lines.extend(
-            f'{p}_ring_occupancy{{worker="{i}",ring="requests"}} {d["ring_occupancy"]:.6f}'
-            for i, d in enumerate(described)
-            if d["ring_occupancy"] is not None
-        )
         return "\n".join(lines)

@@ -301,10 +301,10 @@ def start_server(
 
     ``config_kwargs`` (e.g. ``max_batch=32, max_wait_ms=2.0``) build a
     :class:`ServeConfig` when ``config`` is not given.  ``workers=N``
-    shards sessions across N engine worker processes (shared-memory frame
-    transport; see :mod:`repro.serve.pool`); ``workers=0`` — the default —
-    is the single-process path.  Returns a started :class:`RunningServer`;
-    use it as a context manager or call ``stop()``.
+    shards sessions across N engine worker processes (frames go inline on
+    each worker's pipe; see :mod:`repro.serve.pool`); ``workers=0`` — the
+    default — is the single-process path.  Returns a started
+    :class:`RunningServer`; use it as a context manager or call ``stop()``.
     """
     if config is None:
         config = ServeConfig(**config_kwargs)

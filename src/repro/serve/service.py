@@ -86,7 +86,7 @@ class ChaosConfig:
     kill_worker: Optional[int] = None
     #: at most this many chaos kills per pool lifetime.
     max_kills: int = 1
-    #: every Nth submit fails as if the request ring were full (HTTP 429).
+    #: every Nth submit fails as if the worker's queue were full (HTTP 429).
     reject_every: Optional[int] = None
     #: added latency per submit, in milliseconds (slow-worker simulation).
     delay_ms: float = 0.0
@@ -99,8 +99,7 @@ class ServeConfig:
     ``workers=0`` (the default) keeps everything in-process: one engine, one
     micro-batcher.  ``workers=N`` shards sessions by consistent hash onto N
     engine worker processes, each with its own engine + micro-batcher, with
-    frames travelling through per-worker shared-memory rings (see
-    :mod:`repro.serve.pool`).
+    frames sent inline on each worker's pipe (see :mod:`repro.serve.pool`).
     """
 
     max_batch: int = 32

@@ -4,19 +4,16 @@ One worker owns one compiled :class:`~repro.engine.Engine`, one
 :class:`~repro.serve.batcher.MicroBatcher` and the session mirrors of its
 shard — the same pieces the in-process server uses, just isolated in a
 process so N workers beat the GIL on the stats/voting paths.  The parent
-talks to it over a duplex pipe (the "doorbell": a few hundred bytes of
-control data per request) while frame payloads arrive through a
-shared-memory :class:`~repro.parallel.shm.ShmRing` — no numpy array is
-ever pickled on the way in.
+talks to it over one duplex pipe; a push's frames travel inline, pickled
+with the message (8 frames are ~4 KB).
 
-Protocol (all messages are small dicts over the pipe):
+Protocol (all messages are dicts over the pipe):
 
 ========  =============================================================
 op        meaning
 ========  =============================================================
-frames    run a ``(N, C, H, W)`` payload at ``(pos, end)`` in the ring
-          through the batcher for session ``sid``; replies ``rows`` (or
-          ``error``) and echoes ``end`` so the parent can free the space
+frames    run the ``(N, C, H, W)`` array ``frames`` through the batcher
+          for session ``sid``; replies ``rows`` (or ``error``)
 open      mirror a parent-allocated session (explicit ``sid``); no reply
 close     retire a session mirror; no reply
 prime     one throwaway batch to warm the trace cache / numpy dispatch
@@ -39,7 +36,6 @@ from typing import Any, Dict
 
 import numpy as np
 
-from ..parallel.shm import ShmRing
 from .batcher import MicroBatcher
 from .errors import ServeError, UnknownSessionError
 from .metrics import ServeMetrics
@@ -106,11 +102,8 @@ def _encode_error(exc: BaseException) -> dict:
     return {"code": "internal", "status": 500, "detail": f"{type(exc).__name__}: {exc}"}
 
 
-def worker_main(
-    spec: WorkerSpec, knobs: Dict[str, Any], ring_name: str, conn, index: int
-) -> None:
+def worker_main(spec: WorkerSpec, knobs: Dict[str, Any], conn, index: int) -> None:
     """Entry point of one engine worker process."""
-    ring = ShmRing.attach(ring_name)
     send_lock = threading.Lock()
 
     def send(msg: dict) -> None:
@@ -153,17 +146,17 @@ def worker_main(
     batcher.start()
     send({"pid": os.getpid(), "target": engine.target, "worker": index})
 
-    def finish(req: int, end: int, future) -> None:
+    def finish(req: int, future) -> None:
         # Runs on the batcher dispatch thread.
         exc = future.exception()
         if exc is not None:
-            send({"req": req, "end": end, "error": _encode_error(exc), "stats": snapshot()})
+            send({"req": req, "error": _encode_error(exc), "stats": snapshot()})
             return
         rows = [
             (r.seq, r.raw, r.voted, r.cycles, r.energy_uj, r.margin)
             for r in future.result()
         ]
-        send({"req": req, "end": end, "rows": rows, "stats": snapshot()})
+        send({"req": req, "rows": rows, "stats": snapshot()})
 
     try:
         while True:
@@ -173,24 +166,12 @@ def worker_main(
                 break  # parent died or closed: nothing left to serve
             op, req = msg["op"], msg.get("req")
             if op == "frames":
-                end = msg["end"]
-                dtype = np.dtype(msg["dtype"])
-                shape = tuple(msg["shape"])
-                nbytes = dtype.itemsize * int(np.prod(shape))
-                # One private copy before anything else is received: every
-                # later reply then tells the parent this payload's space is
-                # free, whichever request it answers.
-                view = ring.view(msg["pos"], nbytes)
-                frames = np.frombuffer(view, dtype=dtype).reshape(shape).copy()
-                del view
                 try:
-                    future = batcher.submit(sessions.get(msg["sid"]), frames)
+                    future = batcher.submit(sessions.get(msg["sid"]), msg["frames"])
                 except ServeError as exc:
-                    send({"req": req, "end": end, "error": _encode_error(exc)})
+                    send({"req": req, "error": _encode_error(exc)})
                 else:
-                    future.add_done_callback(
-                        lambda f, req=req, end=end: finish(req, end, f)
-                    )
+                    future.add_done_callback(lambda f, req=req: finish(req, f))
             elif op == "open":
                 # The parent opened the same session already, so this
                 # cannot fail on the arguments.
@@ -226,4 +207,3 @@ def worker_main(
             conn.close()
         except OSError:
             pass
-        ring.close()

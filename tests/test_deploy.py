@@ -18,7 +18,7 @@ from repro.deploy import (
     pack_values,
     padded_run_bytes,
     padded_run_length,
-    run_frames,
+    simulate_batch,
     unpack_values,
     verify_against_golden,
 )
@@ -226,20 +226,20 @@ class TestExecution:
     def test_sdotp_reduces_cycles(self, compiled_pair, prepared_data):
         frames = prepared_data["preprocessor"](prepared_data["test_session"].frames[:2])
         scalar, simd = compiled_pair
-        scalar_batch = run_frames(ibex_platform(), scalar, frames)
-        simd_batch = run_frames(maupiti_platform(), simd, frames)
+        scalar_batch = simulate_batch(ibex_platform(), scalar, frames)
+        simd_batch = simulate_batch(maupiti_platform(), simd, frames)
         assert simd_batch.mean_cycles < scalar_batch.mean_cycles
 
     def test_sdotp_model_rejected_on_ibex(self, compiled_pair, prepared_data):
         frames = prepared_data["preprocessor"](prepared_data["test_session"].frames[:1])
         _, simd = compiled_pair
         with pytest.raises(ValueError):
-            run_frames(ibex_platform(), simd, frames)
+            simulate_batch(ibex_platform(), simd, frames)
 
     def test_predictions_match_golden_accuracy(self, compiled_pair, integer_network, prepared_data):
         frames = prepared_data["preprocessor"](prepared_data["test_session"].frames[:4])
         scalar, _ = compiled_pair
-        batch = run_frames(ibex_platform(), scalar, frames)
+        batch = simulate_batch(ibex_platform(), scalar, frames)
         golden = integer_network.predict(frames)
         np.testing.assert_array_equal(batch.predictions, golden)
 

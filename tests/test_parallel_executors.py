@@ -16,7 +16,6 @@ than serial.  These tests pin the fix:
 
 import os
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -206,183 +205,3 @@ class TestExecutorLifecycle:
         assert chunk(2, 4) == 1        # short lists: one task per message
         assert chunk(64, 4) == 4       # ~4 chunks per worker
         assert chunk(1000, 8) == 31
-
-
-# --------------------------------------------------------------------- #
-class TestShmRing:
-    """The SPSC byte ring under the serving pool's frame transport."""
-
-    def _ring(self, capacity):
-        from repro.parallel import ShmRing
-
-        ring = ShmRing.create(capacity)
-        return ring
-
-    def test_write_view_release_roundtrip(self):
-        ring = self._ring(256)
-        try:
-            payload = bytes(range(64))
-            pos, end = ring.write(payload)
-            assert bytes(ring.view(pos, len(payload))) == payload
-            assert ring.occupancy() == pytest.approx(64 / 256)
-            ring.release(end)
-            assert ring.occupancy() == 0.0
-        finally:
-            ring.close()
-
-    def test_attach_sees_producer_bytes(self):
-        from repro.parallel import ShmRing
-
-        ring = self._ring(128)
-        try:
-            pos, end = ring.write(b"hello-ring")
-            peer = ShmRing.attach(ring.name)
-            try:
-                assert bytes(peer.view(pos, 10)) == b"hello-ring"
-            finally:
-                peer.close()
-            # The consumer never touches the cursors: the producer frees the
-            # space once the consumer echoes ``end`` back out of band.
-            assert ring.occupancy() == pytest.approx(10 / 128)
-            ring.release(end)
-            assert ring.occupancy() == 0.0
-        finally:
-            ring.close()
-
-    def test_out_of_order_release_keeps_tail_monotonic(self):
-        # A request rejected by the consumer (error reply) can be answered
-        # before an earlier request's success reply; releasing its ``end``
-        # frees both payloads, and the late, smaller ``end`` must not move
-        # the tail back over space that may already hold new data.
-        ring = self._ring(128)
-        try:
-            _, end_a = ring.write(b"a" * 32)
-            _, end_b = ring.write(b"b" * 32)
-            ring.release(end_b)  # the error reply for B arrives first
-            assert ring.tail == end_b and ring.occupancy() == 0.0
-            pos_c, end_c = ring.write(b"c" * 32)
-            ring.release(end_a)  # A's late success reply
-            assert ring.tail == end_b
-            assert ring.occupancy() == pytest.approx(32 / 128)
-            assert bytes(ring.view(pos_c, 32)) == b"c" * 32
-            ring.release(end_c)
-            assert ring.head == ring.tail
-        finally:
-            ring.close()
-
-    def test_wraparound_skips_tail_fragment(self):
-        ring = self._ring(100)
-        try:
-            pos1, end1 = ring.write(b"a" * 80)
-            ring.release(end1)
-            # 20 bytes remain before the physical end: an followup 40-byte
-            # payload must skip them and land at offset 0.
-            pos2, end2 = ring.write(b"b" * 40)
-            assert pos2 == 0
-            assert end2 == 80 + 20 + 40  # absolute cursor accounts the skip
-            assert bytes(ring.view(pos2, 40)) == b"b" * 40
-            ring.release(end2)
-            assert ring.head == ring.tail
-        finally:
-            ring.close()
-
-    def test_nonblocking_write_raises_ring_full(self):
-        from repro.parallel import RingFull
-
-        ring = self._ring(64)
-        try:
-            ring.write(b"x" * 48)
-            with pytest.raises(RingFull):
-                ring.write(b"y" * 32, timeout=0.0)
-        finally:
-            ring.close()
-
-    def test_blocked_write_proceeds_after_release(self):
-        ring = self._ring(64)
-        try:
-            _, end = ring.write(b"x" * 48)
-            release_timer = threading.Timer(0.05, lambda: ring.release(end))
-            release_timer.start()
-            pos, end2 = ring.write(b"y" * 32, timeout=5.0)  # blocks, then lands
-            release_timer.join()
-            assert bytes(ring.view(pos, 32)) == b"y" * 32
-            ring.release(end2)
-        finally:
-            ring.close()
-
-    def test_oversized_payload_rejected(self):
-        ring = self._ring(32)
-        try:
-            with pytest.raises(ValueError, match="exceeds ring capacity"):
-                ring.write(b"z" * 33)
-        finally:
-            ring.close()
-
-    def test_exact_fit_at_ring_end_does_not_wrap(self):
-        ring = self._ring(100)
-        try:
-            _, end1 = ring.write(b"a" * 60)
-            ring.release(end1)
-            # 40 bytes remain before the physical end; a 40-byte payload
-            # fits exactly and must land there with no skip accounted.
-            pos, end = ring.write(b"b" * 40, timeout=0.0)
-            assert pos == 60
-            assert end == 100  # no skip: cursors advance by payload only
-            assert bytes(ring.view(pos, 40)) == b"b" * 40
-            ring.release(end)
-            assert ring.head == ring.tail == 100
-        finally:
-            ring.close()
-
-    def test_maximal_frame_after_wraparound_skip(self):
-        # Regression: a capacity-sized payload written when the ring is
-        # empty but head is mid-buffer needs skip + n > capacity, which the
-        # plain fit condition can never satisfy — the write used to poll
-        # forever (or raise RingFull with a timeout) despite the ring
-        # holding zero unconsumed bytes.
-        ring = self._ring(100)
-        try:
-            _, end1 = ring.write(b"a" * 60)
-            ring.release(end1)  # ring empty, head parked at 60
-            payload = bytes((i % 251 for i in range(100)))
-            pos, end = ring.write(payload, timeout=0.5)
-            assert pos == 0  # skipped the 40-byte tail fragment
-            assert end == 60 + 40 + 100
-            assert bytes(ring.view(pos, 100)) == payload
-            assert ring.occupancy() == 1.0  # clamped despite skip overhang
-            ring.release(end)
-            assert ring.head == ring.tail
-            # The ring keeps working normally afterwards.
-            pos2, end2 = ring.write(b"c" * 10, timeout=0.0)
-            assert bytes(ring.view(pos2, 10)) == b"c" * 10
-            ring.release(end2)
-        finally:
-            ring.close()
-
-    def test_near_maximal_frame_after_skip_still_blocks_when_occupied(self):
-        # The empty-ring clause must NOT fire while unconsumed bytes exist:
-        # the same oversized-window write with data in flight stays a
-        # RingFull, not a corruption.
-        from repro.parallel import RingFull
-
-        ring = self._ring(100)
-        try:
-            _, end1 = ring.write(b"a" * 60)
-            ring.release(end1)
-            _, end2 = ring.write(b"b" * 30)  # head at 90, 30 bytes in flight
-            with pytest.raises(RingFull):
-                ring.write(b"c" * 95, timeout=0.0)
-            ring.release(end2)  # drain; now the oversized window is legal
-            pos, end3 = ring.write(b"c" * 95, timeout=0.5)
-            assert pos == 0
-            assert bytes(ring.view(pos, 95)) == b"c" * 95
-            ring.release(end3)
-        finally:
-            ring.close()
-
-    def test_close_unlinks_owner_block(self):
-        ring = self._ring(32)
-        name = ring.name
-        assert _block_is_linked(name)
-        ring.close()
-        assert not _block_is_linked(name)

@@ -1,13 +1,14 @@
-"""The multi-process serving pool: sharding, shared-memory transport,
-parity with offline streams, crash semantics, drain, and metrics."""
+"""The multi-process serving pool: sharding, the pipe transport and its
+back-pressure, parity with offline streams, crash semantics, drain, and
+metrics."""
 
 import inspect
 import json
-import re
+import os
+import signal
 import threading
 import time
 from http.client import HTTPConnection
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.engine import ModelBundle
 from repro.serve import (
     EngineWorkerPool,
     MicroBatcher,
+    OverloadedError,
     PendingResponse,
     ServeClient,
     ServeConfig,
@@ -49,6 +51,12 @@ def _offline_stream(engine, frames, window):
         "raw": [u.raw for u in updates],
         "voted": [u.voted for u in updates],
     }
+
+
+def _shm_mappings(pid):
+    """The /dev/shm segments process ``pid`` has mapped."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return {line.split(None, 5)[-1].strip() for line in maps if "/dev/shm/" in line}
 
 
 def _wait_for(predicate, timeout=10.0):
@@ -109,7 +117,7 @@ class TestFrozenBenchmarkHooks:
     internals, and the benchmark is frozen: a refactor that breaks them
     must fail here rather than in a ``--trace 1`` run."""
 
-    def test_names_and_signatures(self):
+    def test_names_and_signatures(self, pool_engine):
         from repro.serve.pool import PoolServeService
 
         def params(fn):
@@ -121,7 +129,7 @@ class TestFrozenBenchmarkHooks:
         assert params(ServeService.handle) == ["self", "method", "path", "body"]
         assert params(ServeService.prime) == ["self", "frame_shape"]
         assert callable(ServeService.pool_stats)
-        assert callable(EngineWorkerPool.ring_names)
+        assert ServeService(pool_engine, ServeConfig(workers=2)).pool.ring_names() == []
         assert callable(PendingResponse.complete)
         assert callable(Session.record_vote)
 
@@ -301,11 +309,8 @@ class TestPoolOverHttp:
             'repro_serve_pool_worker_frames_total{worker="',
         ):
             assert series in text, f"missing {series!r} in:\n{text}"
-        # The request ring is the only one left: results come back inline.
-        occupancy = re.findall(
-            r"^repro_serve_pool_ring_occupancy\{([^}]*)\} [0-9.eE+-]+$", text, re.M
-        )
-        assert occupancy == [f'worker="{i}",ring="requests"' for i in range(2)]
+        # Frames travel inline on the pipe: there is no ring to report.
+        assert "ring_occupancy" not in text
 
     def test_frames_total_counts_served_frames(self, running, pool_frames):
         with ServeClient(running.host, running.port) as client:
@@ -321,7 +326,7 @@ class TestFleetOverHttp:
     """Four sensors stream at once through the HTTP front-end — in process
     and through a 2-worker pool, unbatched and micro-batched — and every
     session's outputs match its offline replay, every frame is counted,
-    and the pool neither crashes nor leaks a ring."""
+    and the pool does not crash."""
 
     SESSIONS, FRAMES, CHUNK, WINDOW = 4, 12, 4, 5
 
@@ -383,7 +388,6 @@ class TestFleetOverHttp:
                 text = probe.metrics()
             frames_total = server.service.metrics.counter("frames_total")
             stats = server.service.pool_stats()
-            rings = server.service.pool.ring_names() if workers else []
         assert not errors
         assert health["status"] == "ok"
         assert served == offline
@@ -393,10 +397,6 @@ class TestFleetOverHttp:
             assert health["workers_up"] == workers
             assert "repro_serve_pool_worker_up" in text
             assert stats["crashes_total"] == 0
-            assert len(rings) == workers
-        for name in rings:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
 
 # --------------------------------------------------------------------- #
@@ -415,7 +415,7 @@ class TestWorkerCrash:
         try:
             sid = service.open_session(window=3)["session_id"]
             pending = service.submit_frames(sid, pool_frames[:2])
-            time.sleep(0.3)  # let the worker pull the doorbell
+            time.sleep(0.3)  # let the worker receive the frames
             service.pool.handles[0].kill()
             with pytest.raises(WorkerCrashedError) as excinfo:
                 pending.future.result(timeout=30)
@@ -435,15 +435,9 @@ class TestWorkerCrash:
             handle = service.pool.handles[0]
             sid = service.open_session(window=3)["session_id"]
             service.submit_frames(sid, pool_frames[:2]).future.result(timeout=60)
-            old_rings = handle.ring_names()
             handle.kill()
-            # The pump respawns the worker right away, not on the next open,
-            # and the dead worker's ring is gone with it.
+            # The pump respawns the worker right away, not on the next open.
             assert _wait_for(lambda: handle.restarts == 1 and handle.alive, timeout=60)
-            assert handle.ring_names() != old_rings
-            for name in old_rings:
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
             sid2 = service.open_session(window=3)["session_id"]
             out = service.submit_frames(sid2, pool_frames[:2]).future.result(timeout=60)
             assert len(out) == 2
@@ -520,6 +514,71 @@ class TestWorkerCrash:
             assert b"worker_crashed" in result["body"]
 
 
+class TestStoppedWorker:
+    """A worker that stops reading its pipe (SIGSTOP here; swapping or a
+    wedged engine in the field) costs its own shard 429s and never blocks
+    the ingress: a submit only enqueues, and ``max_queue`` frames in
+    flight is the only back-pressure."""
+
+    SESSIONS, PUSHES, WINDOW = 8, 1100, 3
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_stopped_worker_never_blocks_the_ingress(self, pool_engine, pool_frames):
+        config = ServeConfig(workers=1)
+        streams = [
+            pool_frames[np.arange(k * 31, k * 31 + self.PUSHES) % len(pool_frames)]
+            for k in range(self.SESSIONS)
+        ]
+        service = ServeService(pool_engine, config)
+        service.start()
+        pid = service.pool.handles[0]._proc.pid
+        accepted, refused = [], []
+
+        def flood():
+            # Round-robin single-frame pushes: push j is frame j // 8 of
+            # session j % 8.
+            for j in range(self.PUSHES):
+                k, i = j % self.SESSIONS, j // self.SESSIONS
+                try:
+                    pending = service.submit_frames(sids[k], streams[k][i : i + 1])
+                except OverloadedError:
+                    refused.append(j)
+                else:
+                    accepted.append((k, pending))
+
+        try:
+            sids = [
+                service.open_session(window=self.WINDOW)["session_id"]
+                for _ in range(self.SESSIONS)
+            ]
+            os.kill(pid, signal.SIGSTOP)
+            flooder = threading.Thread(target=flood, daemon=True)
+            flooder.start()
+            flooder.join(timeout=30)
+            health = service.handle("GET", "/healthz", b"")
+            assert not flooder.is_alive(), "a stopped worker blocked the ingress"
+            assert health.status == 200
+            assert json.loads(health.body)["queue_depth"] == config.max_queue
+            assert len(accepted) == config.max_queue
+            assert len(refused) == self.PUSHES - config.max_queue
+            # The refused pushes are the last ones: each session's accepted
+            # frames are a prefix of its stream.
+            assert refused == list(range(config.max_queue, self.PUSHES))
+
+            os.kill(pid, signal.SIGCONT)
+            served = [[] for _ in range(self.SESSIONS)]
+            for k, pending in accepted:
+                served[k].extend(r.voted for r in pending.future.result(timeout=60))
+            for k in range(self.SESSIONS):
+                replay = _offline_stream(
+                    pool_engine, streams[k][: len(served[k])], self.WINDOW
+                )
+                assert served[k] == replay["voted"], f"session {k}"
+        finally:
+            os.kill(pid, signal.SIGCONT)
+            service.stop(drain=False)
+
+
 # --------------------------------------------------------------------- #
 class TestAbandonedRequests:
     """The asyncio front-end cancels the wrapped future on request timeout
@@ -541,9 +600,8 @@ class TestAbandonedRequests:
             session = service.sessions.get(sid)
             pending = service.submit_frames(sid, pool_frames[:2])
             assert pending.future.cancel(), "reply won the race; retune the window"
-            # The late reply must decrement inflight and free the ring...
+            # The late reply must decrement inflight...
             assert _wait_for(lambda: handle.inflight == 0 and session.pending == 0)
-            assert handle.describe()["ring_occupancy"] == 0.0
             # ...and the pump must survive to serve the next request.
             out = service.submit_frames(sid, pool_frames[2:4]).future.result(
                 timeout=30
@@ -591,41 +649,43 @@ class TestDrainAndShutdown:
             assert len(results) == 2
         assert all(h.state == "stopped" for h in service.pool.handles)
 
-    def test_no_leaked_shared_memory_after_stop(self, pool_engine, pool_frames):
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+    )
+    def test_serving_creates_no_shared_memory(self, pool_engine, pool_frames):
+        # The segments the pool's own processes map, not the /dev/shm
+        # listing: other test processes (pytest-xdist) create and unlink
+        # segments there at the same time.
+        before = _shm_mappings(os.getpid())
         service = ServeService(pool_engine, ServeConfig(workers=2, max_wait_ms=0.5))
         service.start()
-        sids = [service.open_session(window=3)["session_id"] for _ in range(4)]
-        for sid in sids:
-            service.submit_frames(sid, pool_frames[:1]).future.result(timeout=60)
-        names = service.pool.ring_names()
-        assert len(names) == 2, "expected one live ring per worker before stop"
-        service.stop(drain=True)
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        try:
+            sids = [service.open_session(window=3)["session_id"] for _ in range(4)]
+            for sid in sids:
+                service.submit_frames(sid, pool_frames[:1]).future.result(timeout=60)
+            for h in service.pool.handles:
+                assert _shm_mappings(h._proc.pid) == set()
+            assert _shm_mappings(os.getpid()) == before
+        finally:
+            service.stop(drain=True)
+        assert _shm_mappings(os.getpid()) == before
 
-    def test_failed_spawn_raises_and_leaks_no_ring(self, pool_engine, monkeypatch):
-        from repro.parallel import ShmRing
+    def test_failed_spawn_raises_and_leaks_no_thread(self, pool_engine, monkeypatch):
         from repro.serve import pool as pool_module
 
-        create = ShmRing.create
-        rings = []
-
-        def tracked_create(cls, capacity):
-            rings.append(create(capacity))
-            return rings[-1]
+        starts = []
 
         def refuse(process):
+            starts.append(process.name)
             raise OSError("fork refused")
 
-        monkeypatch.setattr(ShmRing, "create", classmethod(tracked_create))
         monkeypatch.setattr(pool_module._MP.Process, "start", refuse)
+        threads = set(threading.enumerate())
         service = ServeService(pool_engine, ServeConfig(workers=2))
         with pytest.raises(WorkerCrashedError, match="fork refused"):
             service.start()
-        assert len(rings) == 1  # the second worker was never attempted
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=rings[0].name)
+        assert starts == ["repro-serve-worker-0"]  # the second was never attempted
+        assert set(threading.enumerate()) <= threads  # no sender or pump left
 
     def test_submits_after_stop_are_rejected(self, pool_engine, pool_frames):
         service = ServeService(pool_engine, ServeConfig(workers=1, max_wait_ms=0.5))
@@ -708,18 +768,13 @@ class TestChaosRecovery:
                 server.service.prime(frames.shape[1:])
                 assert client.healthz()["workers_up"] == 2
             stats = server.service.pool_stats()
-            rings = server.service.pool.ring_names()
         assert stats["chaos_kills"] == 1
         assert stats["crashes_total"] >= 1
         assert stream.recoveries >= 1  # the crash was absorbed, not surfaced
         assert raw == offline["raw"]
         assert voted == offline["voted"]
-        assert len(rings) == 2
-        for name in rings:  # shutdown unlinked the respawned worker's ring too
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
-    def test_chaos_reject_simulates_ring_backpressure(
+    def test_chaos_reject_simulates_overload(
         self, pool_engine, pool_frames
     ):
         from repro.serve import ChaosConfig, RetryPolicy
