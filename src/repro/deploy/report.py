@@ -30,7 +30,7 @@ class PlatformReport:
     latency_ms: float
     energy_uj: float
     # Simulator introspection (ISA-simulated targets only): simulation mode,
-    # vectorized kernel counts per kind, and JIT/closure block tallies.
+    # vectorized kernel counts per kind, and JIT block tallies.
     sim: Optional[Dict] = None
 
     def row(self) -> str:

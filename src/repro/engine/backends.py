@@ -249,8 +249,8 @@ class _SimulatedBackend(EngineBackend):
         """Simulator introspection: mode, kernel counts and block tallies.
 
         For ``"jit"`` mode, reports the vectorized-kernel counts per kind
-        plus how many basic blocks run as generated code vs the closure
-        fallback; for ``"interp"`` mode, just the mode.
+        plus the block tallies (``total``, ``kernel``, and ``jit``, the
+        blocks run as generated code); for ``"interp"`` mode, just the mode.
         """
         core = self.platform.core
         info: dict = {"mode": self.sim_mode}

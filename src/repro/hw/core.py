@@ -11,10 +11,13 @@ the MAUPITI SDOTP extension.  It models the quantities the paper reports:
 
 Programs halt by executing ``ebreak``.
 
+The reference semantics of every instruction live in one function,
+:func:`step`.
+
 Two execution modes are available (``IbexCore(mode=...)``):
 
-* ``"interp"`` — the per-instruction reference interpreter below.  Simple,
-  obviously correct, slow.
+* ``"interp"`` — the reference interpreter: :func:`step` once per executed
+  instruction.  Simple, obviously correct, slow.
 * ``"jit"`` (default for the deployment platforms) — the compiled simulator
   of :mod:`repro.hw.sim.jit`: the program is split into basic blocks, the
   structured inner loops emitted by :mod:`repro.deploy.codegen` run as
@@ -22,21 +25,25 @@ Two execution modes are available (``IbexCore(mode=...)``):
   ``exec``-compiled straight-line Python, and cycle/energy accounting is
   derived analytically from the same :class:`CycleModel`.  Compiled
   templates are shared process-wide across engines through
-  :mod:`repro.hw.sim.trace_cache`.  Registers, memory, cycle counts and
+  :mod:`repro.hw.sim.trace_cache`.  Control that lands on a pc where no
+  block starts (``jalr`` into a block's middle, a misaligned pc) is
+  single-stepped through :func:`step`.  Registers, memory, cycle counts and
   per-mnemonic statistics are bit-exact against the interpreter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .cycles import CycleModel, DEFAULT_CYCLE_MODEL
 from .isa import BRANCHES, Instruction
 from .memory import Memory
-from .sdotp import sdotp4, sdotp8, to_signed, to_unsigned
+from .sdotp import sdotp4, sdotp8
 
 SIM_MODES = ("interp", "jit")
+
+MASK = 0xFFFFFFFF
 
 
 class SimulationError(Exception):
@@ -55,6 +62,138 @@ def _program_fingerprint(program: List[Instruction]) -> int:
             (i.mnemonic, i.rd, i.rs1, i.rs2, i.imm) for i in program
         )
     )
+
+
+def step(
+    instr: Instruction,
+    pc: int,
+    regs: List[int],
+    memory: Memory,
+    enable_sdotp: bool,
+    cycle_model: CycleModel,
+) -> Tuple[Optional[int], int]:
+    """Execute ``instr`` at ``pc``: the reference semantics of RV32IM + SDOTP.
+
+    ``regs`` holds unsigned 32-bit ints and is updated in place; ``x0``
+    reads as zero and is never written.  Returns ``(next_pc, cycles)``,
+    with ``next_pc`` ``None`` on ``ebreak`` (a pc can be negative through
+    ``jalr``, so no numeric sentinel is safe).  A fault raises before any
+    register is written.
+    """
+    m = instr.mnemonic
+    rd = instr.rd
+    imm = instr.imm
+    urs1 = regs[instr.rs1] if instr.rs1 else 0
+    urs2 = regs[instr.rs2] if instr.rs2 else 0
+    rs1 = urs1 - 0x1_0000_0000 if urs1 & 0x8000_0000 else urs1
+    rs2 = urs2 - 0x1_0000_0000 if urs2 & 0x8000_0000 else urs2
+    next_pc = pc + 4
+    taken = False
+    value = None  # what ``rd`` receives, before masking to 32 bits
+
+    if m == "add":
+        value = rs1 + rs2
+    elif m == "sub":
+        value = rs1 - rs2
+    elif m == "and":
+        value = urs1 & urs2
+    elif m == "or":
+        value = urs1 | urs2
+    elif m == "xor":
+        value = urs1 ^ urs2
+    elif m == "sll":
+        value = urs1 << (urs2 & 0x1F)
+    elif m == "srl":
+        value = urs1 >> (urs2 & 0x1F)
+    elif m == "sra":
+        value = rs1 >> (urs2 & 0x1F)
+    elif m == "slt":
+        value = int(rs1 < rs2)
+    elif m == "sltu":
+        value = int(urs1 < urs2)
+    elif m == "mul":
+        value = rs1 * rs2
+    elif m == "mulh":
+        value = (rs1 * rs2) >> 32
+    elif m == "div":
+        value = -1 if rs2 == 0 else int(rs1 / rs2)
+    elif m == "rem":
+        value = rs1 if rs2 == 0 else rs1 - int(rs1 / rs2) * rs2
+    elif m in ("sdotp8", "sdotp4"):
+        if not enable_sdotp:
+            raise SimulationError(
+                f"{m} executed on a core without the SDOTP extension"
+            )
+        acc = regs[rd] if rd else 0
+        value = sdotp8(urs1, urs2, acc) if m == "sdotp8" else sdotp4(urs1, urs2, acc)
+    elif m == "addi":
+        value = rs1 + imm
+    elif m == "andi":
+        value = urs1 & (imm & MASK)
+    elif m == "ori":
+        value = urs1 | (imm & MASK)
+    elif m == "xori":
+        value = urs1 ^ (imm & MASK)
+    elif m == "slti":
+        value = int(rs1 < imm)
+    elif m == "sltiu":
+        value = int(urs1 < (imm & MASK))
+    elif m == "slli":
+        value = urs1 << (imm & 0x1F)
+    elif m == "srli":
+        value = urs1 >> (imm & 0x1F)
+    elif m == "srai":
+        value = rs1 >> (imm & 0x1F)
+    elif m == "lui":
+        value = imm
+    elif m == "auipc":
+        value = pc + imm
+    # Loads keep their side effects (bounds checks) even when rd is x0.
+    elif m == "lw":
+        value = memory.load_word(urs1 + imm, signed=False)
+    elif m == "lh":
+        value = memory.load_half(urs1 + imm)
+    elif m == "lhu":
+        value = memory.load_half(urs1 + imm, signed=False)
+    elif m == "lb":
+        value = memory.load_byte(urs1 + imm)
+    elif m == "lbu":
+        value = memory.load_byte(urs1 + imm, signed=False)
+    elif m == "sw":
+        memory.store_word(urs1 + imm, urs2)
+    elif m == "sh":
+        memory.store_half(urs1 + imm, urs2)
+    elif m == "sb":
+        memory.store_byte(urs1 + imm, urs2)
+    elif m in BRANCHES:
+        if m == "beq":
+            taken = urs1 == urs2
+        elif m == "bne":
+            taken = urs1 != urs2
+        elif m == "blt":
+            taken = rs1 < rs2
+        elif m == "bge":
+            taken = rs1 >= rs2
+        elif m == "bltu":
+            taken = urs1 < urs2
+        else:  # bgeu
+            taken = urs1 >= urs2
+        if taken:
+            next_pc = pc + imm
+    elif m == "jal":
+        value = pc + 4
+        next_pc = pc + imm
+    elif m == "jalr":
+        value = pc + 4
+        next_pc = (urs1 + imm) & ~1
+    elif m == "ebreak":
+        next_pc = None
+    else:  # pragma: no cover - Instruction rejects unknown mnemonics
+        raise SimulationError(f"unimplemented instruction {m}")
+
+    if value is not None and rd:
+        regs[rd] = value & MASK
+    return next_pc, cycle_model.cost(instr, taken)
 
 
 @dataclass
@@ -118,33 +257,39 @@ class IbexCore:
         self.stats = ExecutionStats()
         self.halted = False
 
-    def _read(self, index: int) -> int:
-        return 0 if index == 0 else self.registers[index]
-
-    def _write(self, index: int, value: int) -> None:
-        if index != 0:
-            self.registers[index] = to_unsigned(value, 32)
-
     # ------------------------------------------------------------------ #
     def run(self, program: List[Instruction], entry_pc: int = 0) -> ExecutionStats:
         """Execute ``program`` (a list of instructions laid out from address 0
         of the instruction memory, 4 bytes per slot) until ``ebreak``."""
         if self.mode == "jit":
             return self._run_jit(program, entry_pc)
-        self.pc = entry_pc
         self.halted = False
+        regs, memory, stats = self.registers, self.memory, self.stats
+        enable_sdotp, cycle_model = self.enable_sdotp, self.cycle_model
         count_limit = self.max_instructions
-        while not self.halted:
-            index = self.pc // 4
-            if not 0 <= index < len(program):
-                raise SimulationError(f"PC 0x{self.pc:08x} outside the program")
-            instr = program[index]
-            self._execute(instr)
-            if self.stats.instructions > count_limit:
-                raise SimulationError(
-                    f"instruction limit exceeded ({count_limit}); runaway program?"
+        pc = entry_pc
+        try:
+            while True:
+                index = pc // 4
+                if not 0 <= index < len(program):
+                    raise SimulationError(f"PC 0x{pc:08x} outside the program")
+                instr = program[index]
+                next_pc, cycles = step(
+                    instr, pc, regs, memory, enable_sdotp, cycle_model
                 )
-        return self.stats
+                stats.record(instr.mnemonic, cycles)
+                if next_pc is not None:
+                    pc = next_pc
+                if stats.instructions > count_limit:
+                    raise SimulationError(
+                        f"instruction limit exceeded ({count_limit}); runaway program?"
+                    )
+                if next_pc is None:
+                    break
+        finally:
+            self.pc = pc
+        self.halted = True
+        return stats
 
     # ------------------------------------------------------------------ #
     def _run_jit(self, program: List[Instruction], entry_pc: int = 0) -> ExecutionStats:
@@ -180,120 +325,3 @@ class IbexCore:
         )
         self.halted = True
         return self.stats
-
-    # ------------------------------------------------------------------ #
-    def _execute(self, instr: Instruction) -> None:
-        m = instr.mnemonic
-        rs1 = to_signed(self._read(instr.rs1), 32)
-        rs2 = to_signed(self._read(instr.rs2), 32)
-        urs1 = self._read(instr.rs1)
-        urs2 = self._read(instr.rs2)
-        next_pc = self.pc + 4
-        taken = False
-
-        if m == "add":
-            self._write(instr.rd, rs1 + rs2)
-        elif m == "sub":
-            self._write(instr.rd, rs1 - rs2)
-        elif m == "and":
-            self._write(instr.rd, urs1 & urs2)
-        elif m == "or":
-            self._write(instr.rd, urs1 | urs2)
-        elif m == "xor":
-            self._write(instr.rd, urs1 ^ urs2)
-        elif m == "sll":
-            self._write(instr.rd, urs1 << (urs2 & 0x1F))
-        elif m == "srl":
-            self._write(instr.rd, urs1 >> (urs2 & 0x1F))
-        elif m == "sra":
-            self._write(instr.rd, rs1 >> (urs2 & 0x1F))
-        elif m == "slt":
-            self._write(instr.rd, int(rs1 < rs2))
-        elif m == "sltu":
-            self._write(instr.rd, int(urs1 < urs2))
-        elif m == "mul":
-            self._write(instr.rd, rs1 * rs2)
-        elif m == "mulh":
-            self._write(instr.rd, (rs1 * rs2) >> 32)
-        elif m == "div":
-            if rs2 == 0:
-                self._write(instr.rd, -1)
-            else:
-                self._write(instr.rd, int(rs1 / rs2))
-        elif m == "rem":
-            if rs2 == 0:
-                self._write(instr.rd, rs1)
-            else:
-                self._write(instr.rd, rs1 - int(rs1 / rs2) * rs2)
-        elif m in ("sdotp8", "sdotp4"):
-            if not self.enable_sdotp:
-                raise SimulationError(
-                    f"{m} executed on a core without the SDOTP extension"
-                )
-            acc = self._read(instr.rd)
-            result = sdotp8(urs1, urs2, acc) if m == "sdotp8" else sdotp4(urs1, urs2, acc)
-            self._write(instr.rd, result)
-        elif m == "addi":
-            self._write(instr.rd, rs1 + instr.imm)
-        elif m == "andi":
-            self._write(instr.rd, urs1 & to_unsigned(instr.imm, 32))
-        elif m == "ori":
-            self._write(instr.rd, urs1 | to_unsigned(instr.imm, 32))
-        elif m == "xori":
-            self._write(instr.rd, urs1 ^ to_unsigned(instr.imm, 32))
-        elif m == "slti":
-            self._write(instr.rd, int(rs1 < instr.imm))
-        elif m == "sltiu":
-            self._write(instr.rd, int(urs1 < to_unsigned(instr.imm, 32)))
-        elif m == "slli":
-            self._write(instr.rd, urs1 << (instr.imm & 0x1F))
-        elif m == "srli":
-            self._write(instr.rd, urs1 >> (instr.imm & 0x1F))
-        elif m == "srai":
-            self._write(instr.rd, rs1 >> (instr.imm & 0x1F))
-        elif m == "lui":
-            self._write(instr.rd, instr.imm)
-        elif m == "auipc":
-            self._write(instr.rd, self.pc + instr.imm)
-        elif m == "lw":
-            self._write(instr.rd, self.memory.load_word(urs1 + instr.imm, signed=False))
-        elif m == "lh":
-            self._write(instr.rd, self.memory.load_half(urs1 + instr.imm))
-        elif m == "lhu":
-            self._write(instr.rd, self.memory.load_half(urs1 + instr.imm, signed=False))
-        elif m == "lb":
-            self._write(instr.rd, self.memory.load_byte(urs1 + instr.imm))
-        elif m == "lbu":
-            self._write(instr.rd, self.memory.load_byte(urs1 + instr.imm, signed=False))
-        elif m == "sw":
-            self.memory.store_word(urs1 + instr.imm, urs2)
-        elif m == "sh":
-            self.memory.store_half(urs1 + instr.imm, urs2)
-        elif m == "sb":
-            self.memory.store_byte(urs1 + instr.imm, urs2)
-        elif m in BRANCHES:
-            conditions = {
-                "beq": rs1 == rs2,
-                "bne": rs1 != rs2,
-                "blt": rs1 < rs2,
-                "bge": rs1 >= rs2,
-                "bltu": urs1 < urs2,
-                "bgeu": urs1 >= urs2,
-            }
-            taken = conditions[m]
-            if taken:
-                next_pc = self.pc + instr.imm
-        elif m == "jal":
-            self._write(instr.rd, self.pc + 4)
-            next_pc = self.pc + instr.imm
-        elif m == "jalr":
-            self._write(instr.rd, self.pc + 4)
-            next_pc = (urs1 + instr.imm) & ~1
-        elif m == "ebreak":
-            self.halted = True
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unimplemented instruction {m}")
-
-        self.stats.record(m, self.cycle_model.cost(instr, taken))
-        if not self.halted:
-            self.pc = next_pc

@@ -38,7 +38,7 @@ Adding a new recognized kernel:
 """
 
 from .blocks import BasicBlock, build_blocks
-from .decode import Decoded, decode_meta, decode_program
+from .decode import Decoded, decode_meta
 from .jit import JitProgram, JitTemplate
 from .kernels import KernelLoop, recognize_loop
 from .trace_cache import (
@@ -60,7 +60,6 @@ __all__ = [
     "cache_stats",
     "clear_trace_cache",
     "decode_meta",
-    "decode_program",
     "get_template",
     "recognize_loop",
     "set_trace_cache_capacity",

@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     print(f"# fingerprint: {template.fingerprint}")
     print(
         f"# blocks: {tallies['total']} total, {tallies['kernel']} kernel, "
-        f"{tallies['jit']} jit-compiled, {tallies['closure']} closure-fallback"
+        f"{tallies['jit']} jit-compiled"
     )
     print(f"# kernel counts: {template.kernel_counts()}")
     dispatches = _dispatch_counts(template, platform, compiled, frame)

@@ -1,10 +1,10 @@
 """The JIT simulator: basic blocks compiled to Python source.
 
-Executing a program one per-instruction closure at a time pays a Python
-call plus a list walk for every instruction.  This module instead
-*generates specialized straight-line Python source* for each basic block
-(registers as locals, immediates and static pcs folded into literals,
-memory accesses inlined against raw dmem views) and
+Interpreting a program one instruction at a time pays a mnemonic dispatch,
+operand conversions and a statistics update for every instruction.  This
+module instead *generates specialized straight-line Python source* for
+each basic block (registers as locals, immediates and static pcs folded
+into literals, memory accesses inlined against raw dmem views) and
 ``compile()``/``exec()``s it once, so a block execution is a single
 function call.
 
@@ -25,10 +25,14 @@ The compiled artifact is split in two:
   single frame is a batch of one).  Binding is cheap (one ``exec`` of an
   already-compiled module per run or batch, no re-decode).
 
-Execution strategy per block, fastest first: recognized kernel loop (one
-numpy op for the whole remaining trip count) → generated block function →
-per-instruction closure fallback for any pc that is not a block leader
-(``jalr`` into a block interior, misaligned pcs).  Statistics are counted
+Execution strategy, fastest first: recognized kernel loop (one numpy op
+for the whole remaining trip count) → generated block function → for a pc
+that is not a block leader (``jalr`` into a block interior, a misaligned
+pc), one instruction through the interpreter's own
+:func:`~repro.hw.core.step`, against the advancing frame's ``Memory``,
+until control reaches a leader again.  Codegen covers every mnemonic, so
+the generator and ``step`` are the only two implementations of the
+instruction semantics.  Statistics are counted
 per block execution in a flat per-run counter list (two slots per block:
 executions and branches-taken; two more per kernel block: iterations and
 vectorized calls) and scaled analytically once at the end of the run, so a
@@ -61,12 +65,12 @@ the address lands in dmem, that frame's full bounds-checked
 exact type and message.
 
 Accepted divergence on mid-loop faults: when a program dies *mid-loop* —
-an out-of-bounds access inside a vectorized kernel or a generated block, or
-blowing the instruction limit — the JIT raises the same exception type as
-the interpreter but may leave partial architectural state and counters
-behind, because whole blocks and loops are committed atomically.  Completed
-runs are bit-exact in registers, memory, final pc, cycles and per-mnemonic
-statistics.
+an out-of-bounds access inside a vectorized kernel, a generated block or a
+single-stepped instruction, or blowing the instruction limit — the JIT
+raises the same exception type as the interpreter but may leave partial
+architectural state and counters behind, because whole blocks and loops
+are committed atomically.  Completed runs are bit-exact in registers,
+memory, final pc, cycles and per-mnemonic statistics.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core import ExecutionStats, SimulationError
+from ..core import MASK, ExecutionStats, SimulationError, step
 from ..cycles import CycleModel, DEFAULT_CYCLE_MODEL
 from ..isa import Instruction
 from ..memory import Memory
@@ -84,21 +88,20 @@ from ..sdotp import sdotp4, sdotp8
 from .blocks import BasicBlock, build_blocks
 from .kernels import attach_channel_superloops
 from .nests import attach_layer_nests
-from .decode import (
-    BRANCH,
-    EBREAK,
-    JAL,
-    JALR,
-    MASK,
-    STRAIGHT,
-    _sx,
-    decode_meta,
-    decode_program,
-)
+from .decode import BRANCH, EBREAK, JAL, JALR, decode_meta
 
 
 class JitCodegenError(Exception):
-    """A block the source generator cannot express (falls back to closures)."""
+    """A block the source generator cannot express.
+
+    The generator covers every mnemonic in :mod:`repro.hw.isa`, so this is a
+    bug; it propagates out of :class:`JitTemplate` at build time.
+    """
+
+
+def _sx(value: int) -> int:
+    """Signed view of an unsigned 32-bit register value."""
+    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
 
 
 def _nosd(mnemonic: str):
@@ -440,19 +443,12 @@ class JitTemplate:
                 self.kslots[i],
                 b.term.pc if b.term is not None and b.term.kind == EBREAK else -1,
             ))
-        self.closure_blocks: List[int] = []
         chunks = ["# Generated by repro.hw.sim.jit -- one function per basic block."]
         names = []
         for i, b in enumerate(self.blocks):
             name = f"_b{i}"
             names.append(name)
-            try:
-                chunks.append(
-                    _generate_block(b, name, self.eslots[i], enable_sdotp)
-                )
-            except JitCodegenError:
-                self.closure_blocks.append(i)
-                chunks.append(f"{name} = None  # closure fallback")
+            chunks.append(_generate_block(b, name, self.eslots[i], enable_sdotp))
         chunks.append("_FNS = [" + ", ".join(names) + "]")
         self.source = "\n\n\n".join(chunks) + "\n"
         self.fingerprint = hashlib.sha256(self.source.encode()).hexdigest()[:12]
@@ -477,8 +473,7 @@ class JitTemplate:
         """What one run dispatched, read from its flat counters.
 
         Vectorized calls per kernel kind, plus ``"blocks"``: executions of
-        generated (or closure) block functions, declined kernel blocks
-        included.
+        generated block functions, declined kernel blocks included.
         """
         out: Dict[str, int] = {"blocks": 0}
         for b, es, ks in zip(self.blocks, self.eslots, self.kslots):
@@ -489,14 +484,12 @@ class JitTemplate:
         return out
 
     def block_tallies(self) -> Dict[str, int]:
-        """JIT/closure/kernel block coverage for reports and diagnostics."""
-        kernel = sum(1 for b in self.blocks if b.kernel is not None)
-        closure = len(self.closure_blocks)
+        """Block coverage for reports and diagnostics: every block is
+        generated code (``jit``), and ``kernel`` of them are kernel loops."""
         return {
             "total": len(self.blocks),
-            "kernel": kernel,
-            "jit": len(self.blocks) - closure,
-            "closure": closure,
+            "kernel": sum(1 for b in self.blocks if b.kernel is not None),
+            "jit": len(self.blocks),
         }
 
     # ------------------------------------------------------------------ #
@@ -606,9 +599,8 @@ class JitProgram:
         g.update(_bind_helpers(region.base, region.size, self._cur))
         exec(template.code, g)
         fns = g["_FNS"]
-        # Per frame, built on first use: per-instruction closures (fallback
-        # paths) and the runners of kernels the frame executes alone.
-        self._decoded: Dict[int, list] = {}
+        # Per frame, built on first use: the runners of kernels the frame
+        # executes alone.
         self._runners: Dict[tuple, Callable] = {}
         entries: Dict[int, tuple] = {}
         for i, (pc, n, kernel, kipi, kexit, kslot, fpc) in enumerate(
@@ -632,47 +624,6 @@ class JitProgram:
             run = kernel.make_run_many([self.mems[frame]])
             self._runners[(frame, bi)] = run
         return run
-
-    # ------------------------------------------------------------------ #
-    def _fallback_decoded(self):
-        decoded = self._decoded.get(self._frame)
-        if decoded is None:
-            t = self.template
-            decoded = self._decoded[self._frame] = decode_program(
-                self.program, self.mems[self._frame], t.cycle_model, t.enable_sdotp
-            )
-        return decoded
-
-    def _run_closure_block(self, bi: int, regs: List[int], cnt: List[int]):
-        """Execute a block the source generator declined, via closures."""
-        t = self.template
-        b = t.blocks[bi]
-        decoded = self._fallback_decoded()
-        span = decoded[b.start : b.start + b.n]
-        term = span[-1] if b.term is not None else None
-        for d in (span[:-1] if term is not None else span):
-            if d.op is not None:
-                d.op(regs)
-        eslot = t.eslots[bi]
-        cnt[eslot] += 1
-        if term is None:
-            return b.end_pc
-        kind = term.kind
-        if kind == BRANCH:
-            if term.cond(regs):
-                cnt[eslot + 1] += 1
-                return term.taken_pc
-            return b.end_pc
-        if kind == JAL:
-            if term.rd:
-                regs[term.rd] = (term.pc + 4) & MASK
-            return term.taken_pc
-        if kind == JALR:
-            target = (regs[term.rs1] + term.imm) & ~1
-            if term.rd:
-                regs[term.rd] = (term.pc + 4) & MASK
-            return target
-        return None  # EBREAK
 
     # ------------------------------------------------------------------ #
     def start(
@@ -724,65 +675,33 @@ class JitProgram:
         pc = st.pc
         executed = st.executed
         budget = st.budget
-        cm = t.cycle_model
-        bt, bnt = cm.branch_taken, cm.branch_not_taken
         n_instr = t.n_instr
-        decoded = None
 
         while True:
             e = entries.get(pc)
             if e is None:
-                # -------------- single-step closure fallback -------------- #
-                if decoded is None:
-                    decoded = self._fallback_decoded()
+                # ------ not a block leader: single-step the interpreter ------ #
                 index = pc // 4
                 if not 0 <= index < n_instr:
                     st.pc, st.executed = pc, executed
                     self.finish(st, stats)
                     raise SimulationError(f"PC 0x{pc:08x} outside the program")
-                d = decoded[index]
-                kind = d.kind
-                m = d.mnemonic
-                if kind == STRAIGHT:
-                    if m == "auipc":
-                        # The closure is specialized on the aligned static
-                        # address; at a misaligned pc use the live one.
-                        if d.rd:
-                            regs[d.rd] = (pc + d.imm) & MASK
-                    elif d.op is not None:
-                        d.op(regs)
-                    st.slow_cycles += d.cost
-                    pc += 4
-                elif kind == BRANCH:
-                    if d.cond(regs):
-                        st.slow_cycles += bt
-                        pc += d.imm
-                    else:
-                        st.slow_cycles += bnt
-                        pc += 4
-                elif kind == JAL:
-                    if d.rd:
-                        regs[d.rd] = (pc + 4) & MASK
-                    st.slow_cycles += d.cost
-                    pc += d.imm
-                elif kind == JALR:
-                    target = (regs[d.rs1] + d.imm) & ~1
-                    if d.rd:
-                        regs[d.rd] = (pc + 4) & MASK
-                    st.slow_cycles += d.cost
-                    pc = target
-                else:  # EBREAK
-                    st.slow_cycles += d.cost
-                    st.final_pc = pc
+                instr = self.program[index]
+                npc, cycles = step(
+                    instr, pc, regs, self._cur[1], t.enable_sdotp, t.cycle_model
+                )
+                m = instr.mnemonic
                 st.slow_counts[m] = st.slow_counts.get(m, 0) + 1
+                st.slow_cycles += cycles
                 st.slow_instr += 1
                 executed += 1
                 if executed > budget:
                     st.pc, st.executed = pc, executed
                     raise self._limit_error(st, stats)
-                if st.final_pc is not None:
-                    st.pc, st.executed = pc, executed
+                if npc is None:
+                    st.pc, st.executed, st.final_pc = pc, executed, pc
                     return "done"
+                pc = npc
                 continue
 
             fn, n, kernel, kipi, kexit, kslot, fpc, bi = e
@@ -800,11 +719,7 @@ class JitProgram:
                         raise self._limit_error(st, stats)
                     pc = kexit
                     continue
-            npc = (
-                fn(regs, cnt)
-                if fn is not None
-                else self._run_closure_block(bi, regs, cnt)
-            )
+            npc = fn(regs, cnt)
             executed += n
             if executed > budget:
                 st.pc, st.executed = pc, executed
@@ -829,11 +744,7 @@ class JitProgram:
             st.executed += kipi * iters + extras[0]
             st.pc = kexit
         else:
-            npc = (
-                fn(regs, cnt)
-                if fn is not None
-                else self._run_closure_block(bi, regs, cnt)
-            )
+            npc = fn(regs, cnt)
             st.executed += n
             if npc is None:
                 st.final_pc = fpc

@@ -130,7 +130,8 @@ class TestTraceCache:
 # --------------------------------------------------------------------------- #
 class TestJitSemantics:
     def test_jalr_into_block_interior(self):
-        """Entering a block mid-stream uses the closure fallback, bit-exact."""
+        """Entering a block mid-stream single-steps until the next leader,
+        bit-exact."""
         core_i = IbexCore(mode="interp")
         core_j = IbexCore(mode="jit")
         program = [
@@ -179,6 +180,46 @@ class TestJitSemantics:
         assert type(errors["jit"]) is type(errors["interp"])
         assert str(errors["jit"]) == str(errors["interp"])
 
+    @pytest.mark.parametrize(
+        "landing, core_kwargs",
+        [
+            (Instruction("lw", rd=reg("a2"), rs1=reg("t0"), imm=0), {}),
+            (Instruction("sw", rs1=reg("t0"), rs2=reg("t0"), imm=0), {}),
+            (
+                Instruction("sdotp8", rd=reg("a2"), rs1=reg("a0"), rs2=reg("a1")),
+                {"enable_sdotp": False},
+            ),
+            (Instruction("jalr", rd=reg("ra"), rs1=0, imm=4000), {}),
+            (Instruction("jalr", rd=reg("ra"), rs1=0, imm=-8), {}),
+            # Two generated instructions, the landing addi, then the ebreak
+            # single-step overruns the budget.
+            (Instruction("addi", rd=reg("a2"), rs1=0, imm=3), {"max_instructions": 3}),
+        ],
+        ids=["oob-load", "oob-store", "sdotp-vanilla", "jalr-past-end",
+             "jalr-negative", "limit"],
+    )
+    def test_single_step_fault_matches(self, landing, core_kwargs):
+        """A fault at a pc where no block starts raises exactly what the
+        interpreter raises."""
+        program = [
+            Instruction("lui", rd=reg("t0"), imm=0x7FFFF000),
+            Instruction("jalr", rd=reg("ra"), rs1=0, imm=16),
+            Instruction("addi", rd=reg("a0"), rs1=0, imm=1),  # skipped
+            Instruction("addi", rd=reg("a1"), rs1=0, imm=2),  # skipped
+            landing,  # pc 16, in the middle of the block at pc 8
+            Instruction("ebreak"),
+        ]
+        sdotp = core_kwargs.get("enable_sdotp", True)
+        assert 16 not in {b.pc for b in JitTemplate(program, None, sdotp).blocks}
+        errors = {}
+        for mode in ("interp", "jit"):
+            core = IbexCore(mode=mode, **core_kwargs)
+            with pytest.raises(Exception) as info:
+                core.run(program)
+            errors[mode] = info.value
+        assert type(errors["jit"]) is type(errors["interp"])
+        assert str(errors["jit"]) == str(errors["interp"])
+
     def test_instruction_limit_exception_type(self):
         """A mid-loop budget blowup raises SimulationError in jit mode too."""
         infinite = [
@@ -193,10 +234,24 @@ class TestJitSemantics:
         template = get_template(_tiny_program(), None, True)
         tallies = template.block_tallies()
         assert tallies["total"] >= 1
-        assert tallies["jit"] + tallies["closure"] == tallies["total"]
-        assert tallies["jit"] >= 1
+        assert tallies["jit"] == tallies["total"]
         assert "def _b0" in template.source
         assert isinstance(template, JitTemplate)
+
+    def test_codegen_error_raises_at_build(self, monkeypatch):
+        """A block the generator cannot express is a bug: building the
+        template raises, and the trace cache keeps no entry for it."""
+        import repro.hw.sim.jit as jit_module
+        from repro.hw.sim.jit import JitCodegenError
+        from repro.hw.sim.trace_cache import _CACHE
+
+        def failing_generator(*args, **kwargs):
+            raise JitCodegenError("unsupported")
+
+        monkeypatch.setattr(jit_module, "_generate_block", failing_generator)
+        with pytest.raises(JitCodegenError, match="unsupported"):
+            get_template(_tiny_program(), None, True)
+        assert len(_CACHE) == 0
 
     def test_x0_never_written(self):
         """Generated code must keep x0 hard-wired to zero."""
@@ -398,6 +453,48 @@ class TestBatchedExecution:
             assert type(info.value) is type(alone)
             assert str(info.value) == str(alone)
         assert {name: bytes(data) for name, data in base._data.items()} == before
+
+    def test_batched_single_step_uses_each_frames_memory(self):
+        """Frames that jalr into a block's middle single-step through
+        ``step`` against their own memory: each equals a sequential
+        interpreter run with its own payload."""
+        from repro.hw import DEFAULT_CYCLE_MODEL, Memory
+        from repro.hw.sim.batch import run_batch
+
+        buf = DMEM_BASE + 64
+        program = [
+            Instruction("lui", rd=reg("t0"), imm=DMEM_BASE),
+            Instruction("lw", rd=reg("t1"), rs1=reg("t0"), imm=64),
+            Instruction("jalr", rd=reg("ra"), rs1=0, imm=20),
+            Instruction("addi", rd=reg("a0"), rs1=0, imm=1),  # skipped
+            Instruction("addi", rd=reg("a1"), rs1=0, imm=2),  # skipped
+            Instruction("lw", rd=reg("t2"), rs1=reg("t0"), imm=68),  # pc 20
+            Instruction("add", rd=reg("t3"), rs1=reg("t1"), rs2=reg("t2")),
+            Instruction("sw", rs1=reg("t0"), rs2=reg("t3"), imm=72),
+            Instruction("ebreak"),
+        ]
+        assert 20 not in {b.pc for b in JitTemplate(program, None, True).blocks}
+        payloads = [
+            (10 * i + 1).to_bytes(4, "little") + (1000 * i + 7).to_bytes(4, "little")
+            for i in range(3)
+        ]
+        base = Memory()
+        outcomes = run_batch(
+            base, program, payloads, buf, DEFAULT_CYCLE_MODEL, True, 1000
+        )
+        assert len({o.regs[reg("t3")] for o in outcomes}) == len(payloads)
+        for payload, out in zip(payloads, outcomes):
+            ref = IbexCore(memory=base.clone(), mode="interp")
+            ref.memory.store_bytes(buf, payload)
+            ref.run(program)
+            assert out.regs == ref.registers
+            assert out.final_pc == ref.pc
+            assert out.stats.instructions == ref.stats.instructions
+            assert out.stats.cycles == ref.stats.cycles
+            assert out.stats.per_mnemonic == ref.stats.per_mnemonic
+            assert out.memory.load_bytes(DMEM_BASE, DMEM_SIZE) == (
+                ref.memory.load_bytes(DMEM_BASE, DMEM_SIZE)
+            )
 
     def test_batched_path_bug_propagates(
         self, integer_network, prepared_data, monkeypatch

@@ -11,13 +11,19 @@ suite checks the contract
 * on the inner MAC loops and the memset loop in isolation (driven through
   the real codegen emitters; ``test_sim_nests.py`` does the same for whole
   random conv and maxpool layers),
-* on randomized straight-line / branchy programs that exercise the
-  single-step fallback and the closure semantics of every instruction,
+* on randomized straight-line / branchy programs, run from their entry
+  and, with jumps mixed in, from a random pc where no block starts, so
+  every instruction kind also runs through the single-step path (the
+  interpreter's own ``step``) on cores with and without SDOTP; the
+  hypothesis example budget of that test follows the active profile
+  (``sim-large`` in CI),
 * and on adversarial near-miss loops that must fall back gracefully.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.deploy import compile_network, simulate_batch, verify_against_golden
@@ -312,7 +318,7 @@ def test_jump_into_block_interior_single_steps():
 
 def test_auipc_at_misaligned_pc_matches_interpreter():
     """jalr only clears bit 0, so auipc can execute at pc % 4 != 0; the
-    fallback must use the live pc, not the closure's static address."""
+    single step must use the live pc, not the slot's aligned address."""
     program = [
         Instruction("addi", rd=reg("t0"), rs1=0, imm=10),
         Instruction("jalr", rd=reg("ra"), rs1=reg("t0"), imm=0),
@@ -333,9 +339,25 @@ I_OPS = ["addi", "andi", "ori", "xori", "slti", "sltiu"]
 SHIFT_OPS = ["slli", "srli", "srai"]
 
 
-def _random_program(rng: np.random.Generator, length: int = 80):
+def _random_pc_dependent(rng: np.random.Generator, index: int, rd: int) -> Instruction:
+    """A pc-dependent instruction for slot ``index``: a forward ``jal``, a
+    forward absolute ``jalr`` (``jalr`` targets start no block, so it
+    usually lands mid-block, and 2 bytes off alignment for half of the
+    immediates) or an ``auipc``."""
+    skip = int(rng.integers(1, 6))
+    choice = rng.random()
+    if choice < 0.3:
+        return Instruction("jal", rd=rd, imm=4 * (skip + 1))
+    if choice < 0.7:
+        target = 4 * (index + skip + 1) + int(rng.integers(0, 4))
+        return Instruction("jalr", rd=rd, rs1=0, imm=target)
+    return Instruction("auipc", rd=rd, imm=int(rng.integers(-(2**19), 2**19)) << 12)
+
+
+def _random_program(rng: np.random.Generator, length: int = 80, jumps: bool = False):
     """A random halting program: ALU soup + aligned dmem traffic + forward
-    branches.  Register x5 holds the dmem base and is never overwritten."""
+    branches (plus :func:`_random_pc_dependent` instructions with ``jumps``).
+    Register x5 holds the dmem base and is never overwritten."""
     base = reg("t0")  # x5
     program = [
         Instruction("lui", rd=base, imm=DMEM_BASE),
@@ -373,6 +395,9 @@ def _random_program(rng: np.random.Generator, length: int = 80):
             program.append(
                 Instruction(mnemonic, rs1=rs1, rs2=rs2, imm=4 * (skip + 1))
             )
+        if jumps and rng.random() < 0.15:
+            rd = int(rng.choice(regs_pool))
+            program.append(_random_pc_dependent(rng, len(program), rd))
     program.append(Instruction("ebreak"))
     # Forward branches may overshoot the ebreak; pad with harmless targets.
     program.extend(Instruction("addi", rd=1, rs1=1, imm=1) for _ in range(8))
@@ -392,6 +417,42 @@ def test_randomized_programs_bit_exact(seed):
         core.memory.store_bytes(DMEM_BASE, dmem_fill)
 
     run_both(program, setup=setup)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, 2**16),
+    enable_sdotp=st.booleans(),
+)
+def test_randomized_programs_from_non_leader_entry(seed, pick, enable_sdotp):
+    """Entered where no block starts, the jit single-steps through the
+    interpreter's ``step`` until control reaches a block leader: every
+    instruction kind must leave the same state as ``interp``, or raise the
+    same error (``sdotp*`` on a core without SDOTP)."""
+    rng = np.random.default_rng(seed)
+    program = _random_program(rng, jumps=True)
+    leaders = {b.pc for b in JitTemplate(program, None, enable_sdotp).blocks}
+    entries = [pc for pc in range(0, 4 * len(program), 2) if pc not in leaders]
+    entry_pc = entries[pick % len(entries)]
+    init_regs = [0] + [int(v) for v in rng.integers(0, 2**32, size=31, dtype=np.uint64)]
+    init_regs[reg("t0")] = DMEM_BASE  # the skipped `lui` would have set it
+    dmem_fill = rng.integers(0, 256, size=4096, dtype=np.uint64).astype("uint8").tobytes()
+
+    cores, errors = [], []
+    for mode in SIM_MODES:
+        core = IbexCore(enable_sdotp=enable_sdotp, mode=mode)
+        core.registers = list(init_regs)
+        core.memory.store_bytes(DMEM_BASE, dmem_fill)
+        try:
+            core.run(program, entry_pc=entry_pc)
+            errors.append(None)
+        except Exception as exc:  # compared across modes below
+            errors.append((type(exc), str(exc)))
+        cores.append(core)
+    assert errors[1] == errors[0]
+    if errors[0] is None:
+        assert_cores_equal(*cores)
 
 
 def test_empty_program_raises_simulation_error_in_all_modes():
