@@ -437,7 +437,7 @@ def test_randomized_programs_from_non_leader_entry(seed, pick, enable_sdotp):
     entry_pc = entries[pick % len(entries)]
     init_regs = [0] + [int(v) for v in rng.integers(0, 2**32, size=31, dtype=np.uint64)]
     init_regs[reg("t0")] = DMEM_BASE  # the skipped `lui` would have set it
-    dmem_fill = rng.integers(0, 256, size=4096, dtype=np.uint64).astype("uint8").tobytes()
+    dmem_fill = rng.integers(0, 256, size=4096, dtype=np.uint8).tobytes()
 
     cores, errors = [], []
     for mode in SIM_MODES:
