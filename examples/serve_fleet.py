@@ -102,9 +102,7 @@ def main() -> int:
 
     pool_note = f", {args.workers} engine workers" if args.workers else ""
     print(f"=== {NUM_SENSORS} sensors -> one serving process{pool_note} ===")
-    with start_server(
-        engine, max_batch=32, max_wait_ms=2.0, workers=args.workers
-    ) as server:
+    with start_server(engine, max_batch=32, workers=args.workers) as server:
         print(f"serving {engine.target} on {server.host}:{server.port}")
         nodes = [
             threading.Thread(target=sensor_node, args=(i, server.host, server.port))

@@ -20,8 +20,9 @@ Adding a new recognized kernel:
 2. add a matcher + vectorized handler — loop-level in
    :mod:`repro.hw.sim.kernels`, layer-level in :mod:`repro.hw.sim.nests` —
    with a strict structural match.  The handler is the kernel's one
-   executor factory, ``KernelLoop.make_run_many(mems)``: it binds a whole
-   batch's memories once (a single frame is a batch of one) and returns
+   executor factory, ``KernelLoop.make_run_many(dm)``: it binds a whole
+   batch's :class:`~repro.hw.sim.kernels.FrameDmem` once (a single frame
+   is a one-row matrix) and returns
    ``run_many(regs_list, cnts, aux_base) -> (iters, extras)``.  It must
    reproduce exit registers (the last iteration's, in execution order),
    memory and statistics exactly, count every data-dependent side path

@@ -11,9 +11,10 @@ block through their generated JIT code, and each kernel dispatch executes
 
 Everything frame-independent is done once per batch: the template is
 bound once (one ``exec`` of its code object, whose memory helpers follow
-the frame being advanced), each kernel's multi-frame runner is built once,
-and every frame's statistics are scaled from one ``(frames, slots)``
-counter matrix.  Channel kernels expand weight bytes to multiply lanes once
+the frame being advanced), the ``(frames, dmem)`` matrix is wrapped in one
+:class:`~repro.hw.sim.kernels.FrameDmem` that every kernel's multi-frame
+runner binds, and every frame's statistics are scaled from one
+``(frames, slots)`` counter matrix.  Channel kernels expand weight bytes to multiply lanes once
 and broadcast them over the frames; when a byte compare finds frames with
 different weights, they decline and each frame runs the kernel alone.
 
@@ -48,6 +49,7 @@ from ..core import ExecutionStats
 from ..cycles import CycleModel
 from ..isa import Instruction
 from ..memory import Memory
+from .kernels import FrameDmem
 from .trace_cache import get_template
 
 
@@ -89,10 +91,11 @@ def run_batch(
     template = get_template(program, cycle_model, enable_sdotp)
     n_frames = len(payloads)
     # One contiguous (frames, dmem_size) matrix backs every clone's dmem so
-    # that batched kernel gathers are zero-copy column slices of `dmem_mat`
-    # instead of per-call np.stack allocations (see kernels.FrameDmem).
-    dmem_size = memory.regions["dmem"].size
-    dmem_mat = np.empty((n_frames, dmem_size), dtype=np.uint8)
+    # that batched kernel gathers are zero-copy column slices of it; every
+    # kernel of the batch binds the same FrameDmem over it.
+    region = memory.regions["dmem"]
+    dmem_mat = np.empty((n_frames, region.size), dtype=np.uint8)
+    dm = FrameDmem(dmem_mat, region.base)
     mems: List[Memory] = []
     for idx, payload in enumerate(payloads):
         m = memory.clone(dmem_buffer=dmem_mat[idx].data)
@@ -125,7 +128,7 @@ def run_batch(
         _, _, kernel, kipi, kexit, kslot, _, _ = jp.entries[pc0]
         rm = run_many_cache.get(pc0)
         if rm is None:
-            rm = run_many_cache[pc0] = kernel.make_run_many(mems)
+            rm = run_many_cache[pc0] = kernel.make_run_many(dm)
         iters, extras = rm(
             [st.regs for st in states], [st.cnt for st in states], kslot + 2
         )

@@ -72,8 +72,8 @@ class BasicBlock:
 def build_blocks(decoded: List[Decoded], cycle_model) -> List[BasicBlock]:
     """Split ``decoded`` into basic blocks and attach kernel handlers.
 
-    Kernels are recognized but left unbound; executors bind them to one
-    memory per frame through ``kernel.make_run_many``.
+    Kernels are recognized but left unbound; executors bind them to a
+    batch's data memory through ``kernel.make_run_many``.
     """
     n = len(decoded)
     if n == 0:  # the simulator's fallback path reports the bad pc itself

@@ -21,8 +21,8 @@ The compiled artifact is split in two:
   object binds the inlined load/store helpers to a *current-frame cell*
   (that frame's dmem row and ``Memory``), which :meth:`JitProgram.advance`
   switches to the frame of the run it resumes; a kernel loop a frame runs
-  alone gets its runner from ``make_run_many([mem])`` on first use (a
-  single frame is a batch of one).  Binding is cheap (one ``exec`` of an
+  alone gets its runner from ``make_run_many(FrameDmem.of(mem))`` on first
+  use (a single frame is a batch of one).  Binding is cheap (one ``exec`` of an
   already-compiled module per run or batch, no re-decode).
 
 Execution strategy, fastest first: recognized kernel loop (one numpy op
@@ -86,7 +86,7 @@ from ..isa import Instruction
 from ..memory import Memory
 from ..sdotp import sdotp4, sdotp8
 from .blocks import BasicBlock, build_blocks
-from .kernels import attach_channel_superloops
+from .kernels import FrameDmem, attach_channel_superloops
 from .nests import attach_layer_nests
 from .decode import BRANCH, EBREAK, JAL, JALR, decode_meta
 
@@ -621,7 +621,7 @@ class JitProgram:
         run = self._runners.get((frame, bi))
         if run is None:
             kernel = self.template.blocks[bi].kernel
-            run = kernel.make_run_many([self.mems[frame]])
+            run = kernel.make_run_many(FrameDmem.of(self.mems[frame]))
             self._runners[(frame, bi)] = run
         return run
 

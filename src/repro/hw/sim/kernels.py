@@ -24,8 +24,9 @@ then falls back to generic block execution, which is always bit-exact.
 Recognition is structural, on the assembled instructions themselves, and
 **memory-independent**, so a recognized :class:`KernelLoop` belongs to a
 reusable template (the process-wide JIT trace cache stores these).  Its one
-executor factory, ``make_run_many(mems)``, binds a whole batch's memories
-once at execution time; a single frame is a batch of one.
+executor factory, ``make_run_many(dm)``, binds a whole batch's data memory
+(one :class:`FrameDmem`) once at execution time; a single frame is a batch
+of one.
 
 The code generator additionally *annotates* every loop it emits
 (:class:`repro.deploy.codegen.KernelHint`); the annotations are used by
@@ -49,12 +50,12 @@ MASK = 0xFFFFFFFF
 class KernelLoop:
     """A recognized loop with a vectorized executor.
 
-    ``make_run_many(mems)`` binds every frame's memory of a batch at once
-    (a single frame is a list of one) and returns
+    ``make_run_many(dm)`` binds the :class:`FrameDmem` of a batch (a single
+    frame is a one-row matrix) and returns
     ``run_many(regs_list, cnts, aux_base)``.  The runner executes the
     remaining trip count ``n`` (read from the counter register) for every
     frame at once — one numpy op over the stacked
-    ``(frames, bytes)`` matrix of :class:`FrameDmem` — adds each frame's
+    ``(frames, bytes)`` matrix of ``dm`` — adds each frame's
     side-path hits to its ``cnts[f][aux_base + j]`` slots and returns
     ``(n, extras)``, where ``extras[f]`` counts the instructions frame
     ``f`` ran on those side paths.  It returns ``(0, None)`` to decline —
@@ -151,48 +152,38 @@ class FrameDmem:
     """Every frame's dmem as the rows of one ``(frames, size)`` uint8 matrix.
 
     The batched executor backs each frame's memory clone with a row of one
-    contiguous matrix (see :meth:`~repro.hw.memory.Memory.clone`) and a
-    single memory is a one-row matrix, so every read of a kernel is a
+    contiguous matrix (see :meth:`~repro.hw.memory.Memory.clone`) and wraps
+    that matrix once per batch; a frame run alone wraps its own dmem as a
+    one-row matrix (:meth:`of`).  So every read of a kernel is a
     **zero-copy** view across all frames and every write one numpy
-    assignment.  Memories that are not rows of one allocation get no
-    matrix: every view is then ``None`` and the kernels decline, leaving
-    the per-frame path to run them.  A ``None`` view also means the span is
-    not fully inside dmem; the per-frame path then raises the exact fault.
+    assignment.  A ``None`` view means the span is not fully inside dmem;
+    the kernel then declines and the per-frame path raises the exact fault.
     """
 
     __slots__ = ("mat", "base", "size")
 
-    def __init__(self, mems: Sequence[Memory]):
-        region = mems[0].regions["dmem"]
-        self.base, self.size = region.base, region.size
-        views = [np.frombuffer(m._data["dmem"], dtype=np.uint8) for m in mems]
-        self.mat = None
-        if any(v.size != self.size for v in views):
-            return
-        if len(views) == 1:
-            self.mat = views[0].reshape(1, self.size)
-            return
-        addrs = [v.__array_interface__["data"][0] for v in views]
-        step = addrs[1] - addrs[0]
-        if step >= self.size and all(b - a == step for a, b in zip(addrs, addrs[1:])):
-            # Rows of one shared allocation: stitch the parent matrix back
-            # together.  Only the [addr, addr+size) row spans are ever
-            # dereferenced, all of which are valid frame views.
-            self.mat = np.lib.stride_tricks.as_strided(
-                views[0], shape=(len(views), self.size), strides=(step, 1)
-            )
+    def __init__(self, mat: np.ndarray, base: int):
+        self.mat = mat
+        self.base = base
+        self.size = mat.shape[1]
+
+    @classmethod
+    def of(cls, memory: Memory) -> "FrameDmem":
+        """One memory's dmem as a one-row matrix."""
+        row = np.frombuffer(memory._data["dmem"], dtype=np.uint8)
+        return cls(row.reshape(1, -1), memory.regions["dmem"].base)
 
     def gather(self, addr: int, count: int) -> Optional[np.ndarray]:
         """``(frames, count)`` view of the bytes at ``addr``."""
         off = addr - self.base
-        if self.mat is None or off < 0 or off + count > self.size:
+        if off < 0 or off + count > self.size:
             return None
         return self.mat[:, off : off + count]
 
     def window(self, addr: int, shape: tuple, strides: tuple) -> Optional[np.ndarray]:
         """Writable ``(frames, *shape)`` strided view starting at ``addr``."""
         off = addr - self.base
-        if self.mat is None or off < 0 or off + _extent(shape, strides) > self.size:
+        if off < 0 or off + _extent(shape, strides) > self.size:
             return None
         m = self.mat
         return np.lib.stride_tricks.as_strided(
@@ -323,9 +314,7 @@ def _match_memset(body, cycle_model) -> Optional[KernelLoop]:
     if P == 0 or P == E or (Z == P and Z != 0):
         return None
 
-    def make_run_many(mems):
-        stores = [m.store_bytes for m in mems]
-
+    def make_run_many(dm):
         def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
             if not _uniform(regs_list, (P, E)):
@@ -334,9 +323,13 @@ def _match_memset(body, cycle_model) -> Optional[KernelLoop]:
             if span <= 0 or span % 4:
                 return 0, None
             n = span // 4
-            start, end = r0[P], r0[E]
-            for store, regs in zip(stores, regs_list):
-                store(start, regs[Z].to_bytes(4, "little") * n)
+            out = dm.window(r0[P], (n, 4), (4, 1))
+            if out is None:
+                return 0, None
+            words = np.array([regs[Z] for regs in regs_list], dtype="<u4")
+            out[...] = words.view(np.uint8).reshape(-1, 1, 4)
+            end = r0[E]
+            for regs in regs_list:
                 regs[P] = end
             return n, [0] * len(regs_list)
 
@@ -589,6 +582,13 @@ class ChannelSpec:
     it only clobbers.
     """
 
+    #: ``(weight bytes, weight lanes)`` of the last :meth:`evaluate`.  The
+    #: lanes are reused only after a byte compare against the current
+    #: frames' weights, so engines that share the template with different
+    #: weights never see each other's lanes.  One tuple, replaced in one
+    #: assignment: a concurrent reader never sees a torn entry.
+    _lanes: Optional[tuple] = None
+
     def evaluate(self, dm: FrameDmem, regs_list, n: int, bp: int, wp: int,
                  pb: int, outp: int, p0: int = 0, grid=_ONE_PIXEL,
                  flush: bool = False):
@@ -648,7 +648,18 @@ class ChannelSpec:
         # threshold, whose thread wake-up costs milliseconds.
         a_lanes, w_lanes = _MODE_LANES[self.mode]
         va = _lane_view(act, _LANES[a_lanes], *a_geom).reshape(F, rows * cols, -1)
-        vw = _lane_view(wts[:1], _LANES[w_lanes], *w_geom).reshape(n, -1)
+        # The byte count fixes n (oc_stride > 0), so equal bytes mean equal
+        # lanes.
+        key = wts[0].tobytes()
+        cached = self._lanes
+        if cached is not None and cached[0] == key:
+            vw = cached[1]
+        else:
+            vw = np.ascontiguousarray(
+                _lane_view(wts[:1], _LANES[w_lanes], *w_geom).reshape(n, -1)
+            )
+            vw.flags.writeable = False
+            self._lanes = (key, vw)
         dots = np.matmul(va, vw.T).astype(np.int64)
         bias = np.ascontiguousarray(bias_g).view("<i4").astype(np.int64)
         acc32 = (bias[:, None, :] + dots) & MASK
@@ -1064,9 +1075,7 @@ def _match_channel_loop(program, head, cycle_model):
         uniform_regs.append(PAR)
     parity_base = 2 if requant else 0
 
-    def make_run_many(mems):
-        dm = FrameDmem(mems)
-
+    def make_run_many(dm):
         def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
             n = _counter(r0, CNTR)

@@ -50,7 +50,6 @@ import numpy as np
 from ..isa import Instruction
 from .kernels import (
     MASK,
-    FrameDmem,
     KernelLoop,
     _counter,
     _extent,
@@ -212,9 +211,7 @@ def _match_conv_nest(program: List[Instruction], head: int, by_pc: dict,
     if spec.requant:
         uniform += [spec.MUL, spec.RND, spec.LEV]
 
-    def make_run_many(mems):
-        dm = FrameDmem(mems)
-
+    def make_run_many(dm):
         def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
             rows = _counter(r0, OYC)
@@ -332,9 +329,7 @@ def _match_pool_nest(program: List[Instruction], head: int, by_pc: dict,
     signed = load == "lb"
     mv_cost = cycle_model.cost(mvs[0])
 
-    def make_run_many(mems):
-        dm = FrameDmem(mems)
-
+    def make_run_many(dm):
         def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
             rows = _counter(r0, OYC)

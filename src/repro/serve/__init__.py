@@ -3,8 +3,8 @@
 The serving subsystem takes one compiled :class:`~repro.engine.Engine` and
 turns it into a fleet-facing service: many concurrent sensor sessions, each
 with its own majority-FIFO state (the paper's post-processing filter), fed
-through a **cross-session micro-batcher** that coalesces frames arriving
-within a small window into single ``Engine.predict_batch`` calls — so the
+through a **cross-session micro-batcher** that coalesces the frames queued
+while the engine is busy into single ``Engine.predict_batch`` calls — so the
 per-frame Python overhead amortizes exactly like the batched simulator
 path, while every session's outputs stay bit-identical to an offline
 ``Engine.stream()`` replay.
@@ -15,7 +15,7 @@ Quick start (in-process server on a background thread)::
     from repro.serve import ServeClient, start_server
 
     engine = repro.compile(qmodel, target="int-golden")
-    with start_server(engine, max_batch=32, max_wait_ms=2.0) as server:
+    with start_server(engine, max_batch=32) as server:
         client = ServeClient(server.host, server.port)
         sid = client.open_session(window=5)["session_id"]
         out = client.push(sid, frames[:4])      # raw + voted per frame

@@ -9,6 +9,12 @@ single ``Engine.predict_batch`` — so the per-frame Python overhead
 amortizes exactly like the batched simulator path, while each session's
 majority FIFO is updated strictly in that session's arrival order.
 
+The default ``max_wait_ms=0`` is work-conserving: the dispatcher never
+waits while frames are queued, so a batch is whatever queued while the
+previous engine call ran (at most ``max_batch`` frames).  Under load the
+engine is always busy and batches still form; under light load a window
+would only add latency.
+
 Ordering guarantee: items are appended under the queue lock in submit
 order and dispatched FIFO by one thread, so for any single session the
 voter sees frames in exactly the order the client pushed them — which is
@@ -125,6 +131,8 @@ class MicroBatcher:
     max_wait_ms:
         How long the dispatcher holds an under-full batch open waiting for
         more frames, measured from the first queued frame of the batch.
+        ``0`` (the default) dispatches as soon as the dispatcher is free;
+        a batch is then what queued while the previous call ran.
     max_queue / max_session_queue:
         Global / per-session admission bounds (reject with 429 beyond).
     """
@@ -134,7 +142,7 @@ class MicroBatcher:
         runner: Callable[[np.ndarray], object],
         *,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = 0.0,
         max_queue: int = 1024,
         max_session_queue: int = 256,
         metrics=None,

@@ -299,7 +299,7 @@ def start_server(
 ) -> RunningServer:
     """Serve ``engine`` over HTTP on a background thread.
 
-    ``config_kwargs`` (e.g. ``max_batch=32, max_wait_ms=2.0``) build a
+    ``config_kwargs`` (e.g. ``max_batch=32, workers=2``) build a
     :class:`ServeConfig` when ``config`` is not given.  ``workers=N``
     shards sessions across N engine worker processes (frames go inline on
     each worker's pipe; see :mod:`repro.serve.pool`); ``workers=0`` — the

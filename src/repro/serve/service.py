@@ -100,10 +100,15 @@ class ServeConfig:
     micro-batcher.  ``workers=N`` shards sessions by consistent hash onto N
     engine worker processes, each with its own engine + micro-batcher, with
     frames sent inline on each worker's pipe (see :mod:`repro.serve.pool`).
+
+    ``max_wait_ms=0`` (the default) dispatches as soon as the engine is
+    free: a batch is what queued meanwhile, up to ``max_batch`` frames.  A
+    positive value holds an under-full batch open that long for more
+    frames (see :class:`~repro.serve.batcher.MicroBatcher`).
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     max_queue: int = 1024
     max_session_queue: int = 256
     session_ttl_s: float = 300.0

@@ -210,6 +210,44 @@ class TestMicroBatcher:
         finally:
             self._drain_stop(batcher)
 
+    def test_default_dispatches_without_a_timer(self):
+        """The default is work-conserving: a lone push dispatches at once,
+        even on a clock that never advances (no window to wait out)."""
+        engine = FakeEngine()
+        batcher = MicroBatcher(engine.predict_batch, clock=lambda: 0.0)
+        session = SessionManager(ttl_s=100).open()
+        batcher.start()
+        try:
+            results = batcher.submit(session, encode_frames([3])).result(timeout=1)
+            assert [r.raw for r in results] == [3]
+            assert engine.batch_sizes == [1]
+        finally:
+            self._drain_stop(batcher)
+
+    def test_default_batch_is_what_queued_during_the_previous_call(self):
+        """With the default config, the pushes queued while the engine ran
+        batch 1 run together as batch 2 as soon as it returns."""
+        runner = BlockingRunner()
+        batcher = MicroBatcher(runner, clock=lambda: 0.0)
+        mgr = SessionManager(ttl_s=100)
+        a, b = mgr.open(), mgr.open()
+        batcher.start()
+        try:
+            first = batcher.submit(a, encode_frames([0]))
+            assert runner.entered.wait(timeout=10)
+            queued = [
+                batcher.submit(a, encode_frames([0] * 8)),
+                batcher.submit(b, encode_frames([0] * 8)),
+                batcher.submit(a, encode_frames([0] * 5)),
+            ]
+            runner.release.set()
+            for future in [first] + queued:
+                future.result(timeout=1)
+            assert runner.batches == [1, 21]
+            assert 21 <= batcher.max_batch
+        finally:
+            self._drain_stop(batcher)
+
     def test_admission_slots_are_free_when_the_request_resolves(self):
         # A client holding its response may push again at once; a pool
         # worker sends that response from the future's done-callback.

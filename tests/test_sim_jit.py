@@ -410,6 +410,37 @@ class TestBatchedExecution:
         assert len(outcomes) == 16
         assert execs == [template.code]
 
+    def test_one_frame_dmem_per_batch(self, integer_network, prepared_data, monkeypatch):
+        """A 16-frame batch wraps its (frames, dmem) matrix once, and every
+        kernel of the batch binds that one view."""
+        from repro.deploy.runtime import load_model
+        from repro.hw.sim.batch import run_batch
+        from repro.hw.sim.kernels import FrameDmem
+
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:16]
+        )
+        platform = maupiti_platform()
+        compiled = compile_network(integer_network, use_sdotp=True)
+        load_model(platform, compiled)
+        core = platform.core
+        built = []
+        builtin_init = FrameDmem.__init__
+
+        def counting_init(self, mat, base):
+            built.append(mat.shape)
+            builtin_init(self, mat, base)
+
+        monkeypatch.setattr(FrameDmem, "__init__", counting_init)
+        outcomes = run_batch(
+            platform.memory, compiled.program,
+            [p.tobytes() for p in pack_input_frames(compiled, frames)],
+            compiled.input_buffer.address, core.cycle_model, True,
+            core.max_instructions,
+        )
+        assert len(outcomes) == 16
+        assert built == [(16, DMEM_SIZE)]
+
     def test_fault_in_one_frame_is_that_frames_fault(self):
         """Only frame 2 reads outside dmem: the batch raises the exception
         frame 2 raises alone, and the platform memory is left untouched."""
@@ -513,10 +544,10 @@ class TestBatchedExecution:
         )
         single_frame = kernel.make_run_many
 
-        def batched_only_bug(mems):
-            if len(mems) > 1:
+        def batched_only_bug(dm):
+            if dm.mat.shape[0] > 1:
                 raise ValueError("injected batched-kernel bug")
-            return single_frame(mems)
+            return single_frame(dm)
 
         monkeypatch.setattr(kernel, "make_run_many", batched_only_bug)
         with pytest.raises(ValueError, match="injected batched-kernel bug"):
@@ -527,6 +558,69 @@ class TestBatchedExecution:
 # Thread safety
 # --------------------------------------------------------------------------- #
 class TestThreadSafety:
+    def test_shared_template_with_different_weights(
+        self, integer_network, prepared_data
+    ):
+        """Two engines of one architecture with different weights share one
+        template, and with it each channel kernel's cached weight lanes.
+        Alternating calls must each match their own int-golden logits and
+        interp cycles: a stale lane entry would run the other weights."""
+        import copy
+
+        from repro.quant.integer import IntegerLayer
+
+        other = copy.deepcopy(integer_network)
+        for layer in other.graph:
+            if isinstance(layer, IntegerLayer):
+                layer.weight = np.ascontiguousarray(layer.weight[::-1])
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:3]
+        )
+        nets = (integer_network, other)
+        engines = [repro.compile(n, target="maupiti", sim_mode="jit") for n in nets]
+        golden = [repro.compile(n, target="int-golden").predict_batch(frames) for n in nets]
+        interp = [
+            repro.compile(n, target="maupiti", sim_mode="interp").predict_batch(frames)
+            for n in nets
+        ]
+        assert not np.array_equal(golden[0].logits, golden[1].logits)
+        # Batches of 2 and 3 take the batched path, a batch of 1 the core's.
+        for rows in (slice(0, 2), slice(2, 3), slice(0, 3), slice(0, 2)):
+            for i in (0, 1, 0, 1):
+                out = engines[i].predict_batch(frames[rows])
+                np.testing.assert_array_equal(out.logits, golden[i].logits[rows])
+                np.testing.assert_array_equal(
+                    out.cycles_per_frame, interp[i].cycles_per_frame[rows]
+                )
+        assert cache_stats().misses == 1, "both engines must share one template"
+
+        # Concurrently: more threads than cores, with short switch intervals
+        # so that calls interleave inside the lane lookup.
+        import sys
+
+        errors = []
+
+        def hammer(i):
+            try:
+                for _ in range(15):
+                    out = engines[i].predict_batch(frames[:2])
+                    np.testing.assert_array_equal(out.logits, golden[i].logits[:2])
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i % 2,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+
     def test_concurrent_predict_on_shared_template(
         self, integer_network, prepared_data
     ):

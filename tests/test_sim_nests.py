@@ -43,6 +43,7 @@ from repro.hw import (
 )
 from repro.hw.sim import get_template
 from repro.hw.sim.batch import run_batch
+from repro.hw.sim.kernels import FrameDmem
 
 MAX_INSTRUCTIONS = 5_000_000
 
@@ -350,7 +351,9 @@ def test_nest_declines_on_non_uniform_control_registers(kind):
         states.append(state)
     regs = [state.regs for state in states]
     cnts = [state.cnt for state in states]
-    run_many = template.blocks[bi].kernel.make_run_many(mems)
+    run_many = template.blocks[bi].kernel.make_run_many(
+        FrameDmem(mat, DMEM_BASE)
+    )
     aux = template.kslots[bi] + 2
 
     regs[1][reg("s4")] -= 1  # frame 1 has one row fewer left
