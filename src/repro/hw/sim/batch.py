@@ -14,9 +14,10 @@ bound once (one ``exec`` of its code object, whose memory helpers follow
 the frame being advanced), the ``(frames, dmem)`` matrix is wrapped in one
 :class:`~repro.hw.sim.kernels.FrameDmem` that every kernel's multi-frame
 runner binds, and every frame's statistics are scaled from one
-``(frames, slots)`` counter matrix.  Channel kernels expand weight bytes to multiply lanes once
-and broadcast them over the frames; when a byte compare finds frames with
-different weights, they decline and each frame runs the kernel alone.
+``(frames, slots)`` counter matrix.  Channel kernels broadcast one set of
+weight lanes over the frames, kept across calls while the weight bytes
+compare equal; when a byte compare finds frames with different weights,
+they decline and each frame runs the kernel alone.
 
 Data-dependent branches (requantization clamps, maxpool compares, argmax)
 do exist — the kernels count the ones inside them per frame, and the rest

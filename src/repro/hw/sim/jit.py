@@ -22,8 +22,8 @@ The compiled artifact is split in two:
   (that frame's dmem row and ``Memory``), which :meth:`JitProgram.advance`
   switches to the frame of the run it resumes; a kernel loop a frame runs
   alone gets its runner from ``make_run_many(FrameDmem.of(mem))`` on first
-  use (a single frame is a batch of one).  Binding is cheap (one ``exec`` of an
-  already-compiled module per run or batch, no re-decode).
+  use (a single frame is a batch of one).  Binding is cheap (one ``exec``
+  of an already-compiled module per run or batch, no re-decode).
 
 Execution strategy, fastest first: recognized kernel loop (one numpy op
 for the whole remaining trip count) → generated block function → for a pc
