@@ -15,6 +15,10 @@ server's final ``/metrics`` snapshot showing how well the fleet's frames
 batched.  It replays every sensor's stream offline through
 ``Engine.stream`` and exits non-zero unless the served votes are identical.
 
+Sensor 0 posts its chunks as JSON over a bare ``http.client`` connection
+(what ``curl`` sends); the others use ``ServeClient``, which sends NumPy
+``.npy`` bodies.  Both encodings must give the same votes.
+
 With ``--workers N`` the server shards the fleet across N engine worker
 processes (consistent-hash on the session id, frames inline on each
 worker's pipe); the example then also prints which worker served each
@@ -25,8 +29,10 @@ Run with:  PYTHONPATH=src python examples/serve_fleet.py [--workers N]
 """
 
 import argparse
+import json
 import sys
 import threading
+from http.client import HTTPConnection
 
 import numpy as np
 
@@ -40,6 +46,26 @@ from repro.serve import ServeClient, start_server
 NUM_SENSORS = 6
 FRAMES_PER_SENSOR = 70
 CHUNK = 8  # frames per HTTP push (a sensor uplink buffer)
+JSON_SENSOR = 0  # this sensor posts JSON bodies; the rest post .npy
+
+
+def push_json(host: str, port: int, session_id: str, frames: np.ndarray) -> dict:
+    """Push one chunk as a JSON body, the way ``curl -d`` does."""
+    conn = HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request(
+            "POST",
+            f"/v1/sessions/{session_id}/frames",
+            body=json.dumps({"frames": frames.tolist()}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        reply = json.loads(response.read())
+    finally:
+        conn.close()
+    if response.status != 200:
+        raise RuntimeError(f"JSON push answered {response.status}: {reply}")
+    return reply
 
 
 def main() -> int:
@@ -95,7 +121,11 @@ def main() -> int:
             shards[idx] = opened.get("worker")
             voted = []
             for start in range(0, len(stream), CHUNK):
-                out = client.push(sid, stream[start : start + CHUNK])
+                chunk = stream[start : start + CHUNK]
+                if idx == JSON_SENSOR:
+                    out = push_json(host, port, sid, chunk)
+                else:
+                    out = client.push(sid, chunk)
                 voted.extend(r["voted"] for r in out["results"])
             closed = client.close_session(sid)
             results[idx] = (np.asarray(voted), closed["frames_seen"])
@@ -112,6 +142,10 @@ def main() -> int:
             node.start()
         for node in nodes:
             node.join()
+        failed = [idx for idx, result in enumerate(results) if result is None]
+        if failed:
+            print(f"FAIL: sensors {failed} did not finish their streams")
+            return 1
 
         for idx, (voted, seen) in enumerate(results):
             truth = streams[idx][1]
@@ -119,8 +153,10 @@ def main() -> int:
             counts = ", ".join(
                 f"{c}p:{(voted == c).sum():3d}" for c in range(4)
             )
+            encoding = "json" if idx == JSON_SENSOR else ".npy"
             print(
-                f"sensor {idx}: {seen} frames | majority-vote BAS {bas:.3f} | "
+                f"sensor {idx} ({encoding}): {seen} frames | "
+                f"majority-vote BAS {bas:.3f} | "
                 f"occupancy [{counts}]"
             )
 

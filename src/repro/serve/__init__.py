@@ -28,7 +28,8 @@ Pieces
 ``ServeServer``    hand-rolled asyncio HTTP/1.1 front-end
 ``start_server``   run the asyncio server on a daemon thread (tests/examples)
 ``make_wsgi_app``  thin WSGI adapter over the same service
-``ServeClient``    stdlib ``http.client`` client (one per stream)
+``ServeClient``    stdlib ``http.client`` client (one per stream); sends
+                   frames as ``.npy`` bodies, JSON stays accepted for curl
 ``MicroBatcher``   the bounded FIFO + dispatch thread doing the coalescing
 ``EngineWorkerPool``  the ``workers=N`` dispatcher: sharded engine processes
 

@@ -4,6 +4,10 @@ One :class:`ServeClient` holds one keep-alive ``http.client`` connection —
 exactly what a sensor node (or one load-generator thread) uses.  Instances
 are not thread-safe; give each concurrent stream its own client.
 
+Frames travel as a NumPy ``.npy`` body (``Content-Type:
+application/x-npy``): float64 pixels as bytes, with no text round trip.
+Every other request body, and every response, is JSON.
+
 Resilience is opt-in and layered:
 
 * **Transport honesty** — a request that *verifiably never reached the
@@ -27,6 +31,7 @@ Resilience is opt-in and layered:
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import time
@@ -140,10 +145,19 @@ class ServeClient:
             self._conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
         return self._conn
 
-    def _request_once(self, method: str, path: str, payload: Optional[dict]):
-        """One HTTP round trip with honest connection-failure semantics."""
-        body = None if payload is None else json.dumps(payload).encode()
-        headers = {"Content-Type": "application/json"} if body else {}
+    def _request_once(
+        self, method: str, path: str, payload: Union[dict, bytes, None]
+    ):
+        """One HTTP round trip with honest connection-failure semantics.
+
+        A ``dict`` payload is sent as JSON, ``bytes`` as a ``.npy`` body."""
+        if isinstance(payload, bytes):
+            body, headers = payload, {"Content-Type": "application/x-npy"}
+        elif payload is None:
+            body, headers = None, {}
+        else:
+            body = json.dumps(payload).encode()
+            headers = {"Content-Type": "application/json"}
         retried_stale = False
         while True:
             conn = self._connection()
@@ -193,7 +207,9 @@ class ServeClient:
             raise exc
         return data
 
-    def _request(self, method: str, path: str, payload: Optional[dict] = None):
+    def _request(
+        self, method: str, path: str, payload: Union[dict, bytes, None] = None
+    ):
         attempt = 0
         while True:
             try:
@@ -221,11 +237,23 @@ class ServeClient:
         return self._request("POST", "/v1/sessions", payload or None)
 
     def push(self, session_id: str, frames: Union[np.ndarray, list]) -> dict:
-        """Push one ``(C, H, W)`` frame or an ``(N, C, H, W)`` chunk."""
-        if isinstance(frames, np.ndarray):
-            frames = frames.tolist()
+        """Push one ``(C, H, W)`` frame or an ``(N, C, H, W)`` chunk.
+
+        The frames are converted to a float64 array here and sent as a
+        ``.npy`` body, so input that is not a real numeric array (a ragged
+        list, or strings, objects or complex numbers) raises
+        :class:`ValueError` before any request is sent.  The server checks
+        the shape.
+        """
+        frames = np.asarray(frames)
+        if frames.dtype.kind not in "biuf":
+            raise ValueError(
+                f"frames must be bool, integer or float; got dtype {frames.dtype}"
+            )
+        body = io.BytesIO()
+        np.save(body, frames.astype(np.float64, copy=False), allow_pickle=False)
         return self._request(
-            "POST", f"/v1/sessions/{session_id}/frames", {"frames": frames}
+            "POST", f"/v1/sessions/{session_id}/frames", body.getvalue()
         )
 
     def close_session(self, session_id: str) -> dict:

@@ -19,6 +19,11 @@ Endpoints::
     DELETE /v1/sessions/{id}         close the stream  -> 200 {frames_seen}
     GET    /healthz                  liveness + queue  -> 200 / 503
     GET    /metrics                  Prometheus text   -> 200
+
+A frames body is a NumPy ``.npy`` file (what :class:`ServeClient` sends)
+or a JSON ``{"frames": [...]}`` object (what ``curl -d`` sends); the
+service tells them apart by the ``.npy`` magic, so no ``Content-Type``
+is consulted.  Every other body, and every response, is JSON.
 """
 
 from __future__ import annotations

@@ -10,15 +10,19 @@ dispatcher's future: the asyncio server awaits it, WSGI blocks on it.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import re
 import sys
 import time
+import tokenize
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ..engine.guard import InvalidFrameError
 from .batcher import MicroBatcher
@@ -38,6 +42,10 @@ _SESSION_PATH = re.compile(r"^/v1/sessions/([0-9a-f]+)$")
 #: Largest request body either HTTP front end accepts.
 MAX_BODY = 64 * 1024 * 1024
 
+#: First bytes of every NumPy ``.npy`` body.  No JSON text starts with
+#: byte 0x93, so the frames endpoint tells the two encodings apart by it.
+NPY_MAGIC = b"\x93NUMPY"
+
 
 def content_length(value: Optional[str]) -> int:
     """Body length from a ``Content-Length`` header value (absent or empty: 0).
@@ -53,6 +61,44 @@ def content_length(value: Optional[str]) -> int:
     if length > MAX_BODY:
         raise BadRequestError("body too large")
     return length
+
+
+def decode_npy(body: bytes) -> np.ndarray:
+    """The float64 array of one ``.npy`` request body.
+
+    The header is checked against the body before any array is built:
+    ``np.load`` on an in-memory file allocates the shape its header
+    declares before reading a byte of data, so a short body could ask for
+    gigabytes.  Here a header whose shape and dtype do not account for
+    exactly the bytes that follow is refused, and only bool, integer and
+    float dtypes are read, so no object array (and no pickle) ever is.
+    Every refusal raises :class:`BadRequestError`.
+    """
+    stream = io.BytesIO(body)
+    try:
+        # np.save writes format 1.0 unless the header outgrows 64 KiB.
+        if npy_format.read_magic(stream) != (1, 0):
+            raise ValueError("only .npy format version 1.0 is accepted")
+        shape, fortran_order, dtype = npy_format.read_array_header_1_0(stream)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+        # numpy parses the header with ``ast.literal_eval`` and, when that
+        # fails, retokenizes it: these are the errors a bad header raises.
+        raise BadRequestError(f"invalid .npy body: {exc}") from exc
+    shape = tuple(map(int, shape))  # the header may spell a length True
+    if dtype.kind not in "biuf":
+        raise BadRequestError(
+            f".npy frames must be bool, integer or float; got dtype {dtype}"
+        )
+    offset = stream.tell()
+    if min(shape, default=0) < 0 or (
+        len(body) - offset != math.prod(shape) * dtype.itemsize
+    ):
+        raise BadRequestError(
+            f"invalid .npy body: {len(body) - offset} data bytes do not hold "
+            f"a {dtype} array of shape {shape}"
+        )
+    array = np.frombuffer(body, dtype=dtype, offset=offset)
+    return array.reshape(shape, order="F" if fortran_order else "C").astype(np.float64)
 
 
 def _endpoint_of(path: str) -> str:
@@ -404,12 +450,22 @@ class ServeService:
             raise BadRequestError("JSON body must be an object")
         return payload
 
-    @staticmethod
-    def _parse_frames(payload: dict) -> np.ndarray:
+    @classmethod
+    def _frames_of(cls, body: bytes) -> np.ndarray:
+        """The frames of a frames-endpoint body: a ``.npy`` array, or a
+        JSON object whose ``frames`` field holds nested lists."""
+        if body.startswith(NPY_MAGIC):
+            return cls._parse_frames(decode_npy(body))
+        payload = cls._parse_json(body)
         if "frames" not in payload:
             raise BadRequestError("missing 'frames' field")
+        return cls._parse_frames(payload["frames"])
+
+    @staticmethod
+    def _parse_frames(frames) -> np.ndarray:
+        """The one shape check both encodings pass through."""
         try:
-            frames = np.asarray(payload["frames"], dtype=np.float64)
+            frames = np.asarray(frames, dtype=np.float64)
         except (ValueError, TypeError) as exc:
             raise BadRequestError(f"frames are not a numeric array: {exc}") from exc
         if frames.ndim == 3:  # a single (C, H, W) frame
@@ -448,7 +504,7 @@ class ServeService:
             if match:
                 if method != "POST":
                     return self._method_not_allowed("frames")
-                frames = self._parse_frames(self._parse_json(body))
+                frames = self._frames_of(body)
                 return self.submit_frames(match.group(1), frames)
             match = _SESSION_PATH.match(path)
             if match:

@@ -18,8 +18,10 @@ import repro
 from repro.engine import BatchPrediction, ModelBundle, available_targets, get_target
 from repro.postproc import majority_filter
 from repro.serve import (
+    BadRequestError,
     MicroBatcher,
     OverloadedError,
+    PendingResponse,
     ServeClient,
     ServeConfig,
     ServeMetrics,
@@ -32,7 +34,7 @@ from repro.serve import (
     quantile,
     start_server,
 )
-from repro.serve.service import MAX_BODY
+from repro.serve.service import MAX_BODY, NPY_MAGIC, decode_npy
 
 
 class FakeEngine:
@@ -1053,6 +1055,156 @@ def test_invalid_content_length_is_rejected(front_end, content_length, detail):
     assert (status, err["error"], err["detail"]) == (400, "bad_request", detail)
 
 
+def npy_body(array, allow_pickle=False):
+    """``array`` as the bytes of a ``.npy`` file."""
+    buf = BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def json_body(frames):
+    return json.dumps({"frames": np.asarray(frames).tolist()}).encode()
+
+
+def _post_frames(front_end, body):
+    """POST ``body`` as a ``.npy`` frames body to a fresh session.
+
+    Returns ``(status, JSON reply, frames the batcher served)``."""
+    headers = {"Content-Type": "application/x-npy"}
+    if front_end == "asyncio":
+        import http.client
+
+        with start_server(FakeEngine()) as server:
+            with ServeClient(server.host, server.port) as client:
+                sid = client.open_session()["session_id"]
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            try:
+                conn.request("POST", f"/v1/sessions/{sid}/frames", body, headers)
+                response = conn.getresponse()
+                status, reply = response.status, json.loads(response.read())
+            finally:
+                conn.close()
+            return status, reply, server.service.metrics.counter("frames_total")
+    service = ServeService(FakeEngine())
+    service.start()
+    try:
+        sid = service.open_session()["session_id"]
+        environ = {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": f"/v1/sessions/{sid}/frames",
+            "CONTENT_LENGTH": str(len(body)),
+            "CONTENT_TYPE": headers["Content-Type"],
+            "wsgi.input": BytesIO(body),
+        }
+        captured = {}
+        raw = b"".join(
+            make_wsgi_app(service)(environ, lambda status, headers: captured.update(
+                status=int(status.split()[0])
+            ))
+        )
+        return captured["status"], json.loads(raw), service.metrics.counter("frames_total")
+    finally:
+        service.stop()
+
+
+_CHUNK = encode_frames([1, 2])  # (2, 1, 2, 2)
+
+MALFORMED_NPY = {
+    "truncated": npy_body(_CHUNK)[:-5],
+    "trailing-bytes": npy_body(_CHUNK) + bytes(8),
+    "pickled-object": npy_body(np.array([{"x": 1}, None], dtype=object), allow_pickle=True),
+    "complex": npy_body(_CHUNK.astype(np.complex128)),
+    "structured": npy_body(np.zeros(_CHUNK.shape, dtype=[("a", "<f8"), ("b", "<i4")])),
+    "string": npy_body(np.full(_CHUNK.shape, "7")),
+    "2-d": npy_body(np.zeros((2, 4))),
+    "empty-batch": npy_body(np.zeros((0, 1, 2, 2))),
+    "magic-then-garbage": NPY_MAGIC + b"\x01\x00garbage{}\xff",
+    "unknown-version": NPY_MAGIC + b"\x07\x00" + npy_body(_CHUNK)[8:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+@pytest.mark.parametrize("front_end", ["asyncio", "wsgi"])
+def test_malformed_npy_body_is_400(front_end, case):
+    """Both front ends answer a bad ``.npy`` frames body with the same
+    ``400 bad_request`` reply as a bad JSON body, and serve no frame."""
+    status, reply, served = _post_frames(front_end, MALFORMED_NPY[case])
+    assert (status, reply["error"], served) == (400, "bad_request", 0)
+    assert "JSON" not in reply["detail"]  # refused as .npy, not as bad JSON
+
+
+@pytest.mark.parametrize("front_end", ["asyncio", "wsgi"])
+def test_npy_body_is_served(front_end):
+    status, reply, served = _post_frames(front_end, npy_body(_CHUNK))
+    assert (status, [r["raw"] for r in reply["results"]], served) == (200, [1, 2], 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+    cut=st.integers(0, 200),
+)
+def test_a_corrupted_npy_body_only_ever_raises_bad_request(edits, cut):
+    """Flip bytes of a valid body (its header included) and cut it short:
+    decoding either succeeds or raises ``BadRequestError``, never a 500."""
+    body = bytearray(npy_body(_CHUNK))
+    for index, value in edits:
+        body[index % len(body)] = value
+    body = NPY_MAGIC + bytes(body[len(NPY_MAGIC):][:cut])
+    try:
+        frames = decode_npy(body)
+    except BadRequestError:
+        return
+    assert frames.dtype == np.float64
+
+
+class TestNpyMatchesJson:
+    """A ``.npy`` body decodes to the frames its JSON twin does."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["float64", "float32", "big-endian", "fortran", "uint8", "single-frame"],
+    )
+    def test_decodes_to_the_same_float64_frames(self, layout):
+        frames = encode_frames([1, 2, 3]) + np.array([0.0, 0.5, 0.25, 0.125]).reshape(
+            1, 1, 2, 2
+        )  # exact in float32
+        variant = {
+            "float64": frames,
+            "float32": frames.astype(np.float32),
+            "big-endian": frames.astype(">f8"),
+            "fortran": np.asfortranarray(frames),
+            "uint8": frames.astype(np.uint8),
+            "single-frame": frames[0],
+        }[layout]
+        expected = ServeService._frames_of(json_body(variant))
+        decoded = ServeService._frames_of(npy_body(variant))
+        assert decoded.dtype == expected.dtype == np.float64
+        assert decoded.shape == expected.shape
+        assert decoded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("policy", ["reject", "clamp", "hold_last"])
+    def test_nan_chunk_meets_the_session_guard_alike(self, policy):
+        frames = encode_frames([1, 2, 3])
+        frames[1, 0, 0, 1] = np.nan
+        service = ServeService(FakeEngine(), ServeConfig(on_invalid=policy))
+        service.start()
+        try:
+            replies = []
+            for body in (json_body(frames), npy_body(frames)):
+                sid = service.open_session(window=3)["session_id"]
+                response = service.handle("POST", f"/v1/sessions/{sid}/frames", body)
+                if isinstance(response, PendingResponse):
+                    response = service.resolve(response)
+                reply = json.loads(response.body)
+                reply.pop("session_id", None)
+                replies.append((response.status, reply))
+        finally:
+            service.stop()
+        assert replies[0] == replies[1]
+        assert replies[0][0] == (400 if policy == "reject" else 200)
+
+
 # --------------------------------------------------------------------- #
 class TestTtlEvictionRacingInflightFrames:
     """A session TTL-evicted between enqueue and dispatch must fail its
@@ -1176,9 +1328,11 @@ class _FakeConnection:
         self.script = list(script)
         self.sock = object()  # pretend already connected
         self.requests = []
+        self.sent = []  # (body, headers) per request
 
     def request(self, method, path, body=None, headers=None):
         self.requests.append((method, path))
+        self.sent.append((body, headers))
 
     def getresponse(self):
         step = self.script.pop(0)
@@ -1210,6 +1364,33 @@ class TestClientTransport:
             client._request("POST", "/v1/sessions/abc/frames", {"frames": []})
         assert info.value.request_sent  # ambiguous: may have been processed
         assert len(conn.requests) == 1  # exactly one attempt — no blind replay
+
+    def test_push_sends_an_npy_body(self):
+        conn = _FakeConnection([_FakeResponse(payload={"results": []})])
+        client = self._client_with([conn])
+        client.push("abc", [[[1, 2], [3, 4]]])
+        (body, headers), = conn.sent
+        assert headers == {"Content-Type": "application/x-npy"}
+        frames = decode_npy(body)
+        assert frames.shape == (1, 2, 2) and frames.tolist() == [[[1.0, 2.0], [3.0, 4.0]]]
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            [[[0.0, 1.0], [2.0]]],
+            [[["a", "b"]]],
+            [[[{"x": 1}]]],
+            [[[None]]],
+            np.ones((1, 2, 2), dtype=np.complex128),
+        ],
+        ids=["ragged", "string", "object", "none", "complex"],
+    )
+    def test_push_refuses_non_numeric_frames_without_sending(self, frames):
+        conn = _FakeConnection([])
+        client = self._client_with([conn])
+        with pytest.raises(ValueError):
+            client.push("abc", frames)
+        assert conn.requests == []
 
     def test_get_drop_is_replayed_once(self):
         dead = _FakeConnection([ConnectionResetError("stale keep-alive")])

@@ -53,6 +53,37 @@ def _offline_stream(engine, frames, window):
     }
 
 
+def _offline_results(engine, frames, window):
+    """The frames endpoint's per-frame results for ``frames`` pushed to a
+    fresh session, from an offline replay."""
+    with engine.stream(window=window) as session:
+        return [
+            {"seq": i, "raw": u.raw, "voted": u.voted, "cycles": u.cycles,
+             "energy_uj": u.energy_uj}
+            for i, u in enumerate(session.push(f) for f in frames)
+        ]
+
+
+def _push_json(host, port, session_id, frames):
+    """Push ``frames`` as a JSON body over a bare ``http.client`` connection,
+    the way curl does."""
+    conn = HTTPConnection(host, port, timeout=60)
+    try:
+        conn.request(
+            "POST",
+            f"/v1/sessions/{session_id}/frames",
+            body=json.dumps({"frames": frames.tolist()}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        reply = json.loads(response.read())
+    finally:
+        conn.close()
+    if response.status != 200:
+        raise AssertionError(f"JSON push answered {response.status}: {reply}")
+    return reply
+
+
 def _shm_mappings(pid):
     """The /dev/shm segments process ``pid`` has mapped."""
     with open(f"/proc/{pid}/maps") as maps:
@@ -324,11 +355,14 @@ class TestPoolOverHttp:
 
 class TestFleetOverHttp:
     """Four sensors stream at once through the HTTP front-end — in process
-    and through a 2-worker pool, unbatched and micro-batched — and every
-    session's outputs match its offline replay, every frame is counted,
-    and the pool does not crash."""
+    and through a 2-worker pool, unbatched and micro-batched.  Each sensor
+    sends its stream twice, chunk by chunk, to two sessions: once as JSON
+    bodies, once as ``.npy`` bodies.  Every session's per-frame results
+    (``seq``, raw, voted, cycles, energy) equal the offline replay, every
+    frame is counted, and the pool does not crash."""
 
     SESSIONS, FRAMES, CHUNK, WINDOW = 4, 12, 4, 5
+    ENCODINGS = ("json", "npy")
 
     @pytest.mark.parametrize("max_batch", [1, 32])
     @pytest.mark.parametrize("workers", [0, 2])
@@ -337,7 +371,7 @@ class TestFleetOverHttp:
     ):
         n = self.FRAMES
         streams = [pool_frames[i * n : (i + 1) * n] for i in range(self.SESSIONS)]
-        offline = [_offline_stream(pool_engine, s, self.WINDOW) for s in streams]
+        offline = [_offline_results(pool_engine, s, self.WINDOW) for s in streams]
         config = ServeConfig(
             workers=workers,
             max_batch=max_batch,
@@ -350,15 +384,21 @@ class TestFleetOverHttp:
         def sensor(idx):
             try:
                 with ServeClient(server.host, server.port, timeout=60) as client:
-                    sid = client.open_session(window=self.WINDOW)["session_id"]
+                    sids = {
+                        encoding: client.open_session(window=self.WINDOW)["session_id"]
+                        for encoding in self.ENCODINGS
+                    }
                     barrier.wait()  # every sensor starts streaming together
-                    raw, voted = [], []
+                    results = {encoding: [] for encoding in self.ENCODINGS}
                     for i in range(0, n, self.CHUNK):
-                        out = client.push(sid, streams[idx][i : i + self.CHUNK])
-                        raw.extend(r["raw"] for r in out["results"])
-                        voted.extend(r["voted"] for r in out["results"])
-                    client.close_session(sid)
-                served[idx] = {"raw": raw, "voted": voted}
+                        chunk = streams[idx][i : i + self.CHUNK]
+                        results["json"] += _push_json(
+                            server.host, server.port, sids["json"], chunk
+                        )["results"]
+                        results["npy"] += client.push(sids["npy"], chunk)["results"]
+                    for sid in sids.values():
+                        client.close_session(sid)
+                served[idx] = results
             except Exception as exc:  # surfaced by the assertions below
                 errors.append(exc)
                 barrier.abort()
@@ -378,7 +418,7 @@ class TestFleetOverHttp:
                 # barrier (or failed, which the next assertion reports).
                 assert _wait_for(
                     lambda: errors
-                    or probe.healthz()["active_sessions"] == self.SESSIONS
+                    or probe.healthz()["active_sessions"] == 2 * self.SESSIONS
                 )
                 assert not errors
                 barrier.wait()
@@ -390,8 +430,8 @@ class TestFleetOverHttp:
             stats = server.service.pool_stats()
         assert not errors
         assert health["status"] == "ok"
-        assert served == offline
-        assert frames_total == self.SESSIONS * n
+        assert served == [{"json": want, "npy": want} for want in offline]
+        assert frames_total == 2 * self.SESSIONS * n
         assert "repro_serve_requests_total" in text
         if workers:
             assert health["workers_up"] == workers
