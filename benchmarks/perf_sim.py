@@ -12,7 +12,9 @@ before reporting speed:
 * simulated cycles/sec (how much silicon time one wall-clock second buys),
 * a jit batch sweep: microseconds per frame of ``predict_batch`` at batch
   sizes 1, 8, 16 and 32 (median and quartiles over ``SWEEP`` repeats after
-  warm-up calls), which shows what batching across frames buys.
+  warm-up calls), which shows what batching across frames buys, and under
+  ``"fit"`` a least-squares line through the batched sizes' median call
+  times: the fixed microseconds per call and the microseconds per frame.
 
 Results are written as machine-readable JSON (``BENCH_sim.json`` at the
 repository root by default) with the host and git SHA, so two commits'
@@ -123,6 +125,13 @@ def batch_sweep(bundle, target, held_out):
             engine.predict_batch(batch)
             samples.append((time.perf_counter() - start) / size * 1e6)
         out[str(size)] = spread(samples)
+    # Call time = fixed + per-frame * size, fitted over the batched sizes
+    # (a batch of one takes the sequential path).
+    sizes = [size for size in SWEEP["batches"] if size > 1]
+    per_frame, per_call = np.polyfit(
+        sizes, [out[str(size)]["median"] * size for size in sizes], 1
+    )
+    out["fit"] = {"sizes": sizes, "us_per_call": per_call, "us_per_frame": per_frame}
     return out
 
 
@@ -210,11 +219,18 @@ def main(argv=None) -> int:
             f"{row['modes']['jit']['sim_cycles_per_sec'] / 1e6:7.1f} Msimcycles/s"
         )
         if not args.quick:
-            row["batch_sweep_us_per_frame"] = batch_sweep(bundle, target, held_out)
+            sweep = row["batch_sweep_us_per_frame"] = batch_sweep(
+                bundle, target, held_out
+            )
             print(f"{'':<8} jit us/frame by batch: " + ", ".join(
-                f"b{size} {t['median']:.0f} (IQR {t['iqr']:.0f})"
-                for size, t in row["batch_sweep_us_per_frame"].items()
+                f"b{size} {sweep[str(size)]['median']:.0f} "
+                f"(IQR {sweep[str(size)]['iqr']:.0f})"
+                for size in SWEEP["batches"]
             ))
+            fit = sweep["fit"]
+            print(f"{'':<8} jit fit over b{'/'.join(map(str, fit['sizes']))}: "
+                  f"{fit['us_per_call']:.0f} us/call + "
+                  f"{fit['us_per_frame']:.1f} us/frame")
 
     results["min_speedups"] = {
         "jit_vs_interp": min(

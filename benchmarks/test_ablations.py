@@ -96,7 +96,8 @@ def test_int4_input_degradation(benchmark, flow_result, bench_dataset):
         "",
         f"first layer INT8 (paper's choice): bas={first8.bas:.3f} memory={first8.memory_kb:.2f} kB",
         f"first layer INT4 (excluded):       bas={first4.bas:.3f} memory={first4.memory_kb:.2f} kB",
-        f"degradation: {(first8.bas - first4.bas) * 100:+.2f} BAS points",
+        f"BAS of INT4 minus INT8 first layer: {(first4.bas - first8.bas) * 100:+.2f} points"
+        " (negative: the INT4 input loses accuracy)",
     ]
     save_result("ablation_int4_input", lines)
     # The 4-bit-input variant must not be better than the 8-bit-input one by a

@@ -218,9 +218,12 @@ def _simulate_batch_jit(
 
     One lockstep trace walk drives every frame (see
     :mod:`repro.hw.sim.batch`), batching kernel calls into multi-frame numpy
-    ops.  The platform ends in the same architectural state as after a
-    sequential run: the last frame's memory, registers, pc and stats.
-    Raises on any divergence; the caller falls back to the sequential loop.
+    ops; every frame's prediction and logits are then read in one slice of
+    the batch's ``(frames, dmem)`` matrix.  The platform ends in the same
+    architectural state as after a sequential run: the last frame's memory,
+    registers, pc and stats.  Raises on any divergence (and
+    :class:`MemoryError_` if a result buffer lies outside dmem); the caller
+    falls back to the sequential loop.
     """
     from ..hw.sim.batch import run_batch
 
@@ -234,21 +237,19 @@ def _simulate_batch_jit(
         core.enable_sdotp,
         core.max_instructions,
     )
-    predictions: List[int] = []
-    cycles: List[int] = []
-    logits_rows: List[np.ndarray] = []
+    result = outcomes.dmem.gather(compiled.result_address, 4)
+    raw = outcomes.dmem.gather(compiled.logits_address, 4 * compiled.num_classes)
+    if result is None or raw is None:
+        raise MemoryError_("result buffers outside dmem")
+    predictions = np.ascontiguousarray(result).view("<i4")[:, 0].astype(np.int64)
+    logits = np.ascontiguousarray(raw).view("<i4").astype(np.int64)
+    cycles = np.array([o.stats.cycles for o in outcomes], dtype=np.int64)
     results: List[InferenceResult] = []
-    for outcome in outcomes:
-        prediction, logits = _read_outputs_from(outcome.memory, compiled)
-        predictions.append(prediction)
-        cycles.append(outcome.stats.cycles)
-        logits_rows.append(logits)
-        if keep_results:
-            results.append(
-                InferenceResult(
-                    prediction=prediction, logits=logits, stats=outcome.stats
-                )
-            )
+    if keep_results:
+        results = [
+            InferenceResult(prediction=int(p), logits=lg, stats=o.stats)
+            for p, lg, o in zip(predictions, logits, outcomes)
+        ]
     last = outcomes[-1]
     platform.memory.copy_from(last.memory)
     core.registers = list(last.regs)
@@ -256,10 +257,10 @@ def _simulate_batch_jit(
     core.stats = last.stats
     core.halted = True
     return BatchInferenceResult(
-        predictions=np.asarray(predictions, dtype=np.int64),
-        cycles_per_frame=np.asarray(cycles, dtype=np.int64),
+        predictions=predictions,
+        cycles_per_frame=cycles,
         results=results,
-        logits=np.stack(logits_rows),
+        logits=logits,
     )
 
 

@@ -25,7 +25,10 @@ Two execution modes are available (``IbexCore(mode=...)``):
   ``exec``-compiled straight-line Python, and cycle/energy accounting is
   derived analytically from the same :class:`CycleModel`.  Compiled
   templates are shared process-wide across engines through
-  :mod:`repro.hw.sim.trace_cache`.  Control that lands on a pc where no
+  :mod:`repro.hw.sim.trace_cache`, which also hands each thread its one
+  binding of a template; a run finds both without rehashing the program,
+  and any edit of the program list or of an instruction field between runs
+  is still seen and recompiles.  Control that lands on a pc where no
   block starts (``jalr`` into a block's middle, a misaligned pc) is
   single-stepped through :func:`step`.  Registers, memory, cycle counts and
   per-mnemonic statistics are bit-exact against the interpreter.
@@ -48,20 +51,6 @@ MASK = 0xFFFFFFFF
 
 class SimulationError(Exception):
     """Raised on illegal instructions, bad memory accesses or runaway programs."""
-
-
-def _program_fingerprint(program: List[Instruction]) -> int:
-    """Cheap content hash guarding the per-core cache of bound JIT programs.
-
-    Programs are plain mutable lists of mutable instructions; a stale binding
-    after an in-place edit would silently break the bit-exactness contract,
-    so the cache revalidates on every run (a few hundred microseconds,
-    negligible against a simulated frame)."""
-    return hash(
-        tuple(
-            (i.mnemonic, i.rd, i.rs1, i.rs2, i.imm) for i in program
-        )
-    )
 
 
 def step(
@@ -214,6 +203,9 @@ class ExecutionStats:
         self.instructions += instructions
         self.cycles += cycles
         pm = self.per_mnemonic
+        if not pm:
+            pm.update(counts)
+            return
         for mnemonic, count in counts.items():
             pm[mnemonic] = pm.get(mnemonic, 0) + count
 
@@ -244,11 +236,6 @@ class IbexCore:
         self.pc = 0
         self.stats = ExecutionStats()
         self.halted = False
-        # JIT-mode bound programs keyed by id(program); the program object
-        # itself is kept alive in the value so a recycled id can never alias
-        # a binding.  The underlying templates live in the process-wide
-        # trace cache.
-        self._jit_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
@@ -295,27 +282,17 @@ class IbexCore:
     def _run_jit(self, program: List[Instruction], entry_pc: int = 0) -> ExecutionStats:
         """Execute through the JIT tier (:mod:`repro.hw.sim.jit`).
 
-        The memory-independent template comes from the process-wide trace
-        cache (shared across every engine compiling the same program); the
-        binding of that template to this core's memory is cached per
-        program object and revalidated against the program's content on
-        every run.  A core only ever owns one memory, which keeps the cache
-        sound.
+        :func:`~repro.hw.sim.trace_cache.bind_program` finds the template in
+        the process-wide trace cache (shared across every engine compiling
+        the same program; an in-place edit of ``program`` is seen and
+        recompiles) and hands back this thread's binding of it, pointed at
+        this core's memory.
         """
-        from .sim.trace_cache import get_template  # deferred import cycle
+        from .sim.trace_cache import bind_program  # deferred import cycle
 
-        key = id(program)
-        fingerprint = _program_fingerprint(program)
-        cached = self._jit_cache.pop(key, None)  # re-insert below: LRU order
-        if cached is None or cached[0] is not program or cached[1] != fingerprint:
-            if len(self._jit_cache) >= 8:
-                # Evict the least recently used binding, so hot programs
-                # survive sweeps over many compiled models on one platform.
-                self._jit_cache.pop(next(iter(self._jit_cache)))
-            template = get_template(program, self.cycle_model, self.enable_sdotp)
-            cached = (program, fingerprint, template.bind(program, self.memory))
-        self._jit_cache[key] = cached
-        bound = cached[2]
+        bound = bind_program(
+            program, self.cycle_model, self.enable_sdotp, [self.memory]
+        )
         self.halted = False
         self.pc = bound.run(
             self.registers,

@@ -20,6 +20,7 @@ read port added to the IBEX register file):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -118,6 +119,23 @@ ALL_MNEMONICS = (
 )
 
 
+_EDIT_STAMPS = itertools.count(1)
+_edit_stamp = 0
+
+
+def edit_stamp() -> int:
+    """A token that changes whenever any :class:`Instruction` field is set.
+
+    Programs are plain lists of mutable instructions.  A cache that keyed a
+    program's compiled form by the list's identity and element identities
+    stores this stamp next to it: an equal stamp later proves that no
+    instruction anywhere was edited in place since.  Each assignment takes a
+    unique token (``next`` on an ``itertools.count`` is atomic), so a stale
+    write from a preempted thread can never bring back an earlier stamp.
+    """
+    return _edit_stamp
+
+
 @dataclass
 class Instruction:
     """A single (possibly labelled) instruction.
@@ -139,6 +157,13 @@ class Instruction:
     def __post_init__(self) -> None:
         if self.mnemonic not in ALL_MNEMONICS:
             raise ValueError(f"unknown mnemonic {self.mnemonic!r}")
+
+    def __setattr__(self, name: str, value) -> None:
+        # Every field assignment, in place or in ``__init__``, takes a fresh
+        # edit stamp: see :func:`edit_stamp`.
+        global _edit_stamp
+        object.__setattr__(self, name, value)
+        _edit_stamp = next(_EDIT_STAMPS)
 
     @property
     def is_compressible(self) -> bool:

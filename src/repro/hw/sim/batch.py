@@ -9,15 +9,22 @@ block through their generated JIT code, and each kernel dispatch executes
 **one multi-frame numpy op** (``KernelLoop.make_run_many``) over a stacked
 ``(frames, bytes)`` matrix instead of one tiny numpy call per frame.
 
-Everything frame-independent is done once per batch: the template is
-bound once (one ``exec`` of its code object, whose memory helpers follow
-the frame being advanced), the ``(frames, dmem)`` matrix is wrapped in one
-:class:`~repro.hw.sim.kernels.FrameDmem` that every kernel's multi-frame
-runner binds, and every frame's statistics are scaled from one
-``(frames, slots)`` counter matrix.  Channel kernels broadcast one set of
-weight lanes over the frames, kept across calls while the weight bytes
-compare equal; when a byte compare finds frames with different weights,
-they decline and each frame runs the kernel alone.
+Everything frame-independent is done once per thread, per kernel
+geometry or per batch, never per frame.  The calling thread's binding of
+the template (one ``exec`` of its code object per thread, its memory
+helpers following the frame being advanced) is looked up without
+rebuilding the program's content key and pointed at the batch's memories
+(:func:`~repro.hw.sim.trace_cache.bind_program`).  Each kernel keeps the
+plan its control registers fix (spans, overlap verdict, im2col and output
+views, final register values) across batches.  The ``(frames, dmem)``
+matrix is wrapped in one :class:`~repro.hw.sim.kernels.FrameDmem` that
+every kernel's multi-frame runner binds, every frame's statistics are
+scaled from one ``(frames, slots)`` counter product, and the caller reads
+every frame's outputs from that matrix (:attr:`BatchRun.dmem`).  Channel
+kernels broadcast one set of weight lanes over the frames, kept across
+calls while the weight bytes compare equal; when a byte compare finds
+frames with different weights, they decline and each frame runs the
+kernel alone.
 
 Data-dependent branches (requantization clamps, maxpool compares, argmax)
 do exist — the kernels count the ones inside them per frame, and the rest
@@ -41,8 +48,9 @@ scheme and both deployment targets.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -51,7 +59,7 @@ from ..cycles import CycleModel
 from ..isa import Instruction
 from ..memory import Memory
 from .kernels import FrameDmem
-from .trace_cache import get_template
+from .trace_cache import bind_program
 
 
 class BatchDivergence(Exception):
@@ -70,6 +78,25 @@ class FrameOutcome:
     counters: List[int]
 
 
+class BatchRun(Sequence):
+    """The frames of a successful batched run, in payload order.
+
+    A sequence of :class:`FrameOutcome`; ``dmem`` holds every frame's final
+    data memory as the rows of one matrix, so a caller reads the same
+    result bytes of all frames in one slice (``dmem.gather``).
+    """
+
+    def __init__(self, frames: List[FrameOutcome], dmem: FrameDmem):
+        self.frames = frames
+        self.dmem = dmem
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, index):
+        return self.frames[index]
+
+
 def run_batch(
     memory: Memory,
     program: List[Instruction],
@@ -78,7 +105,7 @@ def run_batch(
     cycle_model: CycleModel,
     enable_sdotp: bool,
     max_instructions: int,
-) -> List[FrameOutcome]:
+) -> BatchRun:
     """Run ``program`` once per payload, batching kernel calls across frames.
 
     ``memory`` is the platform memory with the model image already loaded;
@@ -89,7 +116,6 @@ def run_batch(
     Raises :class:`BatchDivergence` (or whatever a frame raised) when the
     batch cannot complete in lockstep; nothing is committed in that case.
     """
-    template = get_template(program, cycle_model, enable_sdotp)
     n_frames = len(payloads)
     # One contiguous (frames, dmem_size) matrix backs every clone's dmem so
     # that batched kernel gathers are zero-copy column slices of it; every
@@ -102,15 +128,19 @@ def run_batch(
         m = memory.clone(dmem_buffer=dmem_mat[idx].data)
         m.store_bytes(buf_address, payload)
         mems.append(m)
-    # One binding for the whole batch: the block functions switch to each
-    # frame's memory as that frame advances.
-    jp = template.bind(program, *mems)
+    # The thread's binding, pointed at this batch: the block functions
+    # switch to each frame's memory as that frame advances.
+    jp = bind_program(program, cycle_model, enable_sdotp, mems)
+    template = jp.template
     frames = range(n_frames)
     stats_list = [ExecutionStats() for _ in frames]
     states = [
         jp.start([0] * 32, stats_list[i], 0, max_instructions, frame=i)
         for i in frames
     ]
+    # Every run mutates its registers and counters in place.
+    regs_list = [st.regs for st in states]
+    cnts = [st.cnt for st in states]
 
     run_many_cache: dict = {}
     while True:
@@ -118,21 +148,19 @@ def run_batch(
             jp.advance(states[i], stats_list[i], stop_at_kernel=True)
             for i in frames
         ]
-        done = sum(1 for e in events if e == "done")
+        done = events.count("done")
         if done == n_frames:
             break
         if done:
             raise BatchDivergence("frames halted out of lockstep")
         pc0 = states[0].pc
-        if any(states[i].pc != pc0 for i in frames):
+        if any(st.pc != pc0 for st in states):
             raise BatchDivergence("frames parked at different kernel blocks")
         _, _, kernel, kipi, kexit, kslot, _, _ = jp.entries[pc0]
         rm = run_many_cache.get(pc0)
         if rm is None:
             rm = run_many_cache[pc0] = kernel.make_run_many(dm)
-        iters, extras = rm(
-            [st.regs for st in states], [st.cnt for st in states], kslot + 2
-        )
+        iters, extras = rm(regs_list, cnts, kslot + 2)
         if iters:
             for i in frames:
                 st = states[i]
@@ -149,10 +177,13 @@ def run_batch(
                 jp.kernel_step(states[i], stats_list[i])
 
     template.commit(stats_list, states)
-    return [
-        FrameOutcome(
-            states[i].regs, states[i].final_pc, stats_list[i], mems[i],
-            states[i].cnt,
-        )
-        for i in frames
-    ]
+    return BatchRun(
+        [
+            FrameOutcome(
+                states[i].regs, states[i].final_pc, stats_list[i], mems[i],
+                states[i].cnt,
+            )
+            for i in frames
+        ],
+        dm,
+    )

@@ -12,9 +12,12 @@ The compiled artifact is split in two:
 
 * :class:`JitTemplate` — **memory-independent**: decoded blocks, recognized
   kernel loops (unbound), the generated module source and its compiled code
-  object, plus the per-block statistics metadata.  Templates are immutable
-  after construction and safe to share across threads and engines; the
-  process-wide :mod:`repro.hw.sim.trace_cache` stores exactly these.
+  object, plus the per-block statistics metadata.  Templates are safe to
+  share across threads and engines; the process-wide
+  :mod:`repro.hw.sim.trace_cache` stores exactly these.  What a template
+  caches after construction is replaced, never mutated, in one assignment:
+  each kernel's plan and weight lanes (:mod:`repro.hw.sim.kernels`), and
+  per thread its :class:`JitProgram`.
 * :class:`JitProgram` — a template **bound** to the memories of one run:
   a single :class:`~repro.hw.memory.Memory` on the core's path, every
   frame's memory clone on the batched path.  One ``exec`` of the code
@@ -22,8 +25,11 @@ The compiled artifact is split in two:
   (that frame's dmem row and ``Memory``), which :meth:`JitProgram.advance`
   switches to the frame of the run it resumes; a kernel loop a frame runs
   alone gets its runner from ``make_run_many(FrameDmem.of(mem))`` on first
-  use (a single frame is a batch of one).  Binding is cheap (one ``exec``
-  of an already-compiled module per run or batch, no re-decode).
+  use (a single frame is a batch of one).  Each thread execs the module
+  once per template (:meth:`JitTemplate.bound`); every later run of the
+  thread only points the cell at its memories (:meth:`JitProgram.rebind`)
+  and drops the per-frame runners.  Both run paths get their binding from
+  :func:`~repro.hw.sim.trace_cache.bind_program`.
 
 Execution strategy, fastest first: recognized kernel loop (one numpy op
 for the whole remaining trip count) → generated block function → for a pc
@@ -76,6 +82,7 @@ memory, final pc, cycles and per-mnemonic statistics.
 from __future__ import annotations
 
 import hashlib
+import threading
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -397,9 +404,10 @@ def _bind_helpers(base: int, size: int, cur: list) -> Dict[str, Callable]:
 class JitTemplate:
     """A program compiled to generated block functions, memory-independent.
 
-    Immutable after construction; safe to share across engines and threads.
-    Per-run mutable state (execution counters) lives in a flat list owned by
-    each run, never on the template.
+    Safe to share across engines and threads.  Per-run mutable state
+    (execution counters) lives in a flat list owned by each run, never on
+    the template; the template only keeps each thread's binding
+    (:meth:`bound`).
     """
 
     def __init__(
@@ -453,11 +461,25 @@ class JitTemplate:
         self.source = "\n\n\n".join(chunks) + "\n"
         self.fingerprint = hashlib.sha256(self.source.encode()).hexdigest()[:12]
         self.code = compile(self.source, f"<repro-jit-{self.fingerprint}>", "exec")
+        self._threads = threading.local()  # each thread's JitProgram
 
     # ------------------------------------------------------------------ #
     def bind(self, program: List[Instruction], *mems: Memory) -> "JitProgram":
-        """Bind once for a whole run: ``mems`` holds every frame's memory."""
+        """A fresh binding for one run: ``mems`` holds every frame's memory."""
         return JitProgram(self, program, mems)
+
+    def bound(self, program: List[Instruction], mems: Sequence[Memory]) -> "JitProgram":
+        """The calling thread's binding, pointed at ``mems`` for this run.
+
+        The generated module is exec'd once per thread (again only if the
+        memories' dmem region moves); every later run of the thread only
+        rebinds the current-frame cell and drops the per-frame runners.  A
+        thread runs one program at a time, so its binding is never shared.
+        """
+        jp = getattr(self._threads, "program", None)
+        if jp is None or not jp.rebind(program, mems):
+            jp = self._threads.program = JitProgram(self, program, mems)
+        return jp
 
     def vectorized_labels(self):
         return {b.label for b in self.blocks if b.kernel is not None and b.label}
@@ -540,18 +562,26 @@ class JitTemplate:
     ) -> None:
         """Scale runs' flat counters into exact aggregate statistics.
 
-        Every run of a batch is scaled by one ``(runs, n_slots)`` matmul.
+        Every run of a batch is scaled by one ``(runs, slots) @ weights``
+        product over the slots some run counted, and per-mnemonic counts
+        are read only from the columns some run hit.
         """
         cnts = np.array([st.cnt for st in states], dtype=np.int64)
-        for stats, st, totals in zip(
-            stats_list, states, (cnts @ self._weights).tolist()
-        ):
-            merged: Dict[str, int] = dict(st.slow_counts)
-            for m, c in zip(self._mnemonics, totals[2:]):
-                if c:
-                    merged[m] = merged.get(m, 0) + c
+        used = np.flatnonzero(cnts.any(axis=0))
+        totals = cnts[:, used] @ self._weights[used]
+        cols = np.flatnonzero(totals[:, 2:].any(axis=0))
+        names = [self._mnemonics[c] for c in cols.tolist()]
+        rows = totals[:, np.concatenate(([0, 1], cols + 2))].tolist()
+        for stats, st, (instrs, cycles, *counts) in zip(stats_list, states, rows):
+            if st.slow_counts:
+                merged = dict(st.slow_counts)
+                for m, c in zip(names, counts):
+                    if c:
+                        merged[m] = merged.get(m, 0) + c
+            else:
+                merged = {m: c for m, c in zip(names, counts) if c}
             stats.record_block(
-                st.slow_instr + totals[0], st.slow_cycles + totals[1], merged
+                st.slow_instr + instrs, st.slow_cycles + cycles, merged
             )
 
 
@@ -574,12 +604,13 @@ class _RunState:
 
 
 class JitProgram:
-    """A :class:`JitTemplate` bound once to every frame's memory of a run.
+    """A :class:`JitTemplate` bound to every frame's memory of a run.
 
     The generated block functions are bound once; their memory helpers read
     the current frame from a cell that :meth:`advance` and
-    :meth:`kernel_step` switch to the frame of the run state they resume.
-    The core's single-frame path is the same binding with one memory.
+    :meth:`kernel_step` switch to the frame of the run state they resume,
+    and that :meth:`rebind` points at the next run's memories.  The core's
+    single-frame path is the same binding with one memory.
     """
 
     def __init__(
@@ -589,25 +620,41 @@ class JitProgram:
         mems: Sequence[Memory],
     ):
         self.template = template
-        self.program = program
-        self.mems = list(mems)
-        self._dmem = [m._data["dmem"] for m in self.mems]
-        region = self.mems[0].regions["dmem"]
-        self._cur = [self._dmem[0], self.mems[0]]
-        self._frame = 0
+        region = mems[0].regions["dmem"]
+        self._region = (region.base, region.size)
+        self._cur: list = [None, None]
+        # Per frame, built on first use: the runners of kernels the frame
+        # executes alone.
+        self._runners: Dict[tuple, Callable] = {}
+        self.rebind(program, mems)
         g: Dict[str, object] = {"__name__": f"repro_jit_{template.fingerprint}"}
         g.update(_bind_helpers(region.base, region.size, self._cur))
         exec(template.code, g)
         fns = g["_FNS"]
-        # Per frame, built on first use: the runners of kernels the frame
-        # executes alone.
-        self._runners: Dict[tuple, Callable] = {}
         entries: Dict[int, tuple] = {}
         for i, (pc, n, kernel, kipi, kexit, kslot, fpc) in enumerate(
             template._entry_statics
         ):
             entries[pc] = (fns[i], n, kernel, kipi, kexit, kslot, fpc, i)
         self.entries = entries
+
+    def rebind(self, program: List[Instruction], mems: Sequence[Memory]) -> bool:
+        """Point this binding at another run's memories.
+
+        Returns ``False`` (and changes nothing) when their dmem region is
+        not the one the memory helpers were generated for.
+        """
+        region = mems[0].regions["dmem"]
+        if (region.base, region.size) != self._region:
+            return False
+        self.program = program
+        self.mems = mems
+        self._dmem = [m._data["dmem"] for m in mems]
+        self._cur[0] = self._dmem[0]
+        self._cur[1] = mems[0]
+        self._frame = 0
+        self._runners.clear()
+        return True
 
     def _select(self, frame: int) -> None:
         """Point the memory helpers at ``frame``'s dmem and ``Memory``."""

@@ -26,7 +26,11 @@ Recognition is structural, on the assembled instructions themselves, and
 reusable template (the process-wide JIT trace cache stores these).  Its one
 executor factory, ``make_run_many(dm)``, binds a whole batch's data memory
 (one :class:`FrameDmem`) once at execution time; a single frame is a batch
-of one.
+of one.  What a kernel's control registers fix — the dmem spans and the
+overlap verdict, im2col and output views, the final values of the
+registers that do not depend on the data — is computed once per register
+tuple and kept as the kernel's plan (:class:`_Plans`), so a dispatch only
+touches the data.
 
 The code generator additionally *annotates* every loop it emits
 (:class:`repro.deploy.codegen.KernelHint`); the annotations are used by
@@ -156,8 +160,8 @@ class FrameDmem:
     that matrix once per batch; a frame run alone wraps its own dmem as a
     one-row matrix (:meth:`of`).  So every read of a kernel is a
     **zero-copy** view across all frames and every write one numpy
-    assignment.  A ``None`` view means the span is not fully inside dmem;
-    the kernel then declines and the per-frame path raises the exact fault.
+    assignment.  Kernels check their spans once per plan
+    (:func:`_dmem_offset`) and then build views with :meth:`view`.
     """
 
     __slots__ = ("mat", "base", "size")
@@ -174,21 +178,85 @@ class FrameDmem:
         return cls(row.reshape(1, -1), memory.regions["dmem"].base)
 
     def gather(self, addr: int, count: int) -> Optional[np.ndarray]:
-        """``(frames, count)`` view of the bytes at ``addr``."""
-        off = addr - self.base
-        if off < 0 or off + count > self.size:
-            return None
-        return self.mat[:, off : off + count]
+        """``(frames, count)`` view of the bytes at ``addr`` (``None`` when
+        the span is not fully inside dmem)."""
+        off = _dmem_offset(self.base, self.size, addr, count)
+        return None if off is None else self.mat[:, off : off + count]
 
-    def window(self, addr: int, shape: tuple, strides: tuple) -> Optional[np.ndarray]:
-        """Writable ``(frames, *shape)`` strided view starting at ``addr``."""
-        off = addr - self.base
-        if off < 0 or off + _extent(shape, strides) > self.size:
-            return None
+    def view(self, offset: int, shape: tuple, strides: tuple,
+             dtype=np.uint8) -> np.ndarray:
+        """Writable ``(frames, *shape)`` view at dmem byte ``offset``.
+
+        The span must already be checked; the ``np.ndarray`` constructor
+        costs a fraction of ``as_strided``.
+        """
         m = self.mat
-        return np.lib.stride_tricks.as_strided(
-            m[:, off:], shape=(m.shape[0],) + shape, strides=(m.strides[0],) + strides
+        return np.ndarray(
+            (m.shape[0],) + shape, dtype, m, offset, (m.strides[0],) + strides
         )
+
+
+def _dmem_offset(base: int, size: int, addr: int, length: int) -> Optional[int]:
+    """Offset of ``length`` bytes at ``addr`` in a dmem of ``size`` bytes at
+    ``base``, or ``None`` when the span is not fully inside it."""
+    off = addr - base
+    if off < 0 or off + length > size:
+        return None
+    return off
+
+
+def _offsets(shape: Tuple[int, ...], strides: Tuple[int, ...]) -> np.ndarray:
+    """Byte offset of every element of a strided view, as an index array."""
+    out = np.zeros(shape, dtype=np.intp)
+    for axis, (n, st) in enumerate(zip(shape, strides)):
+        ix = [None] * len(shape)
+        ix[axis] = slice(None)
+        out += (np.arange(n, dtype=np.intp) * st)[tuple(ix)]
+    return out
+
+
+class _Plans:
+    """One kernel's cached plan: what its control registers fix.
+
+    ``get(key, build)`` returns ``build(*key)`` for a register tuple,
+    rebuilding only when the tuple changes.  The entry is one tuple replaced
+    in a single assignment, like :attr:`ChannelSpec._lanes`, so threads
+    sharing a template never see a torn entry.  A plan is read-only once
+    built; ``None`` is a cached decline.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self):
+        self._entry: Optional[tuple] = None
+
+    def get(self, key: tuple, build: Callable):
+        entry = self._entry
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        plan = build(*key)
+        self._entry = (key, plan)
+        return plan
+
+
+def _resolve(ups) -> Tuple[tuple, tuple]:
+    """Split ``(reg, value)`` updates listed in execution order (the last
+    update of a register wins) into constant writes and per-frame writes,
+    whose values are names of per-frame lists (``str``)."""
+    final = dict(ups)
+    return (
+        tuple((r, v) for r, v in final.items() if not isinstance(v, str)),
+        tuple((r, v) for r, v in final.items() if isinstance(v, str)),
+    )
+
+
+def _write_regs(regs_list, consts, per_frame=(), values=None) -> None:
+    """Apply resolved updates: constants, then named per-frame values."""
+    for f, regs in enumerate(regs_list):
+        for reg, v in consts:
+            regs[reg] = v
+        for reg, name in per_frame:
+            regs[reg] = values[name][f]
 
 
 def _uniform(regs_list, idxs) -> bool:
@@ -314,20 +382,27 @@ def _match_memset(body, cycle_model) -> Optional[KernelLoop]:
     if P == 0 or P == E or (Z == P and Z != 0):
         return None
 
+    def plan(base, size, start, end):
+        """``(words, dmem offset)`` of a fill of ``[start, end)``, or ``None``."""
+        span = end - start
+        if span <= 0 or span % 4:
+            return None
+        off = _dmem_offset(base, size, start, span)
+        return None if off is None else (span // 4, off)
+
+    plans = _Plans()
+
     def make_run_many(dm):
         def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
             if not _uniform(regs_list, (P, E)):
                 return 0, None
-            span = r0[E] - r0[P]
-            if span <= 0 or span % 4:
+            fill = plans.get((dm.base, dm.size, r0[P], r0[E]), plan)
+            if fill is None:
                 return 0, None
-            n = span // 4
-            out = dm.window(r0[P], (n, 4), (4, 1))
-            if out is None:
-                return 0, None
+            n, off = fill
             words = np.array([regs[Z] for regs in regs_list], dtype="<u4")
-            out[...] = words.view(np.uint8).reshape(-1, 1, 4)
+            dm.view(off, (n,), (4,), "<u4")[...] = words[:, None]
             end = r0[E]
             for regs in regs_list:
                 regs[P] = end
@@ -526,43 +601,17 @@ _MODE_LANES = {
 }
 
 
-def _lane_view(region: np.ndarray, table: np.ndarray, shape, strides) -> np.ndarray:
-    """Multiply lanes of the strided byte view ``(shape, strides)`` of a
-    gathered ``(frames, bytes)`` region, as ``(frames, *shape, lanes)``.
-
-    The lookup runs once over the small contiguous region; the (possibly
-    overlapping, im2col) view is then taken over the lanes.
-    """
-    lanes = table[region]
-    f_stride, b_stride, l_stride = lanes.strides
-    return np.lib.stride_tricks.as_strided(
-        lanes,
-        shape=(lanes.shape[0],) + shape + (lanes.shape[2],),
-        strides=(f_stride,) + tuple(s * b_stride for s in strides) + (l_stride,),
-    )
-
-
-def apply_updates(regs_list, ups) -> None:
-    """Write ``(reg, value)`` updates listed in execution order, so the last
-    update of a register wins; array values hold one value per frame."""
-    for reg, v in dict(ups).items():
-        if isinstance(v, np.ndarray):
-            for regs, x in zip(regs_list, v.tolist()):
-                regs[reg] = x
-        else:
-            for regs in regs_list:
-                regs[reg] = v
-
-
 def count_clamps(cnts, aux_base: int, clamps) -> List[int]:
     """Add per-frame requant clamp hits to the first two aux slots.
 
-    Returns the extra instructions each frame executed on those paths.
+    ``clamps`` holds per-frame ``(negative, saturated)`` lists, or is empty
+    without requantization.  Returns the extra instructions each frame
+    executed on those paths.
     """
-    if clamps is None:
+    if not clamps:
         return [0] * len(cnts)
     extras = []
-    for c, neg, hi in zip(cnts, clamps[0].tolist(), clamps[1].tolist()):
+    for c, neg, hi in zip(cnts, *clamps):
         c[aux_base] += neg
         c[aux_base + 1] += hi
         extras.append(neg + hi)
@@ -570,6 +619,22 @@ def count_clamps(cnts, aux_base: int, clamps) -> List[int]:
 
 
 _ONE_PIXEL = (1, 1, 0, 0, 0, 0)
+
+
+class _ChannelPlan:
+    """What one register tuple fixes for :meth:`ChannelSpec.evaluate`.
+
+    Column slices of the bias, activation and weight bytes in the
+    ``(frames, dmem)`` matrix, the im2col index of the activations
+    (``(pixels, bytes)``) and of the weights, relative to their slices, the
+    output view
+    ``(offset, shape, strides, dtype)``, the columns of the last channel's
+    final operand bytes, and the last pixel's register updates resolved to
+    constants and named per-frame values.
+    """
+
+    __slots__ = ("bias", "act", "wts", "im2col", "w_index", "pixels", "out",
+                 "n_pairs", "out_len", "tail", "consts", "per_frame")
 
 
 class ChannelSpec:
@@ -582,12 +647,15 @@ class ChannelSpec:
     it only clobbers.
     """
 
-    #: ``(weight bytes, weight lanes)`` of the last :meth:`evaluate`.  The
-    #: lanes are reused only after a byte compare against the current
-    #: frames' weights, so engines that share the template with different
-    #: weights never see each other's lanes.  One tuple, replaced in one
-    #: assignment: a concurrent reader never sees a torn entry.
-    _lanes: Optional[tuple] = None
+    def __init__(self):
+        #: ``(weight bytes, weight lanes)`` of the last :meth:`evaluate`.
+        #: The lanes are reused only after a byte compare against the
+        #: current frames' weights, so engines that share the template with
+        #: different weights never see each other's lanes.  One tuple,
+        #: replaced in one assignment: a concurrent reader never sees a torn
+        #: entry.
+        self._lanes: Optional[tuple] = None
+        self._plans = _Plans()
 
     def evaluate(self, dm: FrameDmem, regs_list, n: int, bp: int, wp: int,
                  pb: int, outp: int, p0: int = 0, grid=_ONE_PIXEL,
@@ -599,43 +667,24 @@ class ChannelSpec:
         and output ``outp + r*oy + c*ox``; every pixel starts at bias base
         ``bp``, weight base ``wp`` and INT4 store parity ``p0``.  ``flush``
         stores each pixel's odd trailing nibble (the conv layer's flush
-        block).  Writes every output and returns ``(clamps, ups)``: per-frame
-        ``(negative, saturated)`` requant clamp-hit arrays (``None`` without
-        requantization) and the ordered register updates of the *last*
-        pixel, in execution order.  Returns ``None`` without writing when a
-        span leaves dmem, the output overlaps an input (the interpreter
+        block).  Writes every output and the registers the loop leaves
+        behind after the *last* pixel, and returns per-frame
+        ``(negative, saturated)`` requant clamp-hit lists (empty without
+        requantization).  Returns ``None`` without writing when a span
+        leaves dmem, the output overlaps an input (the interpreter
         interleaves stores and loads, which only agrees with
         compute-all-then-store-all when the spans are disjoint), or the
         frames hold different weight bytes (each frame then runs alone).
+        Everything but the data comes from the plan of these arguments.
         """
-        rows, cols, sy, sx, oy, ox = grid
-        F = len(regs_list)
-        T, span, out_bits = self.taps, self.span, self.out_bits
-        a_geom = ((rows, cols, self.kh, self.kw, span),
-                  (sy, sx, self.row_stride, self.pixel_stride, 1))
-        w_geom = ((n, T, span), (self.oc_stride, self.tap_adv, 1))
-        bias_g = dm.gather(bp, 4 * n)
-        act = dm.gather(pb, _extent(*a_geom))
-        wts = dm.gather(wp, _extent(*w_geom))
-        if bias_g is None or act is None or wts is None:
+        plan = self._plans.get(
+            (dm.base, dm.size, n, bp, wp, pb, outp, p0, grid, flush), self._plan
+        )
+        if plan is None:
             return None
-        n_pairs = (p0 + n) // 2
-        if out_bits == 32:
-            out_len = 4 * n
-        elif out_bits == 8:
-            out_len = n
-        else:
-            out_len = n_pairs + (1 if flush and (p0 + n) & 1 else 0)
-        if out_len:
-            o_geom = ((rows, cols, out_len), (oy, ox, 1))
-            o_end = outp + _extent(*o_geom)
-            for lo, g in ((bp, bias_g), (pb, act), (wp, wts)):
-                if outp < lo + g.shape[1] and lo < o_end:
-                    return None
-            out = dm.window(outp, *o_geom)
-            if out is None:
-                return None
-
+        mat = dm.mat
+        F = mat.shape[0]
+        wts = mat[:, plan.wts]
         if F > 1 and not (wts == wts[0]).all():
             # Frames hold different weight bytes: decline, and each frame
             # runs this kernel alone (where F == 1).
@@ -647,7 +696,8 @@ class ChannelSpec:
         # the per-frame ones and can cross the BLAS's multithreading
         # threshold, whose thread wake-up costs milliseconds.
         a_lanes, w_lanes = _MODE_LANES[self.mode]
-        va = _lane_view(act, _LANES[a_lanes], *a_geom).reshape(F, rows * cols, -1)
+        # Lanes of the small activation span, then its im2col view.
+        va = _LANES[a_lanes].take(mat[:, plan.act], axis=0).take(plan.im2col, axis=1)
         # The byte count fixes n (oc_stride > 0), so equal bytes mean equal
         # lanes.
         key = wts[0].tobytes()
@@ -655,75 +705,139 @@ class ChannelSpec:
         if cached is not None and cached[0] == key:
             vw = cached[1]
         else:
-            vw = np.ascontiguousarray(
-                _lane_view(wts[:1], _LANES[w_lanes], *w_geom).reshape(n, -1)
-            )
+            vw = _LANES[w_lanes].take(wts[0].take(plan.w_index), axis=0)
+            vw = vw.reshape(n, -1)
             vw.flags.writeable = False
             self._lanes = (key, vw)
-        dots = np.matmul(va, vw.T).astype(np.int64)
-        bias = np.ascontiguousarray(bias_g).view("<i4").astype(np.int64)
-        acc32 = (bias[:, None, :] + dots) & MASK
+        acc = np.matmul(va.reshape(F, plan.pixels, -1), vw.T).astype(np.int64)
+        acc += np.ascontiguousarray(mat[:, plan.bias]).view("<i4")[:, None, :]
+        acc32 = acc.astype(np.uint32)  # the register: the low 32 bits
 
-        clamps = None
+        clamps = ()
         if self.requant:
             r0 = regs_list[0]
-            mult, rnd, lev_raw = r0[self.MUL], r0[self.RND], r0[self.LEV]
+            lev_raw = r0[self.LEV]
             lev_s = lev_raw - (1 << 32) if lev_raw & 0x8000_0000 else lev_raw
-            # The int64 product may wrap; wrapping keeps the low 32 bits.
-            t = (acc32 * mult + rnd) & MASK
-            s = t - ((t & 0x8000_0000) << 1)
+            # uint32 arithmetic wraps like the 32-bit mul and add.
+            t = acc32 * r0[self.MUL]
+            t += r0[self.RND]
+            s = t.view(np.int32)
             if self.shift:
-                s = s >> self.shift
+                s >>= self.shift
             neg = s < 0
-            s = np.where(neg, 0, s)
-            hi_clamp = s > lev_s
-            vals = np.where(hi_clamp, lev_raw, s)
-            clamps = (neg.sum(axis=(1, 2)), hi_clamp.sum(axis=(1, 2)))
+            if lev_s >= 0:
+                hi_clamp = s > lev_s
+                vals = np.minimum(np.maximum(s, 0, out=s), lev_s, out=s)
+            else:  # every clamped value saturates to the level register
+                hi_clamp = np.ones_like(neg)
+                vals = np.full(s.shape, lev_raw, dtype=np.int64)
+            clamps = (neg.sum(axis=(1, 2)).tolist(),
+                      hi_clamp.sum(axis=(1, 2)).tolist())
         else:
             vals = acc32
 
-        # ----- pack + store ----- #
-        if out_bits == 32:
-            byts = vals.astype("<u4").view(np.uint8)
-        elif out_bits == 8:
-            byts = (vals & 0xFF).astype(np.uint8)
-        else:
+        # ----- pack + store (the stores truncate to the output width) ----- #
+        values = {"ACC": acc32[:, -1, -1].tolist()}
+        if self.requant:
+            values["RES"] = vals[:, -1, -1].tolist()
+        if self.out_bits == 4:
             if p0:
-                pend0 = np.array([regs[self.PEND] for regs in regs_list], dtype=np.int64)
-                head = np.broadcast_to(pend0[:, None, None], (F, rows * cols, 1))
-                extended = np.concatenate([head, vals], axis=2)
+                pend0 = np.array([regs[self.PEND] for regs in regs_list])
+                head = np.broadcast_to(pend0[:, None, None], (F, plan.pixels, 1))
+                vals = np.concatenate([head, vals], axis=2)
+            last = vals[:, -1, :].tolist()
+            at = 2 * ((p0 + n - 1) // 2)
+            values["PEND"] = [row[at] for row in last]
+            n_pairs = plan.n_pairs
+            if n_pairs:
+                values["T5"] = [((row[2 * n_pairs - 1] << 4) & MASK)
+                                | row[2 * n_pairs - 2] for row in last]
+        if plan.out is not None:
+            out = dm.view(*plan.out)
+            if self.out_bits != 4:
+                out[...] = vals.reshape(out.shape)
             else:
-                extended = vals
-            lob = extended[:, :, 0 : 2 * n_pairs : 2]
-            hib = extended[:, :, 1 : 2 * n_pairs : 2]
-            byts = (((hib << 4) | lob) & 0xFF).astype(np.uint8)
-            if out_len > n_pairs:
-                tail = (extended[:, :, -1:] & 0xFF).astype(np.uint8)
-                byts = np.concatenate([byts, tail], axis=2)
-        if out_len:
-            out[...] = byts.reshape(F, rows, cols, out_len)
+                out[..., :n_pairs] = (
+                    (vals[:, :, 1 : 2 * n_pairs : 2] << 4)
+                    | vals[:, :, 0 : 2 * n_pairs : 2]
+                ).reshape(out.shape[:3] + (n_pairs,))
+                if plan.out_len > n_pairs:
+                    out[..., n_pairs] = vals[:, :, -1].reshape(out.shape[:3])
 
         # ----- final architectural state of the last pixel ----- #
-        last_act = act[:, act.shape[1] - span :]
-        last_w = wts[:, wts.shape[1] - span :]
+        tail = mat.take(plan.tail, axis=1).tolist()
         if self.mode in ("sd8", "sd4"):
-            a_fin = np.ascontiguousarray(last_act[:, -4:]).view("<u4").ravel()
-            b_fin = np.ascontiguousarray(last_w[:, -4:]).view("<u4").ravel()
+            values["A"] = [r[0] | r[1] << 8 | r[2] << 16 | r[3] << 24 for r in tail]
+            values["B"] = [r[4] | r[5] << 8 | r[6] << 16 | r[7] << 24 for r in tail]
         elif self.mode == "mac8":
-            la = last_act[:, -1].astype(np.int8).astype(np.int64)
-            lb = last_w[:, -1].astype(np.int8).astype(np.int64)
-            a_fin = (la * lb) & MASK
-            b_fin = lb & MASK
+            lbs = [r[1] - ((r[1] & 0x80) << 1) for r in tail]
+            values["A"] = [((r[0] - ((r[0] & 0x80) << 1)) * lb) & MASK
+                           for r, lb in zip(tail, lbs)]
+            values["B"] = [lb & MASK for lb in lbs]
         else:
-            a_fin = last_act[:, -1].astype(np.int64)
-            b_fin = last_w[:, -1].astype(np.int64)
+            values["A"] = [r[0] for r in tail]
+            values["B"] = [r[1] for r in tail]
+            values["C"] = [r[0] >> 4 for r in tail]
+            values["D"] = [((((r[1] >> 4) ^ 8) - 8) * (r[0] >> 4)) & MASK
+                           for r in tail]
+        _write_regs(regs_list, plan.consts, plan.per_frame, values)
+        return clamps
+
+    def _plan(self, base, size, n, bp, wp, pb, outp, p0, grid, flush):
+        """Build the :class:`_ChannelPlan` of one argument tuple of
+        :meth:`evaluate`, or ``None`` when it must decline."""
+        rows, cols, sy, sx, oy, ox = grid
+        T, span, out_bits = self.taps, self.span, self.out_bits
+        a_geom = ((rows, cols, self.kh, self.kw, span),
+                  (sy, sx, self.row_stride, self.pixel_stride, 1))
+        w_geom = ((n, T, span), (self.oc_stride, self.tap_adv, 1))
+        spans = ((bp, 4 * n), (pb, _extent(*a_geom)), (wp, _extent(*w_geom)))
+        b_off, a_off, w_off = offs = [
+            _dmem_offset(base, size, addr, length) for addr, length in spans
+        ]
+        if None in offs:
+            return None
+        plan = _ChannelPlan()
+        plan.n_pairs = n_pairs = (p0 + n) // 2
+        if out_bits == 32:
+            out_len = 4 * n
+        elif out_bits == 8:
+            out_len = n
+        else:
+            out_len = n_pairs + (1 if flush and (p0 + n) & 1 else 0)
+        plan.out_len = out_len
+        plan.out = None
+        if out_len:
+            o_extent = _extent((rows, cols, out_len), (oy, ox, 1))
+            if any(outp < lo + ln and lo < outp + o_extent for lo, ln in spans):
+                return None
+            o_off = _dmem_offset(base, size, outp, o_extent)
+            if o_off is None:
+                return None
+            if out_bits == 32:
+                plan.out = (o_off, (rows, cols, n), (oy, ox, 4), "<u4")
+            else:
+                plan.out = (o_off, (rows, cols, out_len), (oy, ox, 1), np.uint8)
+        plan.bias = slice(b_off, b_off + 4 * n)
+        plan.act = slice(a_off, a_off + spans[1][1])
+        plan.wts = slice(w_off, w_off + spans[2][1])
+        plan.pixels = rows * cols
+        plan.im2col = _offsets(*a_geom).reshape(rows * cols, -1)
+        plan.w_index = _offsets(*w_geom).reshape(n, -1)
+        k = 4 if self.mode in ("sd8", "sd4") else 1
+        a_end, w_end = a_off + spans[1][1], plan.wts.stop
+        plan.tail = np.concatenate(
+            (np.arange(a_end - k, a_end), np.arange(w_end - k, w_end))
+        )
+
+        # Register updates of the last pixel in execution order; strings
+        # name per-frame values computed by evaluate.
         pb_last = pb + (rows - 1) * sy + (cols - 1) * sx
         t2_final = (wp + (n - 1) * self.oc_stride + T * self.tap_adv) & MASK
-        ups = [(self.T2, t2_final), (self.N, 0), (self.A, a_fin), (self.B, b_fin)]
+        ups = [(self.T2, t2_final), (self.N, 0), (self.A, "A"), (self.B, "B")]
         if self.mode == "mac4":
-            ups.append((self.C, a_fin >> 4))
-            ups.append((self.D, ((((b_fin >> 4) ^ 8) - 8) * (a_fin >> 4)) & MASK))
-        ups.append((self.ACC, acc32[:, -1, -1]))
+            ups += [(self.C, "C"), (self.D, "D")]
+        ups.append((self.ACC, "ACC"))
         if self.conv:
             row_last = pb_last + (self.kh - 1) * self.row_stride
             ups.append((self.T1, (row_last + (self.kw - 1) * self.pixel_stride
@@ -740,18 +854,17 @@ class ChannelSpec:
         else:
             ups.append((self.T1, (pb + self.tap_adv) & MASK))
         if self.requant:
-            ups.append((self.RES, vals[:, -1, -1]))
+            ups.append((self.RES, "RES"))
         if out_bits == 4:
-            ups.append((self.PEND, extended[:, -1, 2 * ((p0 + n - 1) // 2)]))
+            ups.append((self.PEND, "PEND"))
             ups.append((self.PAR, (p0 + n) & 1))
             if n_pairs:
-                t5 = (self.T5, ((hib[:, -1, -1] << 4) & MASK) | lob[:, -1, -1])
                 # When the last channel takes the even path, the last odd
                 # store ran before its inner loop, which may reuse T5.
                 if (p0 + n) & 1:
-                    ups.insert(0, t5)
+                    ups.insert(0, (self.T5, "T5"))
                 else:
-                    ups.append(t5)
+                    ups.append((self.T5, "T5"))
         outp_last = outp + (rows - 1) * oy + (cols - 1) * ox
         # A flushed trailing nibble is the caller's to account for.
         chan_len = n_pairs if out_bits == 4 else out_len
@@ -761,7 +874,8 @@ class ChannelSpec:
             ups.append(self.t6_tail)
         ups.append((self.WP, (wp + n * self.oc_stride) & MASK))
         ups.append((self.CNTR, 0))
-        return clamps, ups
+        plan.consts, plan.per_frame = _resolve(ups)
+        return plan
 
 
 def try_channel_superloop(
@@ -1082,12 +1196,11 @@ def _match_channel_loop(program, head, cycle_model):
             if n == 0 or not _uniform(regs_list, uniform_regs):
                 return 0, None
             p0 = 1 if out_bits == 4 and r0[PAR] else 0
-            done = spec.evaluate(
+            clamps = spec.evaluate(
                 dm, regs_list, n, r0[BP], r0[WP], act_addr, r0[OUTP], p0
             )
-            if done is None:
+            if clamps is None:
                 return 0, None
-            clamps, ups = done
             extras = count_clamps(cnts, aux_base, clamps)
             if out_bits == 4:
                 n_odd = (p0 + n) // 2
@@ -1096,7 +1209,6 @@ def _match_channel_loop(program, head, cycle_model):
                     c[aux_base + parity_base] += n_even
                     c[aux_base + parity_base + 1] += n_odd
                     extras[f] += 3 * n_even + 5 * n_odd
-            apply_updates(regs_list, ups)
             return n, extras
 
         return run_many

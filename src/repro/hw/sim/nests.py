@@ -22,10 +22,12 @@ same rigid row/column nest (:func:`repro.deploy.codegen.emit_conv_layer`,
 
 Every trip count and stride is an immediate, so the kernels attached to
 the ``oy`` block run all remaining rows of the layer, for every frame of a
-lockstep batch, as one numpy op over zero-copy strided views of the
-``(frames, dmem)`` matrix: an im2col view over ``(oy, ox, ky, kx)`` for
-``conv-nest`` (evaluated by the layer's :class:`~repro.hw.sim.kernels.ChannelSpec`)
-and four window views for ``pool-nest``.
+lockstep batch, as a few numpy ops over the ``(frames, dmem)`` matrix: an
+im2col gather over ``(oy, ox, ky, kx)`` for ``conv-nest`` (evaluated by the
+layer's :class:`~repro.hw.sim.kernels.ChannelSpec`) and one gather of the
+four window loads for ``pool-nest``.  The gather indices, output views and
+final register values come from each kernel's plan, built once per
+register tuple.
 
 Statistics stay bit-exact: one nest iteration is one output row, whose fixed
 instructions, cycles and mnemonics are tallied at match time; the
@@ -52,15 +54,19 @@ from .kernels import (
     MASK,
     KernelLoop,
     _counter,
+    _dmem_offset,
     _extent,
     _NoMatch,
+    _offsets,
     _opt_addi_big,
+    _Plans,
+    _resolve,
     _take_addi_big,
     _take_li,
     _Tally,
     _uniform,
     _Walk,
-    apply_updates,
+    _write_regs,
     count_clamps,
 )
 
@@ -211,6 +217,13 @@ def _match_conv_nest(program: List[Instruction], head: int, by_pc: dict,
     if spec.requant:
         uniform += [spec.MUL, spec.RND, spec.LEV]
 
+    def tail_plan(rows, rowbase, outp):
+        """The nest's own register updates after the channel loop's."""
+        ups = [(spec.PAR, 0)] if flush else []
+        return _resolve(ups + grid.tail_updates(rows, rowbase, outp))[0]
+
+    tails = _Plans()
+
     def make_run_many(dm):
         def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
@@ -218,16 +231,15 @@ def _match_conv_nest(program: List[Instruction], head: int, by_pc: dict,
             if rows == 0 or not _uniform(regs_list, uniform):
                 return 0, None
             rowbase, outp = r0[ROWBASE], r0[spec.OUTP]
-            done = spec.evaluate(
+            clamps = spec.evaluate(
                 dm, regs_list, n, bp, wp, rowbase, outp,
                 grid=grid.geometry(rows), flush=flush,
             )
-            if done is None:
+            if clamps is None:
                 return 0, None
-            clamps, ups = done
-            if flush:
-                ups.append((spec.PAR, 0))
-            apply_updates(regs_list, ups + grid.tail_updates(rows, rowbase, outp))
+            # Applied after the channel loop's updates, so the last update
+            # of a register still wins.
+            _write_regs(regs_list, tails.get((rows, rowbase, outp), tail_plan))
             return rows, count_clamps(cnts, aux_base, clamps)
 
         return run_many
@@ -329,55 +341,80 @@ def _match_pool_nest(program: List[Instruction], head: int, by_pc: dict,
     signed = load == "lb"
     mv_cost = cycle_model.cost(mvs[0])
 
+    def plan(base, size, rows, rowbase, outp):
+        """``(window index, output view, updates)`` of one nest entry:
+        the ``(4, rows, cols, nbytes)`` dmem columns of the four window
+        loads, and the last byte's register updates with per-frame names."""
+        geom = ((rows, cols, nbytes), (sy, sx, 1))
+        o_geom = ((rows, cols, nbytes), (oy, out_ps, 1))
+        lo = rowbase + min(offsets)
+        hi = rowbase + max(offsets) + _extent(*geom)
+        o_extent = _extent(*o_geom)
+        if outp < hi and lo < outp + o_extent:
+            return None
+        offs = [_dmem_offset(base, size, rowbase + o, _extent(*geom))
+                for o in offsets]
+        o_off = _dmem_offset(base, size, outp, o_extent)
+        if o_off is None or None in offs:
+            return None
+        index = np.array(offs)[:, None, None, None] + _offsets(*geom)
+
+        # ----- last byte of the last pixel, in execution order ----- #
+        ups = [(r, f"R{k}") for k, r in enumerate(R)]
+        if signed:
+            ups.append((R[0], "BEST"))
+        else:
+            ups += [(TMP, "TMP"), (HI, "HI"), (LO, "LO")]
+        pb_last = rowbase + (rows - 1) * sy + (cols - 1) * sx
+        outp_last = outp + (rows - 1) * oy + (cols - 1) * out_ps
+        ups += [
+            (IP, (pb_last + nbytes) & MASK),
+            (OP, (outp_last + nbytes) & MASK),
+            (CNT, 0),
+        ]
+        ups += grid.tail_updates(rows, rowbase, outp)
+        return (index, (o_off,) + o_geom) + _resolve(ups)
+
+    plans = _Plans()
+
     def make_run_many(dm):
         def run_many(regs_list, cnts, aux_base):
             r0 = regs_list[0]
             rows = _counter(r0, OYC)
             if rows == 0 or not _uniform(regs_list, (OYC, ROWBASE, OUTP)):
                 return 0, None
-            rowbase, outp = r0[ROWBASE], r0[OUTP]
-            geom = ((rows, cols, nbytes), (sy, sx, 1))
-            o_geom = ((rows, cols, nbytes), (oy, out_ps, 1))
-            lo = rowbase + min(offsets)
-            hi = rowbase + max(offsets) + _extent(*geom)
-            if outp < hi and lo < outp + _extent(*o_geom):
+            entry = plans.get((dm.base, dm.size, rows, r0[ROWBASE], r0[OUTP]), plan)
+            if entry is None:
                 return 0, None
-            wins = [dm.window(rowbase + o, *geom) for o in offsets]
-            out = dm.window(outp, *o_geom)
-            if out is None or any(v is None for v in wins):
-                return 0, None
+            index, out, consts, per_frame = entry
+            # (frames, window load, rows, cols, bytes), INT4 bytes split
+            # into (low, high) nibble lanes.
+            wins = dm.mat.take(index, axis=1)
             if signed:
-                vals = [v.view(np.int8) for v in wins]
-                best, hits = _running_max(vals)
-                out[...] = best.view(np.uint8)
+                best, extras = _running_max(wins.view(np.int8))
+                dm.view(*out)[...] = best
             else:
-                lo_best, lo_hits = _running_max([v & 0xF for v in wins])
-                hi_best, hi_hits = _running_max([v >> 4 for v in wins])
-                out[...] = (hi_best << 4) | lo_best
-                hits = lo_hits + hi_hits
-
-            # ----- last byte of the last pixel, in execution order ----- #
-            last = [v[:, -1, -1, -1].astype(np.int64) for v in wins]
-            if signed:
-                ups = [(r, (v - ((v & 0x80) << 1)) & MASK) for r, v in zip(R, last)]
-                b = best[:, -1, -1, -1].astype(np.int64)
-                ups.append((R[0], b & MASK))
-            else:
-                lo_b = lo_best[:, -1, -1, -1].astype(np.int64)
-                hi_b = hi_best[:, -1, -1, -1].astype(np.int64)
-                ups = list(zip(R, last))
-                ups += [(TMP, last[3] >> 4), (HI, hi_b << 4), (LO, (hi_b << 4) | lo_b)]
-            pb_last = rowbase + (rows - 1) * sy + (cols - 1) * sx
-            outp_last = outp + (rows - 1) * oy + (cols - 1) * out_ps
-            ups += [
-                (IP, (pb_last + nbytes) & MASK),
-                (OP, (outp_last + nbytes) & MASK),
-                (CNT, 0),
-            ]
-            apply_updates(regs_list, ups + grid.tail_updates(rows, rowbase, outp))
-            extras = hits.sum(axis=(1, 2, 3)).tolist()
+                best, extras = _running_max(_NIBBLES.take(wins, axis=0))
+                dm.view(*out)[...] = (best[..., 1] << 4) | best[..., 0]
             for c, e in zip(cnts, extras):
                 c[aux_base] += e
+
+            last = wins[:, :, -1, -1, -1].tolist()
+            values = {}
+            if signed:
+                last = [[b - ((b & 0x80) << 1) for b in bs] for bs in last]
+                values["BEST"] = [max(bs) & MASK for bs in last]
+                for k in range(4):
+                    values[f"R{k}"] = [bs[k] & MASK for bs in last]
+            else:
+                for k in range(4):
+                    values[f"R{k}"] = [bs[k] for bs in last]
+                values["TMP"] = [bs[3] >> 4 for bs in last]
+                his = [max(b >> 4 for b in bs) << 4 for bs in last]
+                values["HI"] = his
+                values["LO"] = [h | max(b & 0xF for b in bs)
+                                for h, bs in zip(his, last)]
+            _write_regs(regs_list, consts, per_frame, values)
             return rows, extras
 
         return run_many
@@ -389,15 +426,20 @@ def _match_pool_nest(program: List[Instruction], head: int, by_pc: dict,
     return loop
 
 
+# Byte value -> its (low, high) nibbles.
+_NIBBLES = np.stack((np.arange(256) & 0xF, np.arange(256) >> 4), axis=1).astype(np.uint8)
+
+
 def _running_max(vals):
-    """Left-to-right running maximum and the number of times it moved."""
-    best = vals[0]
-    hits = np.zeros(best.shape, dtype=np.int64)
-    for v in vals[1:]:
-        moved = best < v
-        hits += moved
-        best = np.where(moved, v, best)
-    return best, hits
+    """Running maximum over the four window loads (axis 1) of
+    ``(frames, 4, ...)`` values, and per frame how often it moved (a load
+    greater than the maximum so far: one "new max")."""
+    moved = np.empty((len(vals), 3) + vals.shape[2:], dtype=bool)
+    best = vals[:, 0]
+    for k in (1, 2, 3):
+        np.greater(vals[:, k], best, out=moved[:, k - 1])
+        best = np.maximum(best, vals[:, k])
+    return best, moved.reshape(len(vals), -1).sum(axis=1).tolist()
 
 
 _NEST_MATCHERS = (_match_conv_nest, _match_pool_nest)

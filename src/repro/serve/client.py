@@ -245,13 +245,8 @@ class ServeClient:
         :class:`ValueError` before any request is sent.  The server checks
         the shape.
         """
-        frames = np.asarray(frames)
-        if frames.dtype.kind not in "biuf":
-            raise ValueError(
-                f"frames must be bool, integer or float; got dtype {frames.dtype}"
-            )
         body = io.BytesIO()
-        np.save(body, frames.astype(np.float64, copy=False), allow_pickle=False)
+        np.save(body, _float_frames(frames), allow_pickle=False)
         return self._request(
             "POST", f"/v1/sessions/{session_id}/frames", body.getvalue()
         )
@@ -277,6 +272,18 @@ class ServeClient:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def _float_frames(frames) -> np.ndarray:
+    """``frames`` as a float64 array, refusing any dtype but bool, integer
+    or float: a float64 cast would drop a complex value's imaginary part
+    (with only a warning) and turn ``None`` into NaN."""
+    frames = np.asarray(frames)
+    if frames.dtype.kind not in "biuf":
+        raise ValueError(
+            f"frames must be bool, integer or float; got dtype {frames.dtype}"
+        )
+    return frames.astype(np.float64, copy=False)
 
 
 class SessionStream:
@@ -333,8 +340,12 @@ class SessionStream:
         return info
 
     def push(self, frames: Union[np.ndarray, list]) -> List[dict]:
-        """Push a frame/chunk; returns the per-frame result dicts."""
-        frames = np.asarray(frames, dtype=np.float64)
+        """Push a frame/chunk; returns the per-frame result dicts.
+
+        Input that is not a real numeric array raises :class:`ValueError`
+        before any request is sent, as in :meth:`ServeClient.push`.
+        """
+        frames = _float_frames(frames)
         if frames.ndim == 3:
             frames = frames[None]
         failures = 0

@@ -1392,6 +1392,27 @@ class TestClientTransport:
             client.push("abc", frames)
         assert conn.requests == []
 
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            np.ones((1, 2, 2), dtype=np.complex128),
+            [[[1.0, None]]],
+            [[["a", "b"]]],
+        ],
+        ids=["complex", "none", "string"],
+    )
+    def test_session_stream_refuses_non_numeric_frames_without_sending(
+        self, frames
+    ):
+        from repro.serve import SessionStream
+
+        conn = _FakeConnection([])
+        stream = SessionStream(self._client_with([conn]))
+        with pytest.raises(ValueError, match="bool, integer or float"):
+            stream.push(frames)
+        assert conn.requests == []
+        assert stream.session_id is None and stream.frames_acked == 0
+
     def test_get_drop_is_replayed_once(self):
         dead = _FakeConnection([ConnectionResetError("stale keep-alive")])
         alive = _FakeConnection([_FakeResponse(payload={"status": "ok"})])

@@ -126,6 +126,101 @@ class TestTraceCache:
 
 
 # --------------------------------------------------------------------------- #
+# Program edits between runs
+# --------------------------------------------------------------------------- #
+def _argmax_count_index(program):
+    """Index of the argmax's ``li t5, count``: with a count of 1 every
+    prediction becomes 0 and every frame runs fewer cycles."""
+    i = next(i for i, ins in enumerate(program) if ins.label == "argmax_loop") - 1
+    assert program[i].mnemonic == "addi" and program[i].rd == reg("t5")
+    return i
+
+
+class TestProgramEdits:
+    """The lookup remembers programs by identity; every edit must be seen."""
+
+    @pytest.mark.parametrize(
+        "edit", ["replace", "append", "remove", "imm", "rd", "mnemonic"]
+    )
+    def test_every_edit_is_seen(self, edit):
+        cache = TraceCache()
+        program = _tiny_program()
+        # Built before the lookups: list edits then construct nothing.
+        spare = Instruction("addi", rd=reg("t0"), rs1=0, imm=8)
+        first = cache.get(program, None, True)
+        assert cache.get(program, None, True) is first
+        if edit == "replace":
+            program[0] = spare
+        elif edit == "append":
+            program.append(spare)
+        elif edit == "remove":
+            del program[0]
+        elif edit == "imm":
+            program[0].imm = 8
+        elif edit == "rd":
+            program[0].rd = reg("t1")
+        else:
+            program[0].mnemonic = "xori"
+        second = cache.get(program, None, True)
+        assert second is not first
+        assert cache.stats().misses == 2
+        assert cache.get(program, None, True) is second
+
+    def test_core_recompiles_after_imm_edit(self):
+        program = [
+            Instruction("addi", rd=reg("t0"), rs1=0, imm=7),
+            Instruction("addi", rd=reg("t1"), rs1=reg("t0"), imm=1),
+            Instruction("ebreak"),
+        ]
+        core = IbexCore(mode="jit")
+        core.run(program)
+        assert core.registers[reg("t1")] == 8
+        program[0].imm = 99
+        core.reset()
+        core.run(program)
+        ref = IbexCore(mode="interp")
+        ref.run(program)
+        assert core.registers == ref.registers
+        assert core.registers[reg("t1")] == 100
+        assert core.stats.per_mnemonic == ref.stats.per_mnemonic
+        assert cache_stats().misses == 2
+
+    def test_batch_recompiles_after_imm_edit(self, integer_network, prepared_data):
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:3]
+        )
+        compiled = compile_network(integer_network, use_sdotp=True)
+        platform = maupiti_platform(sim_mode="jit")
+        before = simulate_batch(platform, compiled, frames)
+        compiled.program[_argmax_count_index(compiled.program)].imm = 1
+        after = simulate_batch(platform, compiled, frames)
+        ref = simulate_batch(maupiti_platform(sim_mode="interp"), compiled, frames)
+        assert cache_stats().misses == 2
+        assert (after.predictions == 0).all()
+        assert (after.cycles_per_frame < before.cycles_per_frame).all()
+        np.testing.assert_array_equal(after.predictions, ref.predictions)
+        np.testing.assert_array_equal(after.logits, ref.logits)
+        np.testing.assert_array_equal(after.cycles_per_frame, ref.cycles_per_frame)
+
+    def test_engine_recompiles_after_imm_edit(self, integer_network, prepared_data):
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:3]
+        )
+        engine = repro.compile(integer_network, target="maupiti", sim_mode="jit")
+        ref = repro.compile(integer_network, target="maupiti", sim_mode="interp")
+        engine.predict_batch(frames)
+        for e in (engine, ref):
+            program = e.backend.compiled.program
+            program[_argmax_count_index(program)].imm = 1
+        out = engine.predict_batch(frames)
+        expected = ref.predict_batch(frames)
+        assert cache_stats().misses == 2
+        assert (out.predictions == 0).all()
+        np.testing.assert_array_equal(out.logits, expected.logits)
+        np.testing.assert_array_equal(out.cycles_per_frame, expected.cycles_per_frame)
+
+
+# --------------------------------------------------------------------------- #
 # Generated-code semantics
 # --------------------------------------------------------------------------- #
 class TestJitSemantics:
@@ -440,6 +535,46 @@ class TestBatchedExecution:
         )
         assert len(outcomes) == 16
         assert built == [(16, DMEM_SIZE)]
+
+    def test_steady_state_reuses_binding_and_plans(
+        self, integer_network, prepared_data, monkeypatch
+    ):
+        """On one thread, steady-state calls of any batch size exec the
+        generated module at most once in total, and every kernel builds
+        its plan once: frames change, the control registers do not."""
+        from collections import Counter
+
+        import repro.hw.sim.jit as jit_module
+        from repro.hw.sim.kernels import _Plans
+
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:8]
+        )
+        engine = repro.compile(integer_network, target="maupiti", sim_mode="jit")
+        execs, builds = [], []
+        builtin_exec = exec
+        builtin_get = _Plans.get
+
+        def counting_exec(code, *args):
+            execs.append(code)
+            return builtin_exec(code, *args)
+
+        def counting_get(self, key, build):
+            def counted(*args):
+                builds.append(id(self))
+                return build(*args)
+
+            return builtin_get(self, key, counted)
+
+        monkeypatch.setattr(jit_module, "exec", counting_exec, raising=False)
+        monkeypatch.setattr(_Plans, "get", counting_get)
+        for rows in (slice(0, 8), slice(0, 8), slice(0, 3), slice(5, 6), slice(2, 8)):
+            engine.predict_batch(frames[rows])
+        assert len(execs) <= 1
+        per_kernel = Counter(builds)
+        # conv-nest (channel plan + nest tail) x 2, pool-nest, memset, fc x 2
+        assert len(per_kernel) >= 6
+        assert set(per_kernel.values()) == {1}
 
     def test_fault_in_one_frame_is_that_frames_fault(self):
         """Only frame 2 reads outside dmem: the batch raises the exception
