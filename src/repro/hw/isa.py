@@ -126,12 +126,12 @@ _edit_stamp = 0
 def edit_stamp() -> int:
     """A token that changes whenever any :class:`Instruction` field is set.
 
-    Programs are plain lists of mutable instructions.  A cache that keyed a
-    program's compiled form by the list's identity and element identities
-    stores this stamp next to it: an equal stamp later proves that no
-    instruction anywhere was edited in place since.  Each assignment takes a
-    unique token (``next`` on an ``itertools.count`` is atomic), so a stale
-    write from a preempted thread can never bring back an earlier stamp.
+    Programs are plain lists of mutable instructions.  The JIT trace cache
+    remembers a program list with its elements and this stamp: an equal
+    stamp later proves that no instruction anywhere was edited in place
+    since.  Each assignment takes a unique token (``next`` on an
+    ``itertools.count`` is atomic), so a stale write from a preempted
+    thread can never bring back an earlier stamp.
     """
     return _edit_stamp
 

@@ -627,10 +627,9 @@ class _ChannelPlan:
     Column slices of the bias, activation and weight bytes in the
     ``(frames, dmem)`` matrix, the im2col index of the activations
     (``(pixels, bytes)``) and of the weights, relative to their slices, the
-    output view
-    ``(offset, shape, strides, dtype)``, the columns of the last channel's
-    final operand bytes, and the last pixel's register updates resolved to
-    constants and named per-frame values.
+    output view ``(offset, shape, strides, dtype)``, the columns of the last
+    channel's final operand bytes, and the last pixel's register updates
+    resolved to constants and named per-frame values.
     """
 
     __slots__ = ("bias", "act", "wts", "im2col", "w_index", "pixels", "out",
