@@ -14,7 +14,9 @@ before reporting speed:
   sizes 1, 8, 16 and 32 (median and quartiles over ``SWEEP`` repeats after
   warm-up calls), which shows what batching across frames buys, and under
   ``"fit"`` a least-squares line through the batched sizes' median call
-  times: the fixed microseconds per call and the microseconds per frame.
+  times: the fixed microseconds per call and the microseconds per frame,
+* the same sweep and fit for the ``int-golden`` engine the simulators are
+  checked against (under ``"int-golden"``).
 
 Results are written as machine-readable JSON (``BENCH_sim.json`` at the
 repository root by default) with the host and git SHA, so two commits'
@@ -39,7 +41,7 @@ from perf_nn import git_sha, spread  # sibling script: same host/SHA/spread reco
 
 import repro
 from repro.datasets import generate_linaige
-from repro.engine import ModelBundle
+from repro.engine import ModelBundle, get_target
 from repro.flow import Preprocessor, build_seed_cnn
 from repro.hw.sim import clear_trace_cache, get_template
 from repro.quant import PrecisionScheme, quantize_model
@@ -111,8 +113,10 @@ def time_mode(bundle, target, mode, frames):
 
 
 def batch_sweep(bundle, target, held_out):
-    """Jit microseconds per frame of ``predict_batch`` at each sweep size."""
-    engine = repro.compile(bundle, target=target, sim_mode="jit")
+    """Microseconds per frame of ``predict_batch`` at each sweep size (the
+    simulated targets run in jit mode)."""
+    opts = {"sim_mode": "jit"} if get_target(target).supports_sim_mode else {}
+    engine = repro.compile(bundle, target=target, **opts)
     frames = np.resize(held_out, (max(SWEEP["batches"]),) + held_out.shape[1:])
     out = {}
     for size in SWEEP["batches"]:
@@ -126,13 +130,24 @@ def batch_sweep(bundle, target, held_out):
             samples.append((time.perf_counter() - start) / size * 1e6)
         out[str(size)] = spread(samples)
     # Call time = fixed + per-frame * size, fitted over the batched sizes
-    # (a batch of one takes the sequential path).
+    # (on the simulators a batch of one takes the sequential path).
     sizes = [size for size in SWEEP["batches"] if size > 1]
     per_frame, per_call = np.polyfit(
         sizes, [out[str(size)]["median"] * size for size in sizes], 1
     )
     out["fit"] = {"sizes": sizes, "us_per_call": per_call, "us_per_frame": per_frame}
     return out
+
+
+def print_sweep(name, sweep):
+    print(f"{'':<8} {name} us/frame by batch: " + ", ".join(
+        f"b{size} {sweep[str(size)]['median']:.1f} "
+        f"(IQR {sweep[str(size)]['iqr']:.1f})"
+        for size in SWEEP["batches"]
+    ))
+    fit = sweep["fit"]
+    print(f"{'':<8} {name} fit over b{'/'.join(map(str, fit['sizes']))}: "
+          f"{fit['us_per_call']:.0f} us/call + {fit['us_per_frame']:.1f} us/frame")
 
 
 def check_parity(target, batches):
@@ -219,18 +234,13 @@ def main(argv=None) -> int:
             f"{row['modes']['jit']['sim_cycles_per_sec'] / 1e6:7.1f} Msimcycles/s"
         )
         if not args.quick:
-            sweep = row["batch_sweep_us_per_frame"] = batch_sweep(
-                bundle, target, held_out
-            )
-            print(f"{'':<8} jit us/frame by batch: " + ", ".join(
-                f"b{size} {sweep[str(size)]['median']:.0f} "
-                f"(IQR {sweep[str(size)]['iqr']:.0f})"
-                for size in SWEEP["batches"]
-            ))
-            fit = sweep["fit"]
-            print(f"{'':<8} jit fit over b{'/'.join(map(str, fit['sizes']))}: "
-                  f"{fit['us_per_call']:.0f} us/call + "
-                  f"{fit['us_per_frame']:.1f} us/frame")
+            row["batch_sweep_us_per_frame"] = batch_sweep(bundle, target, held_out)
+            print_sweep("jit", row["batch_sweep_us_per_frame"])
+    if not args.quick:
+        # The golden model the simulators are checked against, same sweep.
+        sweep = batch_sweep(bundle, "int-golden", held_out)
+        results["int-golden"] = {"batch_sweep_us_per_frame": sweep}
+        print_sweep("int-golden", sweep)
 
     results["min_speedups"] = {
         "jit_vs_interp": min(

@@ -121,7 +121,11 @@ class Memory:
         """
         out = Memory.__new__(Memory)
         out.regions = dict(self.regions)
-        out._data = {name: bytearray(data) for name, data in self._data.items()}
+        out._data = {
+            name: bytearray(data)
+            for name, data in self._data.items()
+            if dmem_buffer is None or name != "dmem"
+        }
         if dmem_buffer is not None:
             dmem_buffer[:] = self._data["dmem"]
             out._data["dmem"] = dmem_buffer

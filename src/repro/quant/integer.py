@@ -5,7 +5,7 @@ integer operations the MAUPITI firmware executes:
 
 * weights are stored as signed INT4/INT8 values,
 * biases as INT32 (already including the input zero-point correction),
-* accumulation happens in INT32,
+* accumulation happens in INT32 (here in exact float64 GEMMs, see below),
 * the requantization back to the next layer's activation grid is a
   fixed-point multiply-and-shift:  ``out = clamp(round_shift(acc * m, shift), 0, levels)``.
 
@@ -13,6 +13,16 @@ This module is the single source of truth for the integer arithmetic: the
 deployment code generator emits instruction streams implementing exactly the
 same operations, and the ISA-simulator results are checked bit-exactly
 against :class:`IntegerNetwork`.
+
+numpy has no BLAS for integer types, so :class:`IntegerNetwork` runs each
+conv and linear accumulation as one float64 GEMM and converts the result to
+int64; the bias, requantization, clamps, maxpool and logits stay integer.
+This is exact: every operand is a small integer (a weight of at most 8 bits,
+an activation that is a clamped requantized output or the input minus its
+zero point), so every partial sum in any summation order is an integer
+below ``sum(|w|) * max|x|`` — at most ``K * 127 * 255`` for ``K`` taps —
+far below ``2**53``, where float64 stops representing every integer.  Each
+layer checks that bound before its GEMM and refuses a layer that reaches it.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..nn.functional import _pair, im2col
 from ..nn.layers import Flatten, MaxPool2d
 from ..nn.module import Sequential
 from .qlayers import QuantConv2d, QuantLinear
@@ -29,6 +40,8 @@ from .quantize import QuantModel
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+#: integers up to this magnitude are exact in float64, and so is every sum of them
+_EXACT_FLOAT = 2**53
 
 
 def quantize_multiplier(real_multiplier: float, bits: int = 15) -> Tuple[int, int]:
@@ -53,13 +66,22 @@ def quantize_multiplier(real_multiplier: float, bits: int = 15) -> Tuple[int, in
 
 
 def round_shift(value: np.ndarray, shift: int) -> np.ndarray:
-    """Arithmetic right shift with round-to-nearest (ties away from zero are
-    not needed: inputs here are non-negative products)."""
+    """Arithmetic right shift with round-half-up, ``floor(value / 2**shift +
+    1/2)``; a non-positive ``shift`` shifts left.  Negative accumulator
+    products reach it too (their ties round towards +inf, not away from
+    zero); the requantization clamps them to 0 only afterwards."""
     value = np.asarray(value, dtype=np.int64)
     if shift <= 0:
         return value << (-shift)
     rounding = np.int64(1) << (shift - 1)
     return (value + rounding) >> shift
+
+
+def _clamp(value: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``np.clip(value, lo, hi, out=value)`` without ``np.clip``'s ~5 µs of
+    per-call Python overhead."""
+    np.maximum(value, lo, out=value)
+    return np.minimum(value, hi, out=value)
 
 
 @dataclass
@@ -180,55 +202,60 @@ class IntegerNetwork:
         sh, sw = node.stride
         out_h = (h - kh) // sh + 1
         out_w = (w - kw) // sw + 1
-        out = np.full((n, c, out_h, out_w), np.iinfo(np.int64).min, dtype=np.int64)
+        out = None
         for i in range(kh):
             for j in range(kw):
-                out = np.maximum(
-                    out, act[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw]
-                )
+                tap = act[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw]
+                out = tap.copy() if out is None else np.maximum(out, tap, out=out)
         return out
 
     def _layer(self, act: np.ndarray, layer: IntegerLayer) -> np.ndarray:
-        if layer.kind == "conv":
-            acc = self._conv_int(act, layer)
-        else:
-            acc = act @ layer.weight.T.astype(np.int64) + layer.bias[None, :]
-        if not layer.requantize:
-            return np.clip(acc, INT32_MIN, INT32_MAX)
-        out = round_shift(acc * layer.multiplier, layer.shift)
-        return np.clip(out, 0, layer.out_levels)
-
-    def _conv_int(self, act: np.ndarray, layer: IntegerLayer) -> np.ndarray:
-        n, c, h, w = act.shape
-        c_out, c_in, kh, kw = layer.weight.shape
-        if c != c_in:
-            raise ValueError(f"channel mismatch: {c} vs {c_in}")
-        ph, pw = layer.padding
-        sh, sw = layer.stride
-        if ph or pw:
-            act = np.pad(
-                act,
-                ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                mode="constant",
-                constant_values=layer.input_zero_point,
+        w_mat = layer.weight.reshape(layer.weight.shape[0], -1)
+        w_float = w_mat.astype(np.float64)
+        in_max = self._input_bound(layer)
+        if np.abs(w_float).sum(axis=1).max(initial=0) * in_max >= _EXACT_FLOAT:
+            raise ValueError(
+                f"layer {self.graph.index(layer)} ({layer.kind}): a row sum of |w| "
+                f"times the input bound {in_max} reaches 2**53, so its float64 "
+                "accumulation would not be exact"
             )
-        out_h = (h + 2 * ph - kh) // sh + 1
-        out_w = (w + 2 * pw - kw) // sw + 1
-        s0, s1, s2, s3 = act.strides
-        windows = np.lib.stride_tricks.as_strided(
-            act,
-            shape=(n, c_in, out_h, out_w, kh, kw),
-            strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
-            writeable=False,
-        )
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, -1)
-        w_mat = layer.weight.reshape(c_out, -1).astype(np.int64)
-        acc = cols @ w_mat.T + layer.bias[None, :]
-        # Remove the zero-point contribution of the real (non padded) inputs:
-        # bias already contains -zp * sum(w) assuming every tap sees zp; the
-        # padded taps do see zp, and the interior taps see x_int, so the
-        # correction is exact (see DESIGN.md, integer lowering).
-        return acc.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+        # Every GEMM operand is a small integer, so float64 sums them exactly.
+        zp = layer.input_zero_point
+        x = np.subtract(act, zp, dtype=np.float64)
+        if layer.kind == "conv":
+            if act.shape[1] != layer.weight.shape[1]:
+                raise ValueError(
+                    f"channel mismatch: {act.shape[1]} vs {layer.weight.shape[1]}"
+                )
+            x, (out_h, out_w) = im2col(
+                x, layer.weight.shape[2:], layer.stride, layer.padding
+            )
+        acc = (x @ w_float.T).astype(np.int64)
+        # The GEMM summed (x - zp) * w, padded taps included as 0, and ``bias``
+        # already folds in -zp * sum(w): add zp * sum(w) back.
+        acc += layer.bias + zp * w_mat.sum(axis=1) if zp else layer.bias
+        if not layer.requantize:
+            out = _clamp(acc, INT32_MIN, INT32_MAX)
+        else:
+            acc *= layer.multiplier
+            out = _clamp(round_shift(acc, layer.shift), 0, layer.out_levels)
+        if layer.kind == "conv":
+            return out.reshape(act.shape[0], out_h, out_w, -1).transpose(0, 3, 1, 2)
+        return out
+
+    def _input_bound(self, layer: IntegerLayer) -> int:
+        """Largest ``|x - zero point|`` that ``layer`` can receive here: the
+        network input spans the signed ``input_bits`` grid, a requantized
+        output ``[0, out_levels]`` and the classifier's output INT32."""
+        lo = -(2 ** (self.input_bits - 1))
+        hi = 2 ** (self.input_bits - 1) - 1
+        for node in self.graph:
+            if node is layer:
+                zp = layer.input_zero_point
+                return max(hi - zp, zp - lo)
+            if isinstance(node, IntegerLayer):
+                lo, hi = (0, node.out_levels) if node.requantize else (INT32_MIN, INT32_MAX)
+        raise ValueError("layer is not part of this network")
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -279,8 +306,6 @@ def convert_to_integer(qmodel: QuantModel) -> IntegerNetwork:
     prev_levels = 2 ** (qmodel.input_quantizer.bits - 1) - 1
     for layer in qmodel.network:
         if isinstance(layer, MaxPool2d):
-            from ..nn.functional import _pair
-
             net.graph.append(
                 PoolSpec("maxpool", _pair(layer.kernel_size), _pair(layer.stride))
             )

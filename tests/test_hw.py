@@ -184,6 +184,20 @@ class TestMemory:
         mem.store_bytes(0x0020_0000, b"\x01", force=True)
         assert mem.load_byte(0x0020_0000) == 1
 
+    def test_clone_into_supplied_dmem_buffer(self):
+        mem = Memory()
+        mem.store_word(DMEM_BASE, 0x11223344)
+        mem.store_word(DMEM_BASE + 16 * 1024 - 4, -7)
+        row = np.zeros((2, 16 * 1024), dtype=np.uint8)
+        buffer = row[1].data
+        clone = mem.clone(dmem_buffer=buffer)
+        assert clone._data["dmem"] is buffer
+        assert bytes(row[1]) == bytes(mem._data["dmem"])
+        clone.store_word(DMEM_BASE, 5)
+        assert row[1, 0] == 5  # the clone writes through to the buffer
+        assert mem.load_word(DMEM_BASE) == 0x11223344
+        assert not row[0].any()
+
 
 def run_program(instrs, enable_sdotp=True):
     core = IbexCore(enable_sdotp=enable_sdotp)
