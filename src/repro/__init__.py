@@ -39,17 +39,10 @@ Sub-packages
     Multi-session streaming inference service: asyncio HTTP/1.1 (or WSGI)
     front-end, per-session majority FIFOs, cross-session micro-batching
     through ``Engine.predict_batch``, backpressure, TTL eviction, metrics.
-``repro.faults``
-    Seeded, composable sensor/uplink fault models (dead pixels, drift,
-    noise, dropouts) behind a ``@register_fault`` registry, applicable to
-    offline datasets and live streams with bit-identical results.
-``repro.robustness``
-    Fault x severity x target degradation grid: accuracy/BAS curves (raw
-    and majority-voted) plus cycle/energy cost per scenario.
 """
 
-from . import datasets, deploy, engine, faults, flow, hw, nas, nn, parallel
-from . import postproc, quant, robustness, serve
+from . import datasets, deploy, engine, flow, hw, nas, nn, parallel
+from . import postproc, quant, serve
 from .engine import Engine, StreamSession, available_targets, compile, register_target
 
 __version__ = "1.4.0"
@@ -68,10 +61,8 @@ __all__ = [
     "postproc",
     "hw",
     "deploy",
-    "faults",
     "flow",
     "parallel",
-    "robustness",
     "serve",
     "__version__",
 ]

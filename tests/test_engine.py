@@ -1,5 +1,9 @@
 """The engine façade: registry, compile(), cross-target parity, streaming."""
 
+import inspect
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,21 @@ from repro.engine import (
 )
 from repro.nn.trainer import predict
 from repro.postproc import majority_filter
+
+
+class TestPackageFacade:
+    def test_all_docstring_and_disk_name_the_same_subpackages(self):
+        on_disk = {m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg}
+        assert [name for name in repro.__all__ if not hasattr(repro, name)] == []
+        exported = {
+            name for name in repro.__all__ if inspect.ismodule(getattr(repro, name))
+        }
+        assert exported == on_disk
+        for name in on_disk:
+            assert getattr(repro, name).__name__ == f"repro.{name}"
+        section = repro.__doc__.split("Sub-packages\n------------\n", 1)[1]
+        documented = set(re.findall(r"^``repro\.(\w+)``$", section, re.MULTILINE))
+        assert documented == on_disk
 
 
 class TestRegistry:
