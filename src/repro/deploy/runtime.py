@@ -175,7 +175,7 @@ def simulate_batch(
         # sequential loop below reproduces the exact result (or fault).
         # Only lockstep divergence and simulated faults fall back; anything
         # else is a simulator bug and propagates.
-        from ..hw.sim.batch import BatchDivergence  # deferred: jit only
+        from ..hw.sim.jit import BatchDivergence  # deferred: jit only
 
         try:
             return _simulate_batch_jit(platform, compiled, payloads, keep_results)

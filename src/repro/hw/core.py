@@ -28,14 +28,17 @@ Two execution modes are available (``IbexCore(mode=...)``):
   :mod:`repro.hw.sim.trace_cache`, which also hands each thread its one
   binding of a template; a run finds both without rehashing the program,
   and any edit of the program list or of an instruction field between runs
-  is still seen and recompiles.  Control that lands on a pc where no
-  block starts (``jalr`` into a block's middle, a misaligned pc) is
-  single-stepped through :func:`step`.  Registers, memory, cycle counts and
-  per-mnemonic statistics are bit-exact against the interpreter.
+  is still seen and recompiles.  A run is one state of the JIT's one
+  lockstep loop (:meth:`~repro.hw.sim.jit.JitProgram.run_lockstep`) on the
+  core's own memory.  Control that lands on a pc where no block starts
+  (``jalr`` into a block's middle, a misaligned pc) is single-stepped
+  through :func:`step`.  Registers, memory, cycle counts and per-mnemonic
+  statistics are bit-exact against the interpreter.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -185,6 +188,17 @@ def step(
     return next_pc, cycle_model.cost(instr, taken)
 
 
+@functools.cache
+def _jit_tier():
+    """``(bind_program, FrameDmem)`` of :mod:`repro.hw.sim`, imported on the
+    first jit run: the JIT imports this module, and ``import repro`` should
+    not pay for the JIT."""
+    from .sim.kernels import FrameDmem
+    from .sim.trace_cache import bind_program
+
+    return bind_program, FrameDmem
+
+
 @dataclass
 class ExecutionStats:
     """Counters accumulated while running a program."""
@@ -236,6 +250,9 @@ class IbexCore:
         self.pc = 0
         self.stats = ExecutionStats()
         self.halted = False
+        # ``(memory, FrameDmem)`` of the last jit run: while ``memory`` is
+        # the same, the thread's binding keeps its kernel runners.
+        self._jit_dmem: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
@@ -286,19 +303,22 @@ class IbexCore:
         the process-wide trace cache (shared across every engine compiling
         the same program; an in-place edit of ``program`` is seen and
         recompiles) and hands back this thread's binding of it, pointed at
-        this core's memory.
+        this core's memory.  The run is one state of the JIT's lockstep
+        loop over the core's own dmem: registers, memory and stats change
+        in place.
         """
-        from .sim.trace_cache import bind_program  # deferred import cycle
-
+        bind_program, FrameDmem = _jit_tier()
         bound = bind_program(
             program, self.cycle_model, self.enable_sdotp, [self.memory]
         )
-        self.halted = False
-        self.pc = bound.run(
-            self.registers,
-            self.stats,
-            entry_pc=entry_pc,
-            max_instructions=self.max_instructions,
+        state = bound.start(
+            self.registers, self.stats, entry_pc, self.max_instructions
         )
+        dmem = self._jit_dmem
+        if dmem is None or dmem[0] is not self.memory:
+            dmem = self._jit_dmem = (self.memory, FrameDmem.of(self.memory))
+        self.halted = False
+        bound.run_lockstep([state], [self.stats], dmem[1])
+        self.pc = state.final_pc
         self.halted = True
         return self.stats

@@ -9,7 +9,9 @@ vectorized numpy kernels, the remaining blocks run as generated Python
 (:mod:`repro.hw.sim.jit`), and cycle / energy accounting is derived
 analytically from the shared :class:`~repro.hw.cycles.CycleModel` —
 bit-exact against the reference interpreter in registers, memory, cycle
-counts and per-mnemonic statistics.  A batch of frames
+counts and per-mnemonic statistics.  One loop,
+:meth:`~repro.hw.sim.jit.JitProgram.run_lockstep`, runs every program: a
+core's run is one frame on its own memory, a batch of frames
 (:mod:`repro.hw.sim.batch`) binds the generated code once and advances
 every frame through it in lockstep.
 
@@ -29,13 +31,13 @@ Adding a new recognized kernel:
    through ``KernelLoop.aux`` hit slots (``extras`` are the instructions
    each frame ran on them), and decline with ``(0, None)`` when its
    outputs overlap its inputs or the frames' control registers differ;
-3. attach it from :class:`~repro.hw.sim.jit.JitTemplate` after the kernels
-   it wraps;
+3. attach it from :class:`~repro.hw.sim.jit.JitTemplate`; a layer-level
+   kernel matches the loops it wraps itself;
 4. the parity suite (``tests/test_sim_parity.py``) asserts every hinted
    loop is vectorized by a kernel of the hinted kind and every vectorized
    result is bit-exact; add a randomized differential test next to
    ``tests/test_sim_nests.py`` that drives the codegen emitter directly
-   through interp and both jit paths.
+   through interp, a core's jit run and a batched jit run.
 """
 
 from .blocks import BasicBlock, build_blocks

@@ -51,16 +51,21 @@ def _build_compiled(target: str, quick: bool):
 
 def _dispatch_counts(template, platform, compiled, frame):
     """Kernel dispatches and generic block executions of one frame."""
-    from ...deploy.runtime import load_model, write_input
-    from ..core import ExecutionStats
+    from ...deploy.runtime import load_model, pack_input_frames
+    from .batch import run_batch
 
     load_model(platform, compiled)
-    write_input(platform, compiled, frame)
-    stats = ExecutionStats()
-    bound = template.bind(compiled.program, platform.memory)
-    state = bound.start([0] * 32, stats, 0, platform.core.max_instructions)
-    bound.advance(state, stats)
-    return template.dispatch_counts(state.cnt)
+    core = platform.core
+    (outcome,) = run_batch(
+        platform.memory,
+        compiled.program,
+        [pack_input_frames(compiled, frame[None])[0].tobytes()],
+        compiled.input_buffer.address,
+        core.cycle_model,
+        core.enable_sdotp,
+        core.max_instructions,
+    )
+    return template.dispatch_counts(outcome.counters)
 
 
 def main(argv=None) -> int:

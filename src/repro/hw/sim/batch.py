@@ -4,10 +4,14 @@ The programs codegen emits are *control-flow uniform* across frames for
 everything that matters for speed: loop trip counts (rows, columns,
 channels, taps) are compile-time constants, so every frame visits the same
 kernel blocks in the same order, only the data differs.  :func:`run_batch`
-exploits that: all frames advance in lockstep from kernel block to kernel
-block through their generated JIT code, and each kernel dispatch executes
-**one multi-frame numpy op** (``KernelLoop.make_run_many``) over a stacked
-``(frames, bytes)`` matrix instead of one tiny numpy call per frame.
+exploits that: it gives every frame its own memory clone, each backed by a
+row of one ``(frames, dmem)`` matrix, writes each frame's payload, and hands
+one run state per frame to the JIT's one lockstep loop,
+:meth:`~repro.hw.sim.jit.JitProgram.run_lockstep`.  There all frames
+advance in lockstep from kernel block to kernel block through their
+generated JIT code, and each kernel dispatch executes **one multi-frame
+numpy op** (``KernelLoop.make_run_many``) over the matrix instead of one
+tiny numpy call per frame.
 
 Everything frame-independent is done once per thread, per kernel
 geometry or per batch, never per frame.  The calling thread's binding of
@@ -29,14 +33,14 @@ kernel alone.
 Data-dependent branches (requantization clamps, maxpool compares, argmax)
 do exist — the kernels count the ones inside them per frame, and the rest
 are frame-local glue handled by each frame's generated block functions
-between kernel parks.  Whenever the
-lockstep assumption is violated — frames park at different kernels or
-halt in different rounds — :class:`BatchDivergence` propagates to the
-caller, which re-runs the batch through the sequential path; so does a
-simulated fault of any frame (its own exception, raised by that frame's
-memory).  That fallback is always safe: every frame executes against its
-own **clone** of the platform memory, so a failed batched attempt leaves
-the platform untouched.
+between kernel parks.  Whenever the lockstep assumption is violated —
+frames park at different kernels or halt in different rounds —
+:class:`~repro.hw.sim.jit.BatchDivergence` propagates to the caller,
+which re-runs the batch through the sequential path; so does a simulated
+fault of any frame (its own exception, raised by that frame's memory).
+That fallback is always safe: every frame executes against its own
+**clone** of the platform memory, so a failed batched attempt leaves the
+platform untouched.
 
 Sequential-equivalence note: a sequential run carries memory state from
 frame to frame, while the batch gives each frame a clone of the *initial*
@@ -60,10 +64,6 @@ from ..isa import Instruction
 from ..memory import Memory
 from .kernels import FrameDmem
 from .trace_cache import bind_program
-
-
-class BatchDivergence(Exception):
-    """Frames left control-flow lockstep; the caller must run sequentially."""
 
 
 @dataclass
@@ -113,77 +113,32 @@ def run_batch(
     register file and its own memory clone with ``payloads[i]`` written to
     the input buffer, exactly like a sequential ``reset(); run()`` pair.
 
-    Raises :class:`BatchDivergence` (or whatever a frame raised) when the
-    batch cannot complete in lockstep; nothing is committed in that case.
+    Raises :class:`~repro.hw.sim.jit.BatchDivergence` (or whatever a frame
+    raised) when the batch cannot complete in lockstep; nothing is
+    committed in that case.
     """
-    n_frames = len(payloads)
     # One contiguous (frames, dmem_size) matrix backs every clone's dmem so
     # that batched kernel gathers are zero-copy column slices of it; every
     # kernel of the batch binds the same FrameDmem over it.
     region = memory.regions["dmem"]
-    dmem_mat = np.empty((n_frames, region.size), dtype=np.uint8)
+    dmem_mat = np.empty((len(payloads), region.size), dtype=np.uint8)
     dm = FrameDmem(dmem_mat, region.base)
     mems: List[Memory] = []
     for idx, payload in enumerate(payloads):
         m = memory.clone(dmem_buffer=dmem_mat[idx].data)
         m.store_bytes(buf_address, payload)
         mems.append(m)
-    # The thread's binding, pointed at this batch: the block functions
-    # switch to each frame's memory as that frame advances.
     jp = bind_program(program, cycle_model, enable_sdotp, mems)
-    template = jp.template
-    frames = range(n_frames)
-    stats_list = [ExecutionStats() for _ in frames]
+    stats_list = [ExecutionStats() for _ in mems]
     states = [
-        jp.start([0] * 32, stats_list[i], 0, max_instructions, frame=i)
-        for i in frames
+        jp.start([0] * 32, stats, 0, max_instructions, frame=i)
+        for i, stats in enumerate(stats_list)
     ]
-    # Every run mutates its registers and counters in place.
-    regs_list = [st.regs for st in states]
-    cnts = [st.cnt for st in states]
-
-    run_many_cache: dict = {}
-    while True:
-        events = [
-            jp.advance(states[i], stats_list[i], stop_at_kernel=True)
-            for i in frames
-        ]
-        done = events.count("done")
-        if done == n_frames:
-            break
-        if done:
-            raise BatchDivergence("frames halted out of lockstep")
-        pc0 = states[0].pc
-        if any(st.pc != pc0 for st in states):
-            raise BatchDivergence("frames parked at different kernel blocks")
-        _, _, kernel, kipi, kexit, kslot, _, _ = jp.entries[pc0]
-        rm = run_many_cache.get(pc0)
-        if rm is None:
-            rm = run_many_cache[pc0] = kernel.make_run_many(dm)
-        iters, extras = rm(regs_list, cnts, kslot + 2)
-        if iters:
-            for i in frames:
-                st = states[i]
-                st.cnt[kslot] += iters
-                st.cnt[kslot + 1] += 1
-                st.executed += kipi * iters + extras[i]
-                if st.executed > st.budget:
-                    raise jp._limit_error(st, stats_list[i])
-                st.pc = kexit
-        else:
-            # Registers not uniform (or span outside dmem): run this kernel
-            # block per frame; lockstep resumes if control flow agrees.
-            for i in frames:
-                jp.kernel_step(states[i], stats_list[i])
-
-    template.commit(stats_list, states)
+    jp.run_lockstep(states, stats_list, dm)
     return BatchRun(
         [
-            FrameOutcome(
-                states[i].regs, states[i].final_pc, stats_list[i], mems[i],
-                states[i].cnt,
-            )
-            for i in frames
+            FrameOutcome(st.regs, st.final_pc, stats, m, st.cnt)
+            for st, stats, m in zip(states, stats_list, mems)
         ],
         dm,
     )

@@ -19,26 +19,29 @@ The compiled artifact is split in two:
   each kernel's plan and weight lanes (:mod:`repro.hw.sim.kernels`), and
   per thread its :class:`JitProgram`.
 * :class:`JitProgram` — a template **bound** to the memories of one run:
-  a single :class:`~repro.hw.memory.Memory` on the core's path, every
-  frame's memory clone on the batched path.  One ``exec`` of the code
-  object binds the inlined load/store helpers to a *current-frame cell*
-  (that frame's dmem row and ``Memory``), which :meth:`JitProgram.advance`
-  switches to the frame of the run it resumes; a kernel loop a frame runs
-  alone gets its runner from ``make_run_many(FrameDmem.of(mem))`` on first
-  use (a single frame is a batch of one).  Each thread execs the module
-  once per template (:meth:`JitTemplate.bound`); every later run of the
-  thread only points the cell at its memories (:meth:`JitProgram.rebind`)
-  and drops the per-frame runners.  Both run paths get their binding from
+  a single :class:`~repro.hw.memory.Memory` for a core's run, every
+  frame's memory clone for a batch.  One ``exec`` of the code object
+  binds the inlined load/store helpers to a *current-frame cell* (that
+  frame's dmem row and ``Memory``), which :meth:`JitProgram.advance`
+  switches to the frame of the run it resumes.  Each thread execs the
+  module once per template (:meth:`JitTemplate.bound`); every later run of
+  the thread only points the cell at its memories
+  (:meth:`JitProgram.rebind`).  Every run gets its binding from
   :func:`~repro.hw.sim.trace_cache.bind_program`.
 
-Execution strategy, fastest first: recognized kernel loop (one numpy op
-for the whole remaining trip count) → generated block function → for a pc
-that is not a block leader (``jalr`` into a block interior, a misaligned
-pc), one instruction through the interpreter's own
-:func:`~repro.hw.core.step`, against the advancing frame's ``Memory``,
-until control reaches a leader again.  Codegen covers every mnemonic, so
-the generator and ``step`` are the only two implementations of the
-instruction semantics.  Statistics are counted
+One loop runs everything, :meth:`JitProgram.run_lockstep`: N ≥ 1 run
+states (one per frame; a core's run is one) advance through generated
+blocks until each parks at a kernel block, and the kernel then runs once
+for all of them over the :class:`~repro.hw.sim.kernels.FrameDmem` the
+caller passes (a core's own dmem as a one-row matrix, or a batch's
+``(frames, dmem)`` matrix).  Execution strategy, fastest first: recognized
+kernel loop (one numpy op for the whole remaining trip count, all frames
+at once) → generated block function → for a pc that is not a block leader
+(``jalr`` into a block interior, a misaligned pc), one instruction through
+the interpreter's own :func:`~repro.hw.core.step`, against the advancing
+frame's ``Memory``, until control reaches a leader again.  Codegen covers
+every mnemonic, so the generator and ``step`` are the only two
+implementations of the instruction semantics.  Statistics are counted
 per block execution in a flat per-run counter list (two slots per block:
 executions and branches-taken; two more per kernel block: iterations and
 vectorized calls) and scaled analytically once at the end of the run, so a
@@ -464,17 +467,13 @@ class JitTemplate:
         self._threads = threading.local()  # each thread's JitProgram
 
     # ------------------------------------------------------------------ #
-    def bind(self, program: List[Instruction], *mems: Memory) -> "JitProgram":
-        """A fresh binding for one run: ``mems`` holds every frame's memory."""
-        return JitProgram(self, program, mems)
-
     def bound(self, program: List[Instruction], mems: Sequence[Memory]) -> "JitProgram":
         """The calling thread's binding, pointed at ``mems`` for this run.
 
         The generated module is exec'd once per thread (again only if the
         memories' dmem region moves); every later run of the thread only
-        rebinds the current-frame cell and drops the per-frame runners.  A
-        thread runs one program at a time, so its binding is never shared.
+        rebinds the current-frame cell.  A thread runs one program at a
+        time, so its binding is never shared.
         """
         jp = getattr(self._threads, "program", None)
         if jp is None or not jp.rebind(program, mems):
@@ -585,8 +584,12 @@ class JitTemplate:
             )
 
 
+class BatchDivergence(Exception):
+    """Frames left control-flow lockstep; the caller must run sequentially."""
+
+
 class _RunState:
-    """Mutable per-run execution state (one per frame in batched mode)."""
+    """Mutable per-run execution state (one per frame of a lockstep run)."""
 
     __slots__ = (
         "frame",
@@ -608,9 +611,10 @@ class JitProgram:
 
     The generated block functions are bound once; their memory helpers read
     the current frame from a cell that :meth:`advance` and
-    :meth:`kernel_step` switch to the frame of the run state they resume,
-    and that :meth:`rebind` points at the next run's memories.  The core's
-    single-frame path is the same binding with one memory.
+    :meth:`_block_step` switch to the frame of the run state they resume,
+    and that :meth:`rebind` points at the next run's memories.  A core's
+    run is the same binding with one memory.  :meth:`run_lockstep` is the
+    one place a kernel is dispatched.
     """
 
     def __init__(
@@ -623,9 +627,10 @@ class JitProgram:
         region = mems[0].regions["dmem"]
         self._region = (region.base, region.size)
         self._cur: list = [None, None]
-        # Per frame, built on first use: the runners of kernels the frame
-        # executes alone.
-        self._runners: Dict[tuple, Callable] = {}
+        # The kernel runners over ``_dm``: by block index for all frames at
+        # once, by ``(frame, block index)`` for one frame alone.
+        self._dm: Optional[FrameDmem] = None
+        self._runners: Dict[object, Callable] = {}
         self.rebind(program, mems)
         g: Dict[str, object] = {"__name__": f"repro_jit_{template.fingerprint}"}
         g.update(_bind_helpers(region.base, region.size, self._cur))
@@ -650,10 +655,7 @@ class JitProgram:
         self.program = program
         self.mems = mems
         self._dmem = [m._data["dmem"] for m in mems]
-        self._cur[0] = self._dmem[0]
-        self._cur[1] = mems[0]
-        self._frame = 0
-        self._runners.clear()
+        self._frame = -1  # the next _select points the cell at its frame
         return True
 
     def _select(self, frame: int) -> None:
@@ -662,15 +664,6 @@ class JitProgram:
             self._frame = frame
             self._cur[0] = self._dmem[frame]
             self._cur[1] = self.mems[frame]
-
-    def _runner(self, frame: int, bi: int) -> Callable:
-        """Block ``bi``'s kernel runner over ``frame``'s memory alone."""
-        run = self._runners.get((frame, bi))
-        if run is None:
-            kernel = self.template.blocks[bi].kernel
-            run = kernel.make_run_many(FrameDmem.of(self.mems[frame]))
-            self._runners[(frame, bi)] = run
-        return run
 
     # ------------------------------------------------------------------ #
     def start(
@@ -695,25 +688,102 @@ class JitProgram:
         st.final_pc = None
         return st
 
-    def finish(self, st: _RunState, stats: ExecutionStats) -> None:
-        self.template.commit([stats], [st])
-
     def _limit_error(self, st: _RunState, stats: ExecutionStats) -> SimulationError:
-        self.finish(st, stats)
+        self.template.commit([stats], [st])
         return SimulationError(
             f"instruction limit exceeded ({st.max_instructions}); "
             "runaway program?"
         )
 
     # ------------------------------------------------------------------ #
-    def advance(
+    def run_lockstep(
         self,
-        st: _RunState,
-        stats: ExecutionStats,
-        stop_at_kernel: bool = False,
-    ) -> str:
-        """Run until halt (``"done"``) or, with ``stop_at_kernel``, until the
-        pc lands on a kernel block without executing it (``"kernel"``)."""
+        states: Sequence[_RunState],
+        stats_list: Sequence[ExecutionStats],
+        dm: FrameDmem,
+    ) -> None:
+        """Run every state to its ``ebreak``, each kernel once for all.
+
+        Row ``state.frame`` of ``dm`` is the dmem that state runs on (one
+        row for a core's run).  Every state advances through generated
+        blocks until it parks at a kernel block; all parked at the same
+        one, the kernel runs once over ``dm`` for all of them.  The
+        runners stay on this binding while ``dm`` does.  Statistics are
+        added to each state's ``stats`` at the end.
+
+        Raises :class:`BatchDivergence` when states halt or park out of
+        lockstep; nothing is committed then.
+        """
+        if dm is not self._dm:
+            self._dm = dm
+            self._runners.clear()
+        runs = list(zip(states, stats_list))
+        regs_list = [st.regs for st in states]
+        cnts = [st.cnt for st in states]
+        while True:
+            halted = 0
+            for st, stats in runs:
+                halted += self.advance(st, stats)
+            if halted:
+                if halted == len(runs):
+                    break
+                raise BatchDivergence("frames halted out of lockstep")
+            pc = states[0].pc
+            for st in states:
+                if st.pc != pc:
+                    raise BatchDivergence("frames parked at different kernel blocks")
+            e = self.entries[pc]
+            bi = e[7]
+            if self._dispatch(bi, dm, runs, regs_list, cnts, e):
+                continue
+            # Declined (registers not uniform, a span outside dmem, frames
+            # with different weights): each frame of a batch tries the
+            # kernel alone, and a frame it declines runs the block as
+            # generated code.  Lockstep resumes if control flow agrees.
+            for run in runs:
+                st, f = run[0], run[0].frame
+                if len(runs) == 1 or not self._dispatch(
+                    (f, bi), FrameDmem(dm.mat[f : f + 1], dm.base),
+                    [run], [st.regs], [st.cnt], e,
+                ):
+                    self._block_step(*run)
+        self.template.commit(stats_list, states)
+
+    def _dispatch(self, key, dm, runs, regs_list, cnts, entry) -> bool:
+        """Run the kernel of block ``entry`` once over ``dm`` for ``runs``;
+        ``False`` (nothing changed) when it declines."""
+        _, _, kernel, kipi, kexit, kslot, _, _ = entry
+        run = self._runners.get(key)
+        if run is None:
+            run = self._runners[key] = kernel.make_run_many(dm)
+        iters, extras = run(regs_list, cnts, kslot + 2)
+        if not iters:
+            return False
+        for (st, stats), extra in zip(runs, extras):
+            cnt = st.cnt
+            cnt[kslot] += iters
+            cnt[kslot + 1] += 1
+            st.executed += kipi * iters + extra
+            if st.executed > st.budget:
+                raise self._limit_error(st, stats)
+            st.pc = kexit
+        return True
+
+    def _block_step(self, st: _RunState, stats: ExecutionStats) -> None:
+        """One execution of the kernel block at ``st.pc`` as generated code
+        (it never halts: every kernel block ends in a branch or falls
+        through)."""
+        self._select(st.frame)
+        fn, n = self.entries[st.pc][:2]
+        st.pc = fn(st.regs, st.cnt)
+        st.executed += n
+        if st.executed > st.budget:
+            raise self._limit_error(st, stats)
+
+    def advance(self, st: _RunState, stats: ExecutionStats) -> bool:
+        """Run ``st`` through generated blocks until it halts (``True``) or
+        its pc lands on a kernel block, which it leaves to
+        :meth:`run_lockstep` (``False``)."""
         self._select(st.frame)
         t = self.template
         entries = self.entries
@@ -731,7 +801,7 @@ class JitProgram:
                 index = pc // 4
                 if not 0 <= index < n_instr:
                     st.pc, st.executed = pc, executed
-                    self.finish(st, stats)
+                    self.template.commit([stats], [st])
                     raise SimulationError(f"PC 0x{pc:08x} outside the program")
                 instr = self.program[index]
                 npc, cycles = step(
@@ -747,25 +817,14 @@ class JitProgram:
                     raise self._limit_error(st, stats)
                 if npc is None:
                     st.pc, st.executed, st.final_pc = pc, executed, pc
-                    return "done"
+                    return True
                 pc = npc
                 continue
 
-            fn, n, kernel, kipi, kexit, kslot, fpc, bi = e
+            fn, n, kernel, _, _, _, fpc, _ = e
             if kernel is not None:
-                if stop_at_kernel:
-                    st.pc, st.executed = pc, executed
-                    return "kernel"
-                iters, extras = self._runner(st.frame, bi)([regs], [cnt], kslot + 2)
-                if iters:
-                    cnt[kslot] += iters
-                    cnt[kslot + 1] += 1
-                    executed += kipi * iters + extras[0]
-                    if executed > budget:
-                        st.pc, st.executed = pc, executed
-                        raise self._limit_error(st, stats)
-                    pc = kexit
-                    continue
+                st.pc, st.executed = pc, executed
+                return False
             npc = fn(regs, cnt)
             executed += n
             if executed > budget:
@@ -775,47 +834,5 @@ class JitProgram:
                 st.pc = fpc
                 st.executed = executed
                 st.final_pc = fpc
-                return "done"
+                return True
             pc = npc
-
-    def kernel_step(self, st: _RunState, stats: ExecutionStats) -> None:
-        """One execution of the kernel block at ``st.pc`` (batched decline path)."""
-        self._select(st.frame)
-        fn, n, _, kipi, kexit, kslot, fpc, bi = self.entries[st.pc]
-        regs = st.regs
-        cnt = st.cnt
-        iters, extras = self._runner(st.frame, bi)([regs], [cnt], kslot + 2)
-        if iters:
-            cnt[kslot] += iters
-            cnt[kslot + 1] += 1
-            st.executed += kipi * iters + extras[0]
-            st.pc = kexit
-        else:
-            npc = fn(regs, cnt)
-            st.executed += n
-            if npc is None:
-                st.final_pc = fpc
-                st.pc = fpc
-            else:
-                st.pc = npc
-        if st.executed > st.budget:
-            raise self._limit_error(st, stats)
-
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        regs: List[int],
-        stats: ExecutionStats,
-        entry_pc: int = 0,
-        max_instructions: int = 50_000_000,
-    ) -> int:
-        """Execute until ``ebreak``; returns the final pc (the ``ebreak``).
-
-        ``regs`` is mutated in place; executed instructions/cycles/counts
-        are *added* to ``stats``, matching the accumulating behaviour of
-        the interpreter.
-        """
-        st = self.start(regs, stats, entry_pc, max_instructions)
-        self.advance(st, stats)
-        self.finish(st, stats)
-        return st.final_pc

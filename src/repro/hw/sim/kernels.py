@@ -64,9 +64,10 @@ class KernelLoop:
     ``(n, extras)``, where ``extras[f]`` counts the instructions frame
     ``f`` ran on those side paths.  It returns ``(0, None)`` to decline —
     the control registers differ across frames, a span leaves dmem, or
-    the outputs overlap the inputs — and the block is then executed
-    generically, frame by frame.  After a successful run the simulator
-    resumes at ``exit_pc`` (the loop's fall-through pc when ``None``).
+    the outputs overlap the inputs — and each frame of a batch then runs
+    it alone, or the block as generated code where that declines too.
+    After a successful run the simulator resumes at ``exit_pc`` (the
+    loop's fall-through pc when ``None``).
     Recognizers used only as building blocks of a larger kernel leave
     ``make_run_many`` as ``None``.
 
@@ -157,7 +158,7 @@ class FrameDmem:
 
     The batched executor backs each frame's memory clone with a row of one
     contiguous matrix (see :meth:`~repro.hw.memory.Memory.clone`) and wraps
-    that matrix once per batch; a frame run alone wraps its own dmem as a
+    that matrix once per batch; a core's run wraps its own dmem as a
     one-row matrix (:meth:`of`).  So every read of a kernel is a
     **zero-copy** view across all frames and every write one numpy
     assignment.  Kernels check their spans once per plan
@@ -1221,9 +1222,9 @@ def attach_channel_superloops(blocks, program: List[Instruction], cycle_model):
 
     Called by the JIT template build after :func:`build_blocks`.
     Candidates are backward ``bne`` targets whose block opens with the bias
-    ``lw``; the strict matcher declines everything else.  A ``conv-chan``
-    loop is attached only for :func:`~repro.hw.sim.nests.attach_layer_nests`
-    to wrap in its ``conv-nest``; that pass detaches it again.
+    ``lw``; the strict matcher declines everything else.  Only ``fc-chan``
+    loops are attached: a ``conv-chan`` loop runs inside the ``conv-nest``
+    that matches it (:mod:`repro.hw.sim.nests`) or as generic blocks.
     """
     by_pc = {b.pc: b for b in blocks}
     seen = set()
@@ -1243,5 +1244,5 @@ def attach_channel_superloops(blocks, program: List[Instruction], cycle_model):
         ):
             continue
         loop = try_channel_superloop(program, head.start, cycle_model)
-        if loop is not None:
+        if loop is not None and loop.kind == "fc-chan":
             head.kernel = loop

@@ -68,6 +68,7 @@ from .kernels import (
     _Walk,
     _write_regs,
     count_clamps,
+    try_channel_superloop,
 )
 
 
@@ -151,11 +152,9 @@ def _match_conv_nest(program: List[Instruction], head: int, by_pc: dict,
     if not 0 < n < 0x8000_0000:
         raise _NoMatch
     init = ()
-    chan_block = by_pc.get(4 * w.i)
-    if chan_block is None:  # INT4 output: ``li PEND, 0; li PAR, 0`` first
+    if 4 * w.i not in by_pc:  # INT4 output: ``li PEND, 0; li PAR, 0`` first
         init = (w.take("addi", rs1=0, imm=0), w.take("addi", rs1=0, imm=0))
-        chan_block = by_pc.get(4 * w.i)
-    chan = chan_block.kernel if chan_block is not None else None
+    chan = try_channel_superloop(program, w.i, cycle_model)
     if chan is None or chan.kind != "conv-chan":
         raise _NoMatch
     spec = chan.meta["spec"]
@@ -448,12 +447,10 @@ _NEST_MATCHERS = (_match_conv_nest, _match_pool_nest)
 def attach_layer_nests(blocks, program: List[Instruction], cycle_model) -> None:
     """Attach ``conv-nest`` / ``pool-nest`` kernels to layer ``oy`` blocks.
 
-    Called by the JIT template build after
-    :func:`~repro.hw.sim.kernels.attach_channel_superloops` (a conv nest
-    wraps an attached ``conv-chan`` loop, which is then detached: it never
-    dispatches on its own).  Candidates are backward ``bne`` targets whose
-    block opens with a register move; the strict matchers decline
-    everything else.
+    Called by the JIT template build.  A conv nest matches its
+    ``conv-chan`` loop itself; that loop never dispatches on its own.
+    Candidates are backward ``bne`` targets whose block opens with a
+    register move; the strict matchers decline everything else.
     """
     by_pc = {b.pc: b for b in blocks}
     seen = set()
@@ -477,6 +474,3 @@ def attach_layer_nests(blocks, program: List[Instruction], cycle_model) -> None:
                 break
             except _NoMatch:
                 continue
-    for block in blocks:
-        if block.kernel is not None and block.kernel.kind == "conv-chan":
-            block.kernel = None

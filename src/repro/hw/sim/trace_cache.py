@@ -23,10 +23,12 @@ the next lookup rebuild the key (and recompile if the content changed).
 Edits that bypass attribute assignment (writing an instruction's
 ``__dict__``) are not seen.
 
-:func:`bind_program` is the one entry of both JIT run paths (the core's
-single-frame run and the batched walk): it looks the template up and
-returns the calling thread's :class:`~repro.hw.sim.jit.JitProgram` of it,
-rebound to the run's memories (see :meth:`JitTemplate.bound`).
+:func:`bind_program` is where every JIT run gets its binding (a core's
+run and a batch alike, before
+:meth:`~repro.hw.sim.jit.JitProgram.run_lockstep` runs it): it looks the
+template up and returns the calling thread's
+:class:`~repro.hw.sim.jit.JitProgram` of it, rebound to the run's memories
+(see :meth:`JitTemplate.bound`).
 
 Knobs
 -----

@@ -325,6 +325,51 @@ class TestJitSemantics:
         with pytest.raises(SimulationError, match="instruction limit"):
             core.run(infinite)
 
+    @pytest.mark.parametrize(
+        "limit", [67, 66, 50], ids=["fits", "last-block-over", "kernel-over"]
+    )
+    def test_runs_without_reset_accumulate(self, limit):
+        """Two runs without ``reset`` add up their stats, the second starts
+        from the registers the first left (entering at pc 4), and one
+        instruction limit counts both runs, exactly as in the interpreter."""
+        program = [
+            Instruction("lui", rd=reg("t0"), imm=DMEM_BASE),
+            Instruction("addi", rd=reg("t1"), rs1=reg("t0"), imm=40),
+            Instruction("sw", rs1=reg("t0"), rs2=reg("t2"), imm=0),  # memset
+            Instruction("addi", rd=reg("t0"), rs1=reg("t0"), imm=4),
+            Instruction("bne", rs1=reg("t0"), rs2=reg("t1"), imm=-8),
+            Instruction("addi", rd=reg("a0"), rs1=reg("a0"), imm=1),
+            Instruction("ebreak"),
+        ]
+        assert get_template(program, None, True).kernel_counts() == {"memset": 1}
+        cores, errors = {}, {}
+        for mode in ("interp", "jit"):
+            core = cores[mode] = IbexCore(max_instructions=limit, mode=mode)
+            core.registers[reg("t2")] = 0x1234_5678
+            core.registers[reg("a0")] = 5
+            core.run(program)
+            assert core.stats.instructions == 34
+            try:
+                core.run(program, entry_pc=4)
+                errors[mode] = None
+            except SimulationError as exc:
+                errors[mode] = str(exc)
+        if limit < 67:
+            assert "instruction limit exceeded" in errors["interp"]
+            assert errors["jit"] == errors["interp"]
+            return
+        assert errors == {"interp": None, "jit": None}
+        ref, jit = cores["interp"], cores["jit"]
+        assert jit.registers == ref.registers
+        assert jit.registers[reg("a0")] == 7
+        assert jit.pc == ref.pc
+        assert jit.stats.instructions == ref.stats.instructions == 67
+        assert jit.stats.cycles == ref.stats.cycles
+        assert jit.stats.per_mnemonic == ref.stats.per_mnemonic
+        assert jit.memory.load_bytes(DMEM_BASE, 80) == (
+            ref.memory.load_bytes(DMEM_BASE, 80)
+        ) == bytes.fromhex("78563412") * 20
+
     def test_block_tallies_and_source(self):
         template = get_template(_tiny_program(), None, True)
         tallies = template.block_tallies()
@@ -410,13 +455,39 @@ class TestBatchedExecution:
             DMEM_BASE, DMEM_SIZE
         )
 
-    def test_single_frame_uses_sequential_path(self, integer_network, prepared_data):
+    def test_single_frame_uses_sequential_path(
+        self, integer_network, prepared_data, monkeypatch
+    ):
+        """One frame runs on the platform's own memory (no clone) and
+        leaves the platform exactly as the interpreter does."""
+        from repro.hw import Memory
+
         frames = prepared_data["preprocessor"](
             prepared_data["test_session"].frames[:1]
         )
         compiled = compile_network(integer_network, use_sdotp=True)
-        batch = simulate_batch(maupiti_platform(sim_mode="jit"), compiled, frames)
-        assert len(batch.predictions) == 1
+        p_jit = maupiti_platform(sim_mode="jit")
+        p_int = maupiti_platform(sim_mode="interp")
+        ref = simulate_batch(p_int, compiled, frames)
+        clones = []
+        builtin_clone = Memory.clone
+
+        def counting_clone(self, *args, **kwargs):
+            clones.append(self)
+            return builtin_clone(self, *args, **kwargs)
+
+        monkeypatch.setattr(Memory, "clone", counting_clone)
+        batch = simulate_batch(p_jit, compiled, frames)
+        assert clones == []
+        np.testing.assert_array_equal(batch.predictions, ref.predictions)
+        np.testing.assert_array_equal(batch.logits, ref.logits)
+        np.testing.assert_array_equal(batch.cycles_per_frame, ref.cycles_per_frame)
+        assert p_jit.core.registers == p_int.core.registers
+        assert p_jit.core.pc == p_int.core.pc
+        assert p_jit.core.stats == p_int.core.stats
+        assert p_jit.memory.load_bytes(DMEM_BASE, DMEM_SIZE) == p_int.memory.load_bytes(
+            DMEM_BASE, DMEM_SIZE
+        )
 
     def test_keep_results_through_batched_path(self, integer_network, prepared_data):
         frames = prepared_data["preprocessor"](
@@ -438,9 +509,11 @@ class TestBatchedExecution:
         self, integer_network, prepared_data, target
     ):
         """Per frame, every conv and maxpool layer is one kernel dispatch,
-        on the single-frame and on the batched path."""
+        for one frame on its own memory (a core's run) and for a batch."""
         from repro.deploy.runtime import load_model, write_input
+        from repro.hw import ExecutionStats
         from repro.hw.sim.batch import run_batch
+        from repro.hw.sim.kernels import FrameDmem
 
         frames = prepared_data["preprocessor"](
             prepared_data["test_session"].frames[:3]
@@ -454,10 +527,10 @@ class TestBatchedExecution:
         kinds = [s.kind for s in compiled.layer_summaries]
 
         write_input(platform, compiled, frames[0])
-        stats = core.stats
-        bound = template.bind(compiled.program, platform.memory)
+        stats = ExecutionStats()
+        bound = template.bound(compiled.program, [platform.memory])
         state = bound.start([0] * 32, stats, 0, core.max_instructions)
-        bound.advance(state, stats)
+        bound.run_lockstep([state], [stats], FrameDmem.of(platform.memory))
         tallies = [template.dispatch_counts(state.cnt)]
         outcomes = run_batch(
             platform.memory, compiled.program,
@@ -535,6 +608,35 @@ class TestBatchedExecution:
         )
         assert len(outcomes) == 16
         assert built == [(16, DMEM_SIZE)]
+
+    def test_core_runs_keep_their_kernel_runners(
+        self, integer_network, prepared_data, monkeypatch
+    ):
+        """Repeated one-frame runs on one platform bind each kernel's
+        runner once: the thread's binding keeps them while the core's
+        memory is the same."""
+        from repro.deploy.runtime import load_model, run_frame
+
+        frames = prepared_data["preprocessor"](
+            prepared_data["test_session"].frames[:3]
+        )
+        platform = maupiti_platform()
+        compiled = compile_network(integer_network, use_sdotp=True)
+        load_model(platform, compiled)
+        template = get_template(compiled.program, platform.core.cycle_model, True)
+        built = []
+        for block in template.blocks:
+            if block.kernel is not None:
+                make = block.kernel.make_run_many
+
+                def counting_make(dm, make=make):
+                    built.append(dm)
+                    return make(dm)
+
+                monkeypatch.setattr(block.kernel, "make_run_many", counting_make)
+        for frame in frames:
+            run_frame(platform, compiled, frame)
+        assert len(built) == sum(template.kernel_counts().values())
 
     def test_steady_state_reuses_binding_and_plans(
         self, integer_network, prepared_data, monkeypatch

@@ -38,6 +38,7 @@ from repro.hw import (
     DMEM_SIZE,
     ExecutionStats,
     IbexCore,
+    Instruction,
     Memory,
     reg,
 )
@@ -321,9 +322,10 @@ def test_frames_with_own_weights_match_interpreter(conv, fc):
 # Control registers that differ across frames
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("kind", ["conv-nest", "pool-nest"])
-def test_nest_declines_on_non_uniform_control_registers(kind):
+def test_nest_declines_on_non_uniform_control_registers(kind, monkeypatch):
     """A nest runs all frames at once only when their control registers
-    agree; otherwise it declines and leaves every frame untouched."""
+    agree; otherwise it declines and leaves every frame untouched, and the
+    lockstep loop then runs the nest for each frame alone."""
     if kind == "conv-nest":
         p = dict(bits=8, c_in=3, c_out=5, kernel=(3, 3), stride=(1, 1), pad=1,
                  height=3, width=3, out_pad=0, out_bits=8, requantize=True,
@@ -336,29 +338,48 @@ def test_nest_declines_on_non_uniform_control_registers(kind):
         program, _, _ = _pool_program(p)
         rows = 2
     template = get_template(program, DEFAULT_CYCLE_MODEL, True)
-    bi = next(i for i, b in enumerate(template.blocks)
-              if b.kernel is not None and b.kernel.kind == kind)
-    # Two frames backed by rows of one matrix, as in the batched executor,
-    # both parked at the nest (the layer's first kernel).
+    nest = next(b for b in template.blocks
+                if b.kernel is not None and b.kernel.kind == kind)
+    # The registers at the nest (the layer's first kernel), from the
+    # interpreter; frame 1 has one row fewer left.
+    setup = IbexCore(mode="interp")
+    setup.run(program[: nest.pc // 4] + [Instruction("ebreak")])
+    entry_regs = [list(setup.registers), list(setup.registers)]
+    entry_regs[1][reg("s4")] -= 1
+
+    calls = []  # (frames, rows run, registers untouched)
+    make_run_many = nest.kernel.make_run_many
+
+    def spy(dm):
+        run_many = make_run_many(dm)
+
+        def run(regs_list, cnts, aux_base):
+            before = [list(r) for r in regs_list]
+            iters, extras = run_many(regs_list, cnts, aux_base)
+            calls.append((len(regs_list), iters, regs_list == before))
+            return iters, extras
+
+        return run
+
+    monkeypatch.setattr(nest.kernel, "make_run_many", spy)
+    # Two frames backed by rows of one matrix, as in the batched executor.
     mat = np.zeros((2, DMEM_SIZE), dtype=np.uint8)
     mems = [Memory().clone(dmem_buffer=mat[i].data) for i in range(2)]
-    states = []
-    for mem in mems:
-        jp = template.bind(program, mem)
-        state = jp.start([0] * 32, ExecutionStats(), 0, MAX_INSTRUCTIONS)
-        assert jp.advance(state, ExecutionStats(), stop_at_kernel=True) == "kernel"
-        assert state.pc == template.blocks[bi].pc
-        states.append(state)
-    regs = [state.regs for state in states]
-    cnts = [state.cnt for state in states]
-    run_many = template.blocks[bi].kernel.make_run_many(
-        FrameDmem(mat, DMEM_BASE)
-    )
-    aux = template.kslots[bi] + 2
-
-    regs[1][reg("s4")] -= 1  # frame 1 has one row fewer left
-    before = [list(r) for r in regs]
-    assert run_many(regs, cnts, aux) == (0, None)
-    assert regs == before
-    regs[1][reg("s4")] += 1
-    assert run_many(regs, cnts, aux)[0] == rows
+    jp = template.bound(program, mems)
+    stats = [ExecutionStats(), ExecutionStats()]
+    states = [
+        jp.start(list(regs), s, nest.pc, MAX_INSTRUCTIONS, frame=i)
+        for i, (regs, s) in enumerate(zip(entry_regs, stats))
+    ]
+    jp.run_lockstep(states, stats, FrameDmem(mat, DMEM_BASE))
+    assert calls == [(2, 0, True), (1, rows, False), (1, rows - 1, False)]
+    for regs, state, s, mem in zip(entry_regs, states, stats, mems):
+        ref = IbexCore(memory=Memory(), mode="interp")
+        ref.registers = list(regs)
+        ref.run(program, entry_pc=nest.pc)
+        assert state.regs == ref.registers
+        assert state.final_pc == ref.pc
+        assert s == ref.stats
+        assert mem.load_bytes(DMEM_BASE, DMEM_SIZE) == (
+            ref.memory.load_bytes(DMEM_BASE, DMEM_SIZE)
+        )
